@@ -15,6 +15,7 @@ from repro.appgen.workload import (
     best_candidate,
     collect_features,
     measure_candidates,
+    race_candidates,
 )
 
 __all__ = [
@@ -26,4 +27,5 @@ __all__ = [
     "collect_features",
     "generate_app",
     "measure_candidates",
+    "race_candidates",
 ]

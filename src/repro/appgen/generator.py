@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -104,6 +105,9 @@ class AppRun:
     seconds: float
     machine: Machine
     profiled: ProfiledContainer | None
+    #: True when the run stopped early because its cycles passed the
+    #: caller's ``limit``; ``cycles`` is then a lower bound.
+    abandoned: bool = False
 
     def features(self) -> np.ndarray:
         if self.profiled is None:
@@ -127,16 +131,24 @@ class SyntheticApp:
 
     def run(self, kind: DSKind,
             machine_config: MachineConfig = CORE2,
-            instrument: bool = False) -> AppRun:
-        """Execute the app on a fresh machine with the given container."""
+            instrument: bool = False, *,
+            limit: int | None = None) -> AppRun:
+        """Execute the app on a fresh machine with the given container.
+
+        With ``limit`` set, the cycle count is read after every interface
+        call (prefill included) and the run stops as soon as it exceeds
+        ``limit``, returning an :class:`AppRun` marked ``abandoned``.
+        """
         if kind not in self.group.classes:
             raise ValueError(
                 f"{kind} is not a legal candidate for group {self.group.name}"
             )
-        # Instrumented runs read counters after every op, so the auto
-        # engine picks the scalar machine for them; plain measurement
-        # runs (the Phase I hot path) get the vector recorder.
-        machine = make_machine(machine_config, instrumented=instrument)
+        # Instrumented and bounded runs read counters after every op, so
+        # the auto engine picks the scalar machine for them; unbounded
+        # measurement runs get the vector recorder.
+        machine = make_machine(
+            machine_config,
+            instrumented=instrument or limit is not None)
         profile = self.profile
         container: Container = make_container(
             kind, machine, profile.elem_size,
@@ -151,8 +163,11 @@ class SyntheticApp:
             target = profiled
 
         rng = random.Random(self.seed)
-        size = self._drive(target, rng)
-        if size != len(container):  # pragma: no cover - internal check
+        over = (None if limit is None
+                else lambda: machine.cycles > limit)
+        size = self._drive(target, rng, over)
+        abandoned = size is None
+        if not abandoned and size != len(container):  # pragma: no cover
             raise AssertionError("logical size diverged from replay model")
         obs.record_sim_run(machine)
         return AppRun(
@@ -161,10 +176,13 @@ class SyntheticApp:
             seconds=machine.seconds,
             machine=machine,
             profiled=profiled,
+            abandoned=abandoned,
         )
 
-    def _drive(self, target, rng: random.Random) -> int:
-        """The function-dispatch loop.  Returns the final logical size.
+    def _drive(self, target, rng: random.Random,
+               over: Callable[[], bool] | None = None) -> int | None:
+        """The function-dispatch loop.  Returns the final logical size,
+        or None when ``over()`` turned true after some interface call.
 
         Every random draw happens unconditionally for a given op sequence,
         so the stream is identical regardless of container kind.
@@ -183,6 +201,8 @@ class SyntheticApp:
             value = rng.randrange(profile.max_insert_val)
             target.insert(value, size)
             size += 1
+            if over is not None and over():
+                return None
 
         choices = rng.choices(ops, weights=weights, k=profile.total_calls)
         for op in choices:
@@ -217,6 +237,8 @@ class SyntheticApp:
                 size += 1
             else:  # pragma: no cover - exhaustive
                 raise AssertionError(f"unknown op {op}")
+            if over is not None and over():
+                return None
         return size
 
 

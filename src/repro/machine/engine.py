@@ -8,11 +8,16 @@ Two engines sit behind the same event API:
   events into a typed buffer and replays whole chunks through numpy
   decode plus one tight LRU loop, bit-identical counters.
 
-``auto`` (the default everywhere) picks per run: instrumented runs
-read ``snapshot_tuple()`` after every container operation, which would
-flush the recorder's buffer a handful of events at a time and erase
-the replay advantage — so ``auto`` resolves to ``scalar`` for them and
-to ``vector`` for plain measurement runs (the Phase I hot path).
+``auto`` (the default everywhere) picks per run: every run that reads
+counters mid-run would flush the recorder's buffer a handful of events
+at a time and erase the replay advantage, so ``auto`` resolves to
+``scalar`` for them and to ``vector`` for runs observed only at the
+end.  Two kinds of run read mid-run: instrumented runs
+(``snapshot_tuple()`` after every container operation) and Phase I's
+bounded race runs (``cycles`` after every interface call).  On Phase I
+traffic the scalar machine measured no slower than the recorder
+(``train-mini`` trains: median 2.50 s scalar vs 2.61 s vector on a
+shared 2-CPU host; docs/performance.md).
 
 Selection precedence, strongest first:
 
@@ -46,7 +51,10 @@ def validate_engine(engine: str, source: str = "sim_engine") -> str:
 
 def resolve_engine(config: MachineConfig, *, instrumented: bool = False,
                    engine: str | None = None) -> str:
-    """Resolve the concrete engine ("scalar" or "vector") for one run."""
+    """Resolve the concrete engine ("scalar" or "vector") for one run.
+
+    ``instrumented`` means the run reads counters mid-run.
+    """
     if engine is None:
         engine = os.environ.get(_ENV_VAR) or config.sim_engine
         source = (_ENV_VAR if os.environ.get(_ENV_VAR)

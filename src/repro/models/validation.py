@@ -19,7 +19,7 @@ from repro.appgen.workload import (
     DEFAULT_MARGIN,
     best_candidate,
     collect_features,
-    measure_candidates,
+    race_candidates,
 )
 from repro.containers.registry import DSKind, ModelGroup
 from repro.machine.configs import MachineConfig
@@ -79,8 +79,8 @@ def validate_model(model, group: ModelGroup, config: GeneratorConfig,
     )
     for seed in range(seed_base, seed_base + n_apps):
         app = generate_app(seed, group, config)
-        oracle = best_candidate(measure_candidates(app, machine_config),
-                                margin=margin)
+        oracle = best_candidate(
+            race_candidates(app, machine_config, margin), margin=margin)
         if oracle is None:
             result.skipped += 1
             continue

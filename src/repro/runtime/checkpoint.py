@@ -26,6 +26,8 @@ PHASE1_CHECKPOINT_KIND = "phase1-checkpoint"
 PHASE2_CHECKPOINT_KIND = "phase2-checkpoint"
 DARWIN_CHECKPOINT_KIND = "darwin-checkpoint"
 CHECKPOINT_SCHEMA_VERSION = 1
+#: Phase I records list only the candidates that completed the race.
+PHASE1_CHECKPOINT_SCHEMA_VERSION = 2
 
 
 class TrainingInterrupted(RuntimeError):
@@ -67,12 +69,13 @@ class Phase1Checkpoint:
             "complete": self.complete,
         }
         write_artifact(path, payload, kind=PHASE1_CHECKPOINT_KIND,
-                       schema_version=CHECKPOINT_SCHEMA_VERSION)
+                       schema_version=PHASE1_CHECKPOINT_SCHEMA_VERSION)
 
     @classmethod
     def load(cls, path: str | Path) -> "Phase1Checkpoint":
-        payload = read_artifact(Path(path), kind=PHASE1_CHECKPOINT_KIND,
-                                schema_version=CHECKPOINT_SCHEMA_VERSION)
+        payload = read_artifact(
+            Path(path), kind=PHASE1_CHECKPOINT_KIND,
+            schema_version=PHASE1_CHECKPOINT_SCHEMA_VERSION)
         return cls(
             group_name=payload["group_name"],
             machine_name=payload["machine_name"],

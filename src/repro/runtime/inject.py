@@ -1,7 +1,7 @@
 """Deterministic fault injection for exercising the robustness boundary.
 
 The injector wraps the two expensive Phase-I/II calls — ``generate_app``
-and ``measure_candidates`` — with seeded failure decisions, so tests can
+and the candidate sweep — with seeded failure decisions, so tests can
 prove the error boundary, retry, quarantine, and checkpoint/resume paths
 without any real flakiness.  Every decision is a pure function of
 ``(plan.rng_seed, app seed, stage)``: re-running the same plan injects
@@ -102,9 +102,14 @@ class FaultInjector:
         return wrapped
 
     def wrap_measure(self, fn: Callable | None = None) -> Callable:
-        """A drop-in for ``measure_candidates(app, machine_config)``."""
+        """A drop-in for Phase I's ``measure_fn(app, machine_config)``.
+
+        Wraps :func:`~repro.appgen.workload.race_candidates` by default,
+        which races at the default margin: pair it with a Phase I run at
+        that margin, or pass ``fn`` explicitly.
+        """
         if fn is None:
-            from repro.appgen.workload import measure_candidates as fn
+            from repro.appgen.workload import race_candidates as fn
 
         def wrapped(app, machine_config):
             self.before(app.seed, STAGE_MEASURE)

@@ -3,7 +3,9 @@
 Generate seeded application sets, run each candidate container, measure
 execution time (simulated cycles), and record ``(seed, best DS)`` — but
 only when the best is at least 5 % faster than every alternative, so a
-barely-best structure never becomes a training label.  Iteration stops
+barely-best structure never becomes a training label.  The candidates
+race: a run that can no longer win or place second is abandoned early,
+which never changes the verdict.  Iteration stops
 when every candidate class has reached its per-class target or the seed
 budget is exhausted (some classes win rarely; the paper notes Phase I
 "after many iterations some data structures will have more best
@@ -35,7 +37,11 @@ from typing import Callable
 import repro.obs as obs
 from repro.appgen.config import GeneratorConfig
 from repro.appgen.generator import generate_app
-from repro.appgen.workload import DEFAULT_MARGIN, best_candidate, measure_candidates
+from repro.appgen.workload import (
+    DEFAULT_MARGIN,
+    best_candidate,
+    race_candidates,
+)
 from repro.containers.registry import DSKind, ModelGroup
 from repro.machine.configs import CORE2, MachineConfig
 from repro.runtime.artifacts import read_artifact, write_artifact
@@ -58,12 +64,19 @@ from repro.runtime.parallel import (
 )
 
 PHASE1_ARTIFACT_KIND = "phase1-result"
-PHASE1_SCHEMA_VERSION = 2
+PHASE1_SCHEMA_VERSION = 3
 
 
 @dataclass
 class SeedRecord:
-    """One Phase-I outcome: a seed and the winning data structure."""
+    """One Phase-I outcome: a seed and the winning data structure.
+
+    ``runtimes`` holds the simulated cycles of every candidate that ran
+    to completion.  Phase I races the candidates
+    (:func:`~repro.appgen.workload.race_candidates`), so candidates that
+    could no longer win or place second were abandoned and are absent;
+    ``best`` is always present and is the minimum.
+    """
 
     seed: int
     best: DSKind
@@ -320,7 +333,7 @@ def run_phase1(group: ModelGroup,
     generate_fn / measure_fn:
         Pluggable seams for the app generator and the candidate sweep
         (used by the fault-injection harness); defaults are the real
-        :func:`generate_app` / :func:`measure_candidates`.
+        :func:`generate_app` and :func:`race_candidates` at ``margin``.
     executor:
         Overrides the worker pool entirely (tests pass an in-process
         :class:`~repro.runtime.parallel.SerialExecutor` so stateful
@@ -345,7 +358,7 @@ def run_phase1(group: ModelGroup,
         raise ValueError("checkpoint_every requires checkpoint_path")
     jobs = resolve_jobs(options.jobs)
     generate_fn = generate_fn or generate_app
-    measure_fn = measure_fn or measure_candidates
+    measure_fn = measure_fn or partial(race_candidates, margin=margin)
     telemetry_scope = (obs.use_collector(options.telemetry)
                        if options.telemetry is not None else nullcontext())
 
