@@ -12,8 +12,8 @@ stream, so "the only difference is the data structure implementation".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -35,12 +35,25 @@ _ORDERED_OPS = ("insert", "erase", "find", "iterate")
 _POSITION_POLICIES = ("front", "back", "middle", "uniform")
 
 
+def app_family(kind: DSKind) -> str:
+    """The family of apps a group with original ``kind`` generates.
+
+    Profile sampling reads the original kind only through its family,
+    so two groups of one family generate identical apps for every seed.
+    """
+    if kind in (DSKind.VECTOR, DSKind.LIST):
+        return "sequence"
+    if kind == DSKind.MAP:
+        return "map"
+    return "ordered"
+
+
 def _sample_profile(seed: int, group: ModelGroup,
                     config: GeneratorConfig) -> BehaviorProfile:
     """Draw one application's behaviour from its seed."""
     rng = random.Random(seed ^ 0x5EED)
-    ops = (_SEQUENCE_OPS if group.original in (DSKind.VECTOR, DSKind.LIST)
-           else _ORDERED_OPS)
+    family = app_family(group.original)
+    ops = _SEQUENCE_OPS if family == "sequence" else _ORDERED_OPS
 
     # Interface mix: gamma draws (Dirichlet) with random interface drops.
     weights = []
@@ -69,7 +82,7 @@ def _sample_profile(seed: int, group: ModelGroup,
                             int(max_insert * remove_scale)))
 
     payload = 0
-    if group.original == DSKind.MAP:
+    if family == "map":
         payload = rng.choice(config.payload_sizes)
 
     # Skewed search pattern (extension experiments only): drawn last so
@@ -106,8 +119,11 @@ class AppRun:
     machine: Machine
     profiled: ProfiledContainer | None
     #: True when the run stopped early because its cycles passed the
-    #: caller's ``limit``; ``cycles`` is then a lower bound.
+    #: caller's ``limit``; ``cycles`` is then a lower bound, and passing
+    #: the run back as ``resume=`` continues it.
     abandoned: bool = False
+    _steps: Iterator[None] | None = field(default=None, repr=False,
+                                          compare=False)
 
     def features(self) -> np.ndarray:
         if self.profiled is None:
@@ -132,44 +148,54 @@ class SyntheticApp:
     def run(self, kind: DSKind,
             machine_config: MachineConfig = CORE2,
             instrument: bool = False, *,
-            limit: int | None = None) -> AppRun:
+            limit: int | None = None,
+            resume: AppRun | None = None) -> AppRun:
         """Execute the app on a fresh machine with the given container.
 
         With ``limit`` set, the cycle count is read after every interface
         call (prefill included) and the run stops as soon as it exceeds
         ``limit``, returning an :class:`AppRun` marked ``abandoned``.
+        Passing that run as ``resume`` continues it from where it
+        stopped, on the same machine, under the new ``limit``: a run
+        paused and resumed any number of times ends exactly as one run.
         """
         if kind not in self.group.classes:
             raise ValueError(
                 f"{kind} is not a legal candidate for group {self.group.name}"
             )
-        # Instrumented and bounded runs read counters after every op, so
-        # the auto engine picks the scalar machine for them; unbounded
-        # measurement runs get the vector recorder.
-        machine = make_machine(
-            machine_config,
-            instrumented=instrument or limit is not None)
-        profile = self.profile
-        container: Container = make_container(
-            kind, machine, profile.elem_size,
-            profile.payload_size if profile.payload_size else None,
-        )
-        target: Container | ProfiledContainer = container
-        profiled = None
-        if instrument:
-            profiled = ProfiledContainer(
-                container, context=f"synthetic:{self.seed}"
+        if resume is None:
+            # Instrumented and bounded runs read counters after every
+            # op, so the auto engine picks the scalar machine for them;
+            # unbounded measurement runs get the vector recorder.
+            machine = make_machine(
+                machine_config,
+                instrumented=instrument or limit is not None)
+            profile = self.profile
+            container: Container = make_container(
+                kind, machine, profile.elem_size,
+                profile.payload_size if profile.payload_size else None,
             )
-            target = profiled
+            target: Container | ProfiledContainer = container
+            profiled = None
+            if instrument:
+                profiled = ProfiledContainer(
+                    container, context=f"synthetic:{self.seed}"
+                )
+                target = profiled
+            steps = self._drive(target, random.Random(self.seed))
+        else:
+            if resume.kind != kind or resume._steps is None:
+                raise ValueError(f"resume= needs a stopped run of {kind}")
+            machine, profiled = resume.machine, resume.profiled
+            steps, resume._steps = resume._steps, None
 
-        rng = random.Random(self.seed)
-        over = (None if limit is None
-                else lambda: machine.cycles > limit)
-        size = self._drive(target, rng, over)
-        abandoned = size is None
-        if not abandoned and size != len(container):  # pragma: no cover
-            raise AssertionError("logical size diverged from replay model")
-        obs.record_sim_run(machine)
+        abandoned = False
+        for _ in steps:
+            if limit is not None and machine.cycles > limit:
+                abandoned = True
+                break
+        if not abandoned:
+            obs.record_sim_run(machine)
         return AppRun(
             kind=kind,
             cycles=machine.cycles,
@@ -177,12 +203,13 @@ class SyntheticApp:
             machine=machine,
             profiled=profiled,
             abandoned=abandoned,
+            _steps=steps if abandoned else None,
         )
 
-    def _drive(self, target, rng: random.Random,
-               over: Callable[[], bool] | None = None) -> int | None:
-        """The function-dispatch loop.  Returns the final logical size,
-        or None when ``over()`` turned true after some interface call.
+    def _drive(self, target, rng: random.Random) -> Iterator[None]:
+        """The function-dispatch loop, yielding after every interface
+        call (prefill included) so the caller can read the machine and
+        stop or continue.
 
         Every random draw happens unconditionally for a given op sequence,
         so the stream is identical regardless of container kind.
@@ -201,8 +228,7 @@ class SyntheticApp:
             value = rng.randrange(profile.max_insert_val)
             target.insert(value, size)
             size += 1
-            if over is not None and over():
-                return None
+            yield
 
         choices = rng.choices(ops, weights=weights, k=profile.total_calls)
         for op in choices:
@@ -237,9 +263,9 @@ class SyntheticApp:
                 size += 1
             else:  # pragma: no cover - exhaustive
                 raise AssertionError(f"unknown op {op}")
-            if over is not None and over():
-                return None
-        return size
+            yield
+        if size != len(target):  # pragma: no cover
+            raise AssertionError("logical size diverged from replay model")
 
 
 def generate_app(seed: int, group: ModelGroup,

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 
 import repro.obs as obs
-from repro.appgen.generator import SyntheticApp
+from repro.appgen.generator import AppRun, SyntheticApp
 from repro.containers.registry import DSKind
 from repro.machine.configs import CORE2, MachineConfig
 
@@ -32,25 +33,54 @@ def race_candidates(app: SyntheticApp,
                     ) -> dict[DSKind, int]:
     """Phase I's sweep, abandoning runs that can no longer matter.
 
-    Candidates run in ``group.classes`` order.  With ``b1`` and ``b2``
-    the best and second-best completed totals so far, a later run stops
-    once its cycles pass ``b2`` (two candidates already beat it) or once
+    The candidates advance in cycle order: the race always resumes the
+    run with the fewest cycles so far (ties go to the kind declared
+    first in :class:`DSKind`) and pauses it once it passes the
+    next-cheapest run.  A run that completes therefore has the smallest
+    total of every run not yet dropped.  With ``b1`` and ``b2`` the
+    best and second-best completed totals, a run is dropped once its
+    cycles pass ``b2`` (two candidates already beat it) or once
     ``cycles / b1 >= 1 + margin`` (it can neither win nor be the rival
-    that keeps the winner inside the margin).  Cycles only grow, so an
-    abandoned candidate changes nothing :func:`best_candidate` decides:
+    that keeps the winner inside the margin).  Cycles only grow, so a
+    dropped candidate changes nothing :func:`best_candidate` decides:
     ``best_candidate(race_candidates(app, m, margin), margin)`` equals
     ``best_candidate(measure_candidates(app, m), margin)``.
 
-    Returns cycles for the candidates that ran to completion only.
+    The result depends on the candidate *set* only, not on the order of
+    ``group.classes``.  Returns cycles for the candidates that ran to
+    completion, in completion order.
     """
+    rank = {kind: i for i, kind in enumerate(DSKind)}
+    runs: dict[DSKind, AppRun | None] = dict.fromkeys(app.group.classes)
+    # (cycles so far, declaration rank, kind): the head is the run to
+    # resume next.
+    queue = [(0, rank[kind], kind) for kind in runs]
+    heapq.heapify(queue)
     runtimes: dict[DSKind, int] = {}
-    for kind in app.group.classes:
-        run = app.run(kind, machine_config,
-                      limit=_race_limit(sorted(runtimes.values()), margin))
-        if run.abandoned:
-            obs.counter("phase1.abandoned", kind=kind.value)
-        else:
+    bound = None
+
+    def drop(run: AppRun) -> None:
+        obs.counter("phase1.abandoned", kind=run.kind.value)
+        obs.record_sim_run(run.machine)
+
+    while queue:
+        spent, _, kind = heapq.heappop(queue)
+        run = runs[kind]
+        if bound is not None and spent > bound:
+            drop(run)
+            continue
+        limit = queue[0][0] if queue else None
+        if bound is not None and (limit is None or bound < limit):
+            limit = bound
+        run = app.run(kind, machine_config, limit=limit, resume=run)
+        if not run.abandoned:
             runtimes[kind] = run.cycles
+            bound = _race_limit(sorted(runtimes.values()), margin)
+        elif bound is not None and run.cycles > bound:
+            drop(run)
+        else:
+            runs[kind] = run
+            heapq.heappush(queue, (run.cycles, rank[kind], kind))
     return runtimes
 
 

@@ -14,10 +14,13 @@ at a time and erase the replay advantage, so ``auto`` resolves to
 ``scalar`` for them and to ``vector`` for runs observed only at the
 end.  Two kinds of run read mid-run: instrumented runs
 (``snapshot_tuple()`` after every container operation) and Phase I's
-bounded race runs (``cycles`` after every interface call).  On Phase I
-traffic the scalar machine measured no slower than the recorder
-(``train-mini`` trains: median 2.50 s scalar vs 2.61 s vector on a
-shared 2-CPU host; docs/performance.md).
+race runs (``cycles`` after every interface call).  The race advances
+its candidates in cycle order, so every race run reads cycles mid-run
+and training (Phase I and Phase II) no longer uses the vector recorder;
+``repro appgen`` probes, the full sweep and darwin evaluations still
+do.  On Phase I traffic the scalar machine measured no slower than the
+recorder (``train-mini`` trains: median 2.50 s scalar vs 2.61 s vector
+on a shared 2-CPU host; docs/performance.md).
 
 Selection precedence, strongest first:
 

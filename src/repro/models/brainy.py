@@ -42,7 +42,7 @@ from repro.runtime.faults import RetryPolicy
 from repro.runtime.options import RunOptions, resolve_run_options
 from repro.runtime.parallel import map_retry, resolve_jobs, usable_jobs
 from repro.training.dataset import TrainingSet
-from repro.training.phase1 import run_phase1
+from repro.training.phase1 import phase1_key, run_phase1
 from repro.training.phase2 import run_phase2
 
 SUITE_INDEX_KIND = "suite-index"
@@ -270,30 +270,45 @@ class BrainyModel:
         )
 
 
-def _train_group(group_name: str,
-                 *,
-                 config: GeneratorConfig,
-                 machine_config: MachineConfig,
-                 per_class_target: int,
-                 max_seeds: int,
-                 hidden: tuple[int, ...],
-                 seed_base: int,
-                 seed: int,
-                 checkpoint_dir: str | None,
-                 checkpoint_every: int | None,
-                 resume: bool,
-                 retry_policy: RetryPolicy | None,
-                 seed_budget_seconds: float | None,
-                 jobs: int) -> BrainyModel:
-    """One group's full pipeline: Phase I → Phase II → ANN fit.
+def phase1_tasks(groups: Iterable[ModelGroup]) -> list[tuple[str, ...]]:
+    """Pack groups with one :func:`~repro.training.phase1.phase1_key`,
+    whose Phase I results are equal, into one training task each.
+
+    Tasks keep the groups' first-appearance order; the six default
+    groups make four tasks: ``vector+list``, ``vector_oo+list_oo``,
+    ``set`` and ``map``.
+    """
+    tasks: dict[tuple, list[str]] = {}
+    for group in groups:
+        tasks.setdefault(phase1_key(group), []).append(group.name)
+    return [tuple(names) for names in tasks.values()]
+
+
+def _train_groups(group_names: tuple[str, ...],
+                  *,
+                  config: GeneratorConfig,
+                  machine_config: MachineConfig,
+                  per_class_target: int,
+                  max_seeds: int,
+                  hidden: tuple[int, ...],
+                  seed_base: int,
+                  seed: int,
+                  checkpoint_dir: str | None,
+                  checkpoint_every: int | None,
+                  resume: bool,
+                  retry_policy: RetryPolicy | None,
+                  seed_budget_seconds: float | None,
+                  jobs: int) -> list[BrainyModel]:
+    """One task's pipelines: Phase I once, then Phase II → ANN fit for
+    each group that shares it (see :func:`phase1_tasks`).
 
     A pure function of its (picklable) arguments, which is what lets
-    :meth:`BrainySuite.train` overlap independent group pipelines across
-    a worker pool while staying byte-identical to the serial group loop.
-    Checkpoint files are per group, so concurrent pipelines never touch
-    the same path.
+    :meth:`BrainySuite.train` overlap independent tasks across a worker
+    pool while staying byte-identical to the serial loop.  The shared
+    Phase I checkpoints to ``<first group>.phase1.json`` and Phase II to
+    ``<group>.phase2.json``, so concurrent tasks never touch the same
+    path.
     """
-    group = MODEL_GROUPS[group_name]
     # Rebuilt worker-side from plain (picklable) arguments; a live
     # telemetry collector never crosses the process boundary.
     phase_options = RunOptions(
@@ -301,29 +316,40 @@ def _train_group(group_name: str,
         retry_policy=retry_policy,
         seed_budget_seconds=seed_budget_seconds,
     )
-    p1_path = p2_path = None
-    p1_resume = p2_resume = None
-    if checkpoint_dir is not None:
-        directory = Path(checkpoint_dir)
-        p1_path = directory / f"{group_name}.phase1.json"
-        p2_path = directory / f"{group_name}.phase2.json"
-        if resume:
-            p1_resume = p1_path if p1_path.exists() else None
-            p2_resume = p2_path if p2_path.exists() else None
-    with obs.span("train.group", group=group_name):
-        phase1 = run_phase1(
-            group, config, machine_config,
-            per_class_target=per_class_target,
-            max_seeds=max_seeds, seed_base=seed_base,
-            resume_from=p1_resume, checkpoint_path=p1_path,
-            options=phase_options,
-        )
-        training_set = run_phase2(
-            phase1, config, machine_config,
-            resume_from=p2_resume, checkpoint_path=p2_path,
-            options=phase_options,
-        )
-        return BrainyModel.train(training_set, hidden=hidden, seed=seed)
+
+    def checkpoint(name: str, phase: str) -> tuple[Path | None,
+                                                   Path | None]:
+        if checkpoint_dir is None:
+            return None, None
+        path = Path(checkpoint_dir) / f"{name}.{phase}.json"
+        return path, (path if resume and path.exists() else None)
+
+    models = []
+    phase1 = None
+    for group_name in group_names:
+        group = MODEL_GROUPS[group_name]
+        with obs.span("train.group", group=group_name):
+            if phase1 is None:
+                p1_path, p1_resume = checkpoint(group_name, "phase1")
+                phase1 = run_phase1(
+                    group, config, machine_config,
+                    per_class_target=per_class_target,
+                    max_seeds=max_seeds, seed_base=seed_base,
+                    resume_from=p1_resume, checkpoint_path=p1_path,
+                    options=phase_options,
+                )
+            else:
+                phase1 = phase1.for_group(group)
+                obs.counter("phase1.shared", group=group_name)
+            p2_path, p2_resume = checkpoint(group_name, "phase2")
+            training_set = run_phase2(
+                phase1, config, machine_config,
+                resume_from=p2_resume, checkpoint_path=p2_path,
+                options=phase_options,
+            )
+            models.append(BrainyModel.train(training_set, hidden=hidden,
+                                            seed=seed))
+    return models
 
 
 class BrainySuite:
@@ -379,9 +405,12 @@ class BrainySuite:
               ) -> "BrainySuite":
         """End-to-end training: Phase I + Phase II + ANN fit per group.
 
-        With ``checkpoint_dir`` set, each group's Phase I/II writes
-        periodic checkpoints there (``<group>.phase{1,2}.json``); with
-        ``resume=True`` an interrupted run picks up from those files.
+        Groups that share Phase I (:func:`phase1_tasks`) run it once, as
+        one task, under the first group's name.  With ``checkpoint_dir``
+        set, Phase I writes periodic checkpoints there
+        (``<first group>.phase1.json``) and so does each group's Phase
+        II (``<group>.phase2.json``); with ``resume=True`` an
+        interrupted run picks up from those files.
         Completed phases leave ``complete=True`` checkpoints, so resume
         skips finished work.  Checkpoints are removed once the whole
         suite trains successfully.
@@ -391,11 +420,11 @@ class BrainySuite:
         the matching bare keywords are the deprecated spelling.
 
         ``RunOptions.jobs`` parallelises training (``None`` reads
-        ``REPRO_JOBS``, default serial).  With several groups, whole
-        group pipelines overlap across the worker pool — each pipeline's
+        ``REPRO_JOBS``, default serial).  With several tasks, whole
+        task pipelines overlap across the worker pool — each pipeline's
         own seed loop then runs serially inside its worker, since pool
         workers are daemonic and cannot host a nested pool.  With a
-        single group the parallelism goes into the per-seed fan-out
+        single task the parallelism goes into the per-seed fan-out
         instead.  Either way the deterministic in-order merge keeps the
         trained suite byte-identical for any ``jobs`` value (and the
         merged telemetry content identical too).  ``executor`` overrides
@@ -415,7 +444,8 @@ class BrainySuite:
         retry_policy = options.retry_policy
         seed_budget_seconds = options.seed_budget_seconds
         jobs = resolve_jobs(options.jobs)
-        group_jobs = min(jobs, len(groups)) if len(groups) > 1 else 1
+        tasks = phase1_tasks(groups)
+        group_jobs = min(jobs, len(tasks)) if len(tasks) > 1 else 1
         if executor is None and group_jobs == 1:
             # All parallelism fits inside one pipeline's seed fan-out.
             inner_jobs = jobs
@@ -424,7 +454,7 @@ class BrainySuite:
 
         def make_worker(inner: int):
             return partial(
-                _train_group,
+                _train_groups,
                 config=config, machine_config=machine_config,
                 per_class_target=per_class_target, max_seeds=max_seeds,
                 hidden=tuple(hidden), seed_base=seed_base, seed=seed,
@@ -447,16 +477,16 @@ class BrainySuite:
                            else nullcontext())
         with telemetry_scope, obs.span("train",
                                        machine=machine_config.name):
-            suite = cls(machine_name=machine_config.name)
-            names = [group.name for group in groups]
-            merged = map_retry(worker, names, jobs=group_jobs,
+            trained: dict[str, BrainyModel] = {}
+            merged = map_retry(worker, tasks, jobs=group_jobs,
                                executor=executor,
                                reraise=(TrainingInterrupted,))
             try:
                 try:
-                    for name, model in zip(names, merged):
-                        suite.models[name] = model
-                        obs.counter("train.groups")
+                    for task, models in zip(tasks, merged):
+                        for name, model in zip(task, models):
+                            trained[name] = model
+                            obs.counter("train.groups")
                 finally:
                     merged.close()
             except KeyboardInterrupt:
@@ -470,6 +500,9 @@ class BrainySuite:
                     f"under {checkpoint_dir}",
                     checkpoint_path=checkpoint_dir,
                 ) from None
+            suite = cls(machine_name=machine_config.name,
+                        models={group.name: trained[group.name]
+                                for group in groups})
             if checkpoint_dir is not None:
                 for group in groups:
                     for phase in ("phase1", "phase2"):

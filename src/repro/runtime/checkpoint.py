@@ -26,8 +26,9 @@ PHASE1_CHECKPOINT_KIND = "phase1-checkpoint"
 PHASE2_CHECKPOINT_KIND = "phase2-checkpoint"
 DARWIN_CHECKPOINT_KIND = "darwin-checkpoint"
 CHECKPOINT_SCHEMA_VERSION = 1
-#: Phase I records list only the candidates that completed the race.
-PHASE1_CHECKPOINT_SCHEMA_VERSION = 2
+#: Phase I records list only the candidates that completed the
+#: cycle-ordered race.
+PHASE1_CHECKPOINT_SCHEMA_VERSION = 3
 
 
 class TrainingInterrupted(RuntimeError):

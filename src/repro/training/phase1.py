@@ -4,8 +4,8 @@ Generate seeded application sets, run each candidate container, measure
 execution time (simulated cycles), and record ``(seed, best DS)`` — but
 only when the best is at least 5 % faster than every alternative, so a
 barely-best structure never becomes a training label.  The candidates
-race: a run that can no longer win or place second is abandoned early,
-which never changes the verdict.  Iteration stops
+race in cycle order: a run that can no longer win or place second is
+abandoned early, which never changes the verdict.  Iteration stops
 when every candidate class has reached its per-class target or the seed
 budget is exhausted (some classes win rarely; the paper notes Phase I
 "after many iterations some data structures will have more best
@@ -36,7 +36,7 @@ from typing import Callable
 
 import repro.obs as obs
 from repro.appgen.config import GeneratorConfig
-from repro.appgen.generator import generate_app
+from repro.appgen.generator import app_family, generate_app
 from repro.appgen.workload import (
     DEFAULT_MARGIN,
     best_candidate,
@@ -64,7 +64,14 @@ from repro.runtime.parallel import (
 )
 
 PHASE1_ARTIFACT_KIND = "phase1-result"
-PHASE1_SCHEMA_VERSION = 3
+PHASE1_SCHEMA_VERSION = 4
+
+
+def phase1_key(group: ModelGroup) -> tuple:
+    """What a group's Phase I result depends on besides the run knobs:
+    its app family (:func:`~repro.appgen.generator.app_family`) and its
+    candidate *set*, which the race reads in no particular order."""
+    return app_family(group.original), frozenset(group.classes)
 
 
 @dataclass
@@ -72,10 +79,10 @@ class SeedRecord:
     """One Phase-I outcome: a seed and the winning data structure.
 
     ``runtimes`` holds the simulated cycles of every candidate that ran
-    to completion.  Phase I races the candidates
-    (:func:`~repro.appgen.workload.race_candidates`), so candidates that
-    could no longer win or place second were abandoned and are absent;
-    ``best`` is always present and is the minimum.
+    to completion, in completion order.  Phase I races the candidates in
+    cycle order (:func:`~repro.appgen.workload.race_candidates`), so
+    candidates that could no longer win or place second were abandoned
+    and are absent; ``best`` is always present and is the minimum.
     """
 
     seed: int
@@ -119,6 +126,22 @@ class Phase1Result:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def for_group(self, group: ModelGroup) -> "Phase1Result":
+        """This result under a sibling group's name.
+
+        Groups with one :func:`phase1_key` generate identical apps and
+        race identical candidates, so their Phase I results are equal
+        record for record.
+        """
+        if phase1_key(group) != phase1_key(self.group):
+            raise ValueError(
+                f"group {group.name!r} does not share Phase I with "
+                f"{self.group.name!r}")
+        return Phase1Result(
+            group=group, machine_name=self.machine_name,
+            records=list(self.records), seeds_tried=self.seeds_tried,
+            no_winner=self.no_winner, quarantined=list(self.quarantined))
 
     # -- persistence (the paper's ``seed_ds_pairs``) ----------------------
 
