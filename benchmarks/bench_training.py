@@ -18,13 +18,6 @@ Measures the two performance features of the parallel training engine:
   both the footprint-scaled and the full (real) machine geometries.
   The O(assoc + tlb_entries) → O(1) win is largest at real geometries,
   where the old TLB scanned up to 256 entries per hit.
-* **Simulator engines** — interleaved scalar (:class:`Machine`) vs
-  vector (:class:`TraceRecorder` record/replay) A/B at the full
-  ``core2-full`` geometry across several input sizes per workload, with
-  bit-identity of the final machine state asserted and checksummed for
-  every case.  Reported per size so scaling is visible, including the
-  miss-heavy ``random`` workload where replay is dict-bound and roughly
-  breaks even.
 
 Writes ``BENCH_training.json`` at the repo root (see ``--out``)::
 
@@ -47,8 +40,6 @@ from repro.appgen.config import GeneratorConfig
 from repro.containers.registry import MODEL_GROUPS
 from repro.machine.configs import CORE2, CORE2_FULL, MachineConfig
 from repro.machine.machine import Machine
-from repro.machine.testing import machine_state
-from repro.machine.vector import TraceRecorder
 from repro.training.phase1 import run_phase1
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -192,9 +183,6 @@ def _run_trace(machine_cls, config: MachineConfig,
     start = time.perf_counter()
     for addr, nbytes in trace:
         access(addr, nbytes)
-    # Settle lazy engines (the trace recorder replays on observation)
-    # inside the timed region so record + replay are both counted.
-    machine.counters()
     return machine, time.perf_counter() - start
 
 
@@ -208,12 +196,11 @@ def _cycles_close(a: Machine, b: Machine) -> bool:
     """Cycle totals agree to float precision.
 
     The legacy baseline accumulates integer latencies and fractional
-    stream costs interleaved in one float; the current engine keeps an
+    stream costs interleaved in one float; the current machine keeps an
     exact integer accumulator plus an ordered float one.  The sums are
     mathematically equal but round differently in the last bits, so the
-    legacy comparison (only) uses a relative tolerance.  Cache/TLB/
-    branch counters still compare exactly, and the scalar-vs-vector
-    engine comparison below is bit-exact including cycles.
+    comparison uses a relative tolerance.  Cache/TLB/branch counters
+    still compare exactly.
     """
     ca, cb = a.cycles, b.cycles
     return abs(ca - cb) <= max(1, int(1e-9 * max(abs(ca), abs(cb))))
@@ -258,108 +245,6 @@ def bench_machine_sim(quick: bool) -> dict:
               f"optimized {row['optimized_ns_per_access']:7.1f} ns/access  "
               f"speedup {row['speedup']:.2f}x")
     return {"cases": results}
-
-
-# ---------------------------------------------------------------------------
-# Simulator-engine A/B: scalar walk vs vectorized trace replay.
-# ---------------------------------------------------------------------------
-
-def _trace_scan(n: int, span: int = 1 << 22) -> list[tuple[int, int]]:
-    """Sequential element scans (vector/deque iteration, memmove tails):
-    runs of 8-byte touches from aligned bases, like allocator-returned
-    container storage."""
-    rng = random.Random(5)
-    out: list[tuple[int, int]] = []
-    while len(out) < n:
-        base = rng.randrange(span) & ~7
-        for i in range(rng.randrange(64, 512)):
-            out.append((base + 8 * i, 8))
-    return out[:n]
-
-
-def _trace_hotset(n: int, span: int = 1 << 21) -> list[tuple[int, int]]:
-    """Aligned single-line touches over a resident working set (node
-    headers, tree pivots)."""
-    rng = random.Random(3)
-    hot = [rng.randrange(span) & ~7 for _ in range(2048)]
-    return [(rng.choice(hot), 8) for _ in range(n)]
-
-
-def _engine_state(machine) -> tuple:
-    state = machine_state(machine)
-    return (state[0].as_dict(), *state[1:])
-
-
-def bench_sim_engines(quick: bool) -> dict:
-    """Interleaved scalar-vs-vector A/B at full geometry across sizes.
-
-    pSTL-Bench-style reporting: every workload is measured at several
-    input sizes so scaling (and any size where the vector engine does
-    *not* win) is visible, rather than a single flattering point.  Each
-    case asserts bit-identical machine state between the engines and
-    records a checksum of that state.
-    """
-    sizes = [1 << 12, 1 << 14, 1 << 16] if quick \
-        else [1 << 14, 1 << 16, 1 << 18]
-    repeats = 2 if quick else 4
-    workloads = [
-        ("scan", _trace_scan),
-        ("hot", _trace_hotset),
-        ("random", _trace_random),
-    ]
-    config = CORE2_FULL
-    results = []
-    for workload, trace_fn in workloads:
-        for n in sizes:
-            trace = trace_fn(n)
-            scalar_m, _ = _run_trace(Machine, config, trace)
-            vector_m, _ = _run_trace(TraceRecorder, config, trace)
-            state = _engine_state(scalar_m)
-            if state != _engine_state(vector_m):
-                raise AssertionError(
-                    f"engine divergence on {workload}/{n}: "
-                    f"{state} vs {_engine_state(vector_m)}"
-                )
-            checksum = hashlib.sha256(
-                repr(state).encode("utf-8")).hexdigest()
-            # Interleave the engines so clock drift hits both equally.
-            scalar_times, vector_times = [], []
-            for _ in range(repeats):
-                scalar_times.append(
-                    _run_trace(Machine, config, trace)[1])
-                vector_times.append(
-                    _run_trace(TraceRecorder, config, trace)[1])
-            scalar_s = min(scalar_times)
-            vector_s = min(vector_times)
-            row = {
-                "machine": config.name,
-                "workload": workload,
-                "events": n,
-                "scalar_ns_per_event": round(scalar_s / n * 1e9, 1),
-                "vector_ns_per_event": round(vector_s / n * 1e9, 1),
-                "speedup": round(scalar_s / vector_s, 3),
-                "counters_identical": True,
-                "state_sha256": checksum,
-            }
-            results.append(row)
-            print(f"  sim-engine {workload:7s} n={n:>7,} "
-                  f"scalar {row['scalar_ns_per_event']:7.1f} ns/event  "
-                  f"vector {row['vector_ns_per_event']:7.1f} ns/event  "
-                  f"speedup {row['speedup']:.2f}x")
-    largest = max(sizes)
-    at_largest = {row["workload"]: row["speedup"]
-                  for row in results if row["events"] == largest}
-    best = max(at_largest, key=at_largest.get)
-    summary = {
-        "machine": config.name,
-        "largest_events": largest,
-        "speedups_at_largest": at_largest,
-        "best_workload_at_largest": best,
-        "best_speedup_at_largest": at_largest[best],
-    }
-    print(f"  sim-engine largest n={largest:,}: best {best} "
-          f"{at_largest[best]:.2f}x")
-    return {"cases": results, "summary": summary}
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +360,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated jobs values to time")
     parser.add_argument(
         "--only", action="append",
-        choices=("machine-sim", "sim-engines", "telemetry", "phase1"),
+        choices=("machine-sim", "telemetry", "phase1"),
         help="run only the named section(s); repeatable, default all")
     args = parser.parse_args(argv)
     jobs_list = [int(j) for j in args.jobs_list.split(",") if j]
     sections = set(args.only or
-                   ("machine-sim", "sim-engines", "telemetry", "phase1"))
+                   ("machine-sim", "telemetry", "phase1"))
 
     scratch = args.out.parent / ".bench_scratch"
     scratch.mkdir(parents=True, exist_ok=True)
@@ -495,9 +380,6 @@ def main(argv: list[str] | None = None) -> int:
     if "machine-sim" in sections:
         print("machine-simulator microbench:")
         payload["machine_sim"] = bench_machine_sim(args.quick)
-    if "sim-engines" in sections:
-        print("simulator engines (scalar vs vector):")
-        payload["sim_engines"] = bench_sim_engines(args.quick)
     if "telemetry" in sections:
         print("telemetry overhead:")
         payload["telemetry_overhead"] = bench_telemetry_overhead(

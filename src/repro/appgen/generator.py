@@ -23,7 +23,6 @@ from repro.containers.base import Container
 from repro.containers.registry import DSKind, ModelGroup, make_container
 from repro.instrumentation.profiler import ProfiledContainer
 from repro.machine.configs import CORE2, MachineConfig
-from repro.machine.engine import make_machine
 from repro.machine.machine import Machine
 
 #: Interfaces exercised per model family.  Sequence targets get the full
@@ -164,12 +163,7 @@ class SyntheticApp:
                 f"{kind} is not a legal candidate for group {self.group.name}"
             )
         if resume is None:
-            # Instrumented and bounded runs read counters after every
-            # op, so the auto engine picks the scalar machine for them;
-            # unbounded measurement runs get the vector recorder.
-            machine = make_machine(
-                machine_config,
-                instrumented=instrument or limit is not None)
+            machine = Machine(machine_config)
             profile = self.profile
             container: Container = make_container(
                 kind, machine, profile.elem_size,

@@ -25,7 +25,6 @@ from repro.containers.registry import (
 from repro.instrumentation.profiler import ProfiledContainer
 from repro.instrumentation.trace import TraceSet
 from repro.machine.configs import MachineConfig
-from repro.machine.engine import make_machine
 from repro.machine.machine import Machine
 
 
@@ -70,8 +69,8 @@ class AppResult:
         """Peak live heap bytes — the run's allocator footprint.
 
         The memory objective of the Darwinian search (the time objective
-        is :attr:`cycles`); identical across simulator engines because
-        both run the same :class:`~repro.machine.memory.Allocator`.
+        is :attr:`cycles`), read from the machine's
+        :class:`~repro.machine.memory.Allocator`.
         """
         return self.machine.allocator.peak_live_bytes
 
@@ -128,7 +127,7 @@ def run_case_study(app: CaseStudyApp,
     site's Table 1 candidate set.
     """
     kinds = dict(kinds or {})
-    machine = make_machine(machine_config, instrumented=instrument)
+    machine = Machine(machine_config)
     containers: dict[str, Container] = {}
     handles: dict[str, Container | ProfiledContainer] = {}
     profiled: dict[str, ProfiledContainer] = {}

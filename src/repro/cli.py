@@ -53,7 +53,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         machine=args.machine, scale=args.scale, config=args.config,
         force=args.force, resume=args.resume,
         checkpoint_every=args.checkpoint_every, jobs=args.jobs,
-        sim_engine=args.sim_engine, telemetry=args.telemetry,
+        telemetry=args.telemetry,
     )
     print(f"models: {', '.join(handle.groups)}")
     if handle.telemetry_path is not None:
@@ -64,7 +64,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_advise(args: argparse.Namespace) -> int:
     report = api.advise(
         args.app, input_name=args.input, machine=args.machine,
-        scale=args.scale, jobs=args.jobs, sim_engine=args.sim_engine,
+        scale=args.scale, jobs=args.jobs,
         batched=not args.per_record, telemetry=args.telemetry,
     )
     print(report.format())
@@ -78,7 +78,7 @@ def cmd_darwin(args: argparse.Namespace) -> int:
         generations=args.generations, population=args.population,
         objectives=(tuple(args.objectives.split(","))
                     if args.objectives else None),
-        seed=args.seed, sim_engine=args.sim_engine,
+        seed=args.seed,
         resume=args.resume, checkpoint=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         budget_seconds=args.budget_seconds,
@@ -135,7 +135,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         resume=not args.fresh, min_accuracy=args.min_accuracy,
         validation_apps=args.validation_apps, workdir=args.workdir,
         options=RunOptions(), jobs=args.jobs,
-        sim_engine=args.sim_engine,
         fault_spec=args.inject_fault, telemetry=args.telemetry,
         announce=print,
     )
@@ -192,8 +191,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_appgen(args: argparse.Namespace) -> int:
     probe = api.appgen_probe(args.seed, group=args.group,
-                             machine=args.machine, config=args.config,
-                             sim_engine=args.sim_engine)
+                             machine=args.machine, config=args.config)
     profile = probe.app.profile
     mix = {op: f"{weight:.2f}"
            for op, weight in zip(profile.ops, profile.op_weights)}
@@ -213,8 +211,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     outcome = api.validate(
         group=args.group, machine=args.machine, scale=args.scale,
         config=args.config, apps=args.apps, seed_base=args.seed_base,
-        jobs=args.jobs, sim_engine=args.sim_engine,
-        telemetry=args.telemetry,
+        jobs=args.jobs, telemetry=args.telemetry,
     )
     print(f"{outcome.group_name} on {outcome.machine_name}: "
           f"{outcome.correct}/{outcome.total} "
@@ -234,18 +231,6 @@ def _add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
                         help="write a telemetry artifact (spans, "
                              "metrics) for this run to PATH; inspect "
                              "with `repro telemetry PATH`")
-
-
-def _add_sim_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sim-engine",
-                        choices=("scalar", "vector", "auto"),
-                        default=None, dest="sim_engine",
-                        help="simulator engine: scalar walks the "
-                             "hierarchy per event, vector records "
-                             "events and replays them in chunks "
-                             "(bit-identical counters), auto picks "
-                             "per run (default: REPRO_SIM_ENGINE or "
-                             "auto)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fan seeds out over N worker processes "
                             "(results are identical to a serial run; "
                             "default: REPRO_JOBS or serial)")
-    _add_sim_engine_arg(train)
     _add_telemetry_arg(train)
     train.set_defaults(fn=cmd_train)
 
@@ -295,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use record-at-a-time model inference "
                              "instead of the batched per-group path "
                              "(identical report, slower)")
-    _add_sim_engine_arg(advise)
     _add_telemetry_arg(advise)
     advise.set_defaults(fn=cmd_advise)
 
@@ -355,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     darwin.add_argument("--out", metavar="PATH",
                         help="also write the full DarwinResult payload "
                              "as sorted JSON to PATH")
-    _add_sim_engine_arg(darwin)
     _add_telemetry_arg(darwin)
     darwin.set_defaults(fn=cmd_darwin)
 
@@ -521,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exit 1 when the candidate was "
                                "quarantined (default: exit 0 with the "
                                "structured quarantine outcome)")
-    _add_sim_engine_arg(pipeline)
     _add_telemetry_arg(pipeline)
     pipeline.set_defaults(fn=cmd_pipeline)
 
@@ -563,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     appgen.add_argument("--machine", choices=sorted(_MACHINES),
                         default="core2")
     appgen.add_argument("--config", help="Table 2 configuration file")
-    _add_sim_engine_arg(appgen)
     appgen.set_defaults(fn=cmd_appgen)
 
     validate = sub.add_parser(
@@ -582,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker processes if the suite must be "
                                "trained first (default: REPRO_JOBS or "
                                "serial)")
-    _add_sim_engine_arg(validate)
     _add_telemetry_arg(validate)
     validate.set_defaults(fn=cmd_validate)
 

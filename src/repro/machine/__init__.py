@@ -27,17 +27,11 @@ from repro.machine.configs import (
     MachineConfig,
     config_table,
 )
-from repro.machine.engine import (
-    VALID_ENGINES,
-    make_machine,
-    resolve_engine,
-)
 from repro.machine.events import PerfCounters
 from repro.machine.machine import Machine
 from repro.machine.memory import Allocator
 from repro.machine.prefetch import NextLinePrefetcher
 from repro.machine.tlb import TLB
-from repro.machine.vector import TraceRecorder
 
 __all__ = [
     "ATOM",
@@ -53,9 +47,5 @@ __all__ = [
     "NextLinePrefetcher",
     "PerfCounters",
     "TLB",
-    "TraceRecorder",
-    "VALID_ENGINES",
     "config_table",
-    "make_machine",
-    "resolve_engine",
 ]

@@ -63,14 +63,6 @@ class MachineConfig:
     div_latency: int
     # Allocator call cost, in instructions.
     malloc_instructions: int
-    # Simulator engine preference: "scalar" (walk the hierarchy per
-    # event), "vector" (record events, replay chunks in numpy), or
-    # "auto" (vector for plain measurement runs, scalar when the run
-    # is instrumented and reads counters after every container op).
-    # Resolved by :func:`repro.machine.engine.resolve_engine`; the
-    # ``REPRO_SIM_ENGINE`` env var and ``RunOptions.sim_engine``
-    # override it.
-    sim_engine: str = "auto"
 
     @property
     def l1_lines(self) -> int:
@@ -153,7 +145,6 @@ def _scaled(full: MachineConfig, name: str) -> MachineConfig:
         tlb_miss_penalty=full.tlb_miss_penalty,
         div_latency=full.div_latency,
         malloc_instructions=full.malloc_instructions,
-        sim_engine=full.sim_engine,
     )
 
 

@@ -19,7 +19,8 @@ from repro.machine.tlb import TLB
 
 
 class Machine:
-    """Trace-driven microarchitecture simulator (the scalar engine).
+    """Trace-driven microarchitecture simulator: every event walks the
+    cache/TLB/predictor hierarchy as it is issued.
 
     Cycle accounting is split into two accumulators: ``_cycles_int``
     collects every integer-valued contribution (cache/TLB/memory
@@ -27,10 +28,7 @@ class Machine:
     those contributions exact and order-independent, while ``_cycles``
     collects the inherently fractional ones (CPI multiples, streamed
     multi-line latencies) in event order.  The observable cycle count
-    is their sum.  The split is what lets the vectorized trace-replay
-    engine (:mod:`repro.machine.vector`) compute the integer part as
-    whole-chunk array sums while still matching this engine bit for
-    bit on the float part.
+    is their sum.
     """
 
     __slots__ = (
@@ -46,9 +44,6 @@ class Machine:
         "_last_page",
         "prefetcher",
     )
-
-    #: Engine tag surfaced in telemetry (``obs.record_sim_run``).
-    engine = "scalar"
 
     def __init__(self, config: MachineConfig) -> None:
         self.config = config

@@ -1,935 +1,14 @@
-"""Vectorized trace-replay simulator engine.
+"""Placeholder for the retired trace-replay engine.
 
-The scalar :class:`~repro.machine.machine.Machine` walks the cache/TLB
-hierarchy *inside* every ``access()`` call, so each container event pays
-a Python method call plus a dozen attribute loads before any modelling
-happens.  :class:`TraceRecorder` is the second engine behind the same
-event API: container events are *recorded* into a compact typed buffer
-(one ``int64`` word per event) and the memory hierarchy is *replayed*
-one chunk at a time by :meth:`TraceRecorder.replay`:
-
-* everything derivable from the address stream alone — line indices,
-  page numbers, page-transition flags, the single- vs multi-line
-  split, L1/TLB probe totals, repeat-access (guaranteed-hit) runs —
-  is computed for the whole chunk as numpy array ops;
-* every *integer* cycle contribution (latencies, penalties — exact and
-  order-independent since the scalar engine's split accumulators) is
-  folded in as ``count × latency`` products of whole-chunk sums;
-* only the inherently sequential residue — exact LRU recency updates
-  and the order-sensitive *fractional* cycle adds (CPI multiples,
-  streamed multi-line latencies) — runs in one tight Python loop, and
-  events proven irrelevant to it (repeat hits, divisions, size
-  escapes) are filtered out of the loop entirely.
-
-The replay performs the same arithmetic as the scalar engine —
-including the order of the individual floating-point additions into
-the fractional accumulator — which is what makes ``counters()``
-*bit*-identical rather than merely close.
-
-Event encoding (one signed 64-bit word per event):
-
-* ``addr`` (non-negative) — an access at ``addr`` of the size
-  currently in effect;
-* ``~(nbytes << 3 | 7)`` — a size escape: subsequent accesses are
-  ``nbytes`` wide (containers access runs of same-sized fields, so
-  escapes are rare);
-* ``~(payload << 3 | op)`` — op 2 = instr, 3 = correctly-predicted
-  branch, 4 = mispredicted branch, 5 = div, 6 = counted loop
-  (payload ``taken_iterations + 1``), 1 = zero-iteration counted loop.
-
-Negative addresses or absurdly large payloads fall back to draining
-the buffer and running the event through the scalar engine directly
-(same order, same arithmetic).  The record-side functions are built as
-closures in :meth:`_bind` — a recorded event is one append plus a
-bounds check, with no attribute lookups.
-
-Cheap order-free state that containers observe mid-run (the branch
-predictor's tables and prediction outcome, the allocator) is updated
-eagerly at record time; counter-only state (``instructions``, branch
-counts) is deferred and folded in as chunk sums.  Reading any counter
-(``counters()``, ``snapshot_tuple()``, ``cycles``, the measurement
-attributes) first drains the pending buffer, so the recorder is
-observationally equivalent to the scalar machine at every point.  Tiny
-flushes skip numpy and feed events through the scalar engine
-(bit-identical by construction), but frequent snapshots still erase
-the replay advantage — which is why the ``auto`` engine picks the
-scalar machine for instrumented runs (see :mod:`repro.machine.engine`).
+:class:`~repro.machine.machine.Machine` is the only simulator.  This
+stub exists only because ``benchmarks/e2e/workloads.py:install_layers``
+still imports ``TraceRecorder`` and patches its ``replay``; the
+ROADMAP item that drops that patch deletes this module.
 """
-
-from __future__ import annotations
-
-from array import array
-
-import numpy as np
-
-from repro.machine.configs import MachineConfig
-from repro.machine.events import PerfCounters
-from repro.machine.machine import Machine
-
-# Op codes for non-access events (word = ``~(payload << 3 | op)``).
-_OP_LOOPB0 = 1       # zero-iteration counted loop (payload 1)
-_OP_INSTR = 2        # payload = instruction count
-_OP_CPI = 3          # correctly-predicted branch
-_OP_MISPREDICT = 4   # mispredicted branch
-_OP_DIV = 5          # payload = division count
-_OP_LOOPB = 6        # counted loop, payload = taken_iterations + 1
-_OP_SIZE = 7         # size escape, payload = nbytes for later accesses
-
-_W_CPI = ~_OP_CPI               # pre-encoded op-3 word
-_W_MISPREDICT = ~_OP_MISPREDICT
-_W_LOOPB0 = ~(1 << 3 | _OP_LOOPB0)
-
-# Decode-time loop kinds: access rows specialize; op rows map onto the
-# same small-integer space (2/3/4/6 keep their float adds, 1 is the
-# multi-line access kind, and 9 marks rows excluded from the loop).
-_KIND_SINGLE = 0          # single-line access, same page as last line
-_KIND_MULTI = 1           # multi-line access (side-list payload)
-_KIND_CPI_ROW = 3         # ordered ``cpi`` add (correct branch or
-#                           zero-iteration loop; op 3 maps to itself)
-_KIND_SINGLE_NEWPAGE = 7  # single-line access crossing a page boundary
-_KIND_MRU_HIT = 8         # repeat of the previous access's line — a
-#                           guaranteed L1 hit on an already-MRU line
-#                           with no loop work at all (not emitted when
-#                           a prefetcher must observe the hit)
-_KIND_SKIP = 9            # no sequential work (div, size escape)
-
-#: Events buffered before an automatic replay (bounds recorder memory:
-#: one 8-byte word per event, ~256 KB per chunk plus decode temporaries).
-CHUNK_EVENTS = 32768
-
-#: Flushes smaller than this skip numpy and replay through the scalar
-#: engine — mid-stream counter reads would otherwise pay whole-chunk
-#: decode overhead for a handful of events.
-_SMALL_CHUNK = 384
-
-_MISS = object()  # sentinel for single-lookup LRU dict pops
 
 
 class TraceRecorder:
-    """Record container events; replay the memory hierarchy in chunks.
-
-    API-compatible with :class:`~repro.machine.machine.Machine`
-    (``access``/``instr``/``branch``/``div``/``loop_branches``/
-    ``malloc``/``free``/``reset``/``counters``/``snapshot_tuple`` and
-    the measurement attributes), with counters proven bit-identical to
-    the scalar engine by ``tests/test_machine_vector.py``.
-    """
-
-    __slots__ = (
-        "_m", "_buf", "_limit", "_small", "_decode_nb", "prefetcher",
-        # Record-side closures (see _bind); slots, not methods, so a
-        # recorded event pays a plain function call.
-        "access", "read", "write", "instr", "branch", "div",
-        "loop_branches",
-    )
-
-    #: Engine tag surfaced in telemetry (``obs.record_sim_run``).
-    engine = "vector"
-
-    def __init__(self, config: MachineConfig,
-                 chunk_events: int = CHUNK_EVENTS) -> None:
-        if chunk_events <= 0:
-            raise ValueError("chunk_events must be positive")
-        self._m = Machine(config)
-        self._buf = array("q")
-        self._limit = chunk_events
-        # Full chunks must exercise the vectorized path even when tests
-        # shrink chunk_events below the small-flush threshold.
-        self._small = min(_SMALL_CHUNK, chunk_events)
-        self._decode_nb = 8
-        self.prefetcher = None
-        self._bind()
-
-    # ------------------------------------------------------------------
-    # Event issue API (used by containers) — record, don't simulate.
-    # ------------------------------------------------------------------
-
-    def _bind(self) -> None:
-        """(Re)build the record-side closures.
-
-        Called from ``__init__`` and ``reset()``: the access closure
-        carries the size currently in effect for the event stream, and
-        a reset drops the buffer (dropping any unreplayed size escape
-        with it), so the closures are rebuilt to resync with
-        ``_decode_nb``.
-        """
-        m = self._m
-        buf = self._buf
-        append = buf.append
-        limit = self._limit
-        replay = self.replay
-        predict = m.predictor.predict_and_update
-        scalar_access = m.access
-        cur_nb = 8
-
-        def access(addr: int, nbytes: int = 8) -> None:
-            """Record a load/store of ``nbytes`` at ``addr`` for replay."""
-            nonlocal cur_nb
-            if nbytes != cur_nb:
-                if nbytes <= 0:
-                    raise ValueError(
-                        f"access: size must be positive: {nbytes}")
-                try:
-                    append(~(nbytes << 3 | 7))
-                except OverflowError:
-                    replay()
-                    scalar_access(addr, nbytes)
-                    return
-                cur_nb = nbytes
-            if addr >= 0:
-                try:
-                    append(addr)
-                except OverflowError:
-                    replay()
-                    scalar_access(addr, nbytes)
-                    return
-            else:
-                # Negative addresses would collide with op words;
-                # containers never produce them, but stay correct.
-                replay()
-                scalar_access(addr, nbytes)
-                return
-            if len(buf) >= limit:
-                replay()
-
-        def instr(count: int) -> None:
-            """Retire ``count`` non-memory instructions."""
-            if count >= 0:
-                try:
-                    append(~(count << 3 | 2))
-                except OverflowError:
-                    replay()
-                    m.instr(count)
-                    return
-            else:
-                replay()
-                m.instr(count)
-                return
-            if len(buf) >= limit:
-                replay()
-
-        def branch(pc: int, taken: bool) -> bool:
-            """Resolve a conditional branch; return True if predicted.
-
-            The predictor runs eagerly (its outcome is the return value
-            and its tables are cheap O(1) state); the cycle cost and
-            instruction count are deferred to the replay stream.
-            """
-            if predict(pc, taken):
-                append(_W_CPI)
-                correct = True
-            else:
-                append(_W_MISPREDICT)
-                correct = False
-            if len(buf) >= limit:
-                replay()
-            return correct
-
-        def div(count: int = 1) -> None:
-            """Execute ``count`` integer divisions."""
-            if count >= 0:
-                try:
-                    append(~(count << 3 | 5))
-                except OverflowError:
-                    replay()
-                    m.div(count)
-                    return
-            else:
-                replay()
-                m.div(count)
-                return
-            if len(buf) >= limit:
-                replay()
-
-        def loop_branches(pc: int, taken_iterations: int) -> None:
-            """Account a counted loop's branches statistically."""
-            if taken_iterations < 0:
-                raise ValueError("taken_iterations must be non-negative")
-            if taken_iterations:
-                try:
-                    append(~((taken_iterations + 1) << 3 | 6))
-                except OverflowError:
-                    replay()
-                    m.loop_branches(pc, taken_iterations)
-                    return
-            else:
-                append(_W_LOOPB0)
-            if len(buf) >= limit:
-                replay()
-
-        self.access = access
-        self.read = access
-        self.write = access
-        self.instr = instr
-        self.branch = branch
-        self.div = div
-        self.loop_branches = loop_branches
-
-    def malloc(self, nbytes: int) -> int:
-        """Allocate simulated heap memory (allocator runs eagerly; the
-        instruction/header-touch costs ride in the event stream)."""
-        m = self._m
-        addr = m.allocator.malloc(nbytes)
-        self.instr(m.config.malloc_instructions)
-        self.access(addr - 16, 16)  # write the malloc header
-        return addr
-
-    def free(self, addr: int) -> None:
-        m = self._m
-        m.allocator.free(addr)
-        self.instr(m.config.malloc_instructions // 2)
-        self.access(addr - 16, 16)
-
-    # ------------------------------------------------------------------
-    # Measurement API — every read drains the pending event buffer.
-    # ------------------------------------------------------------------
-
-    @property
-    def config(self) -> MachineConfig:
-        return self._m.config
-
-    @property
-    def allocator(self):
-        # Eagerly maintained; no replay needed.
-        return self._m.allocator
-
-    @property
-    def instructions(self) -> int:
-        self.replay()
-        return self._m.instructions
-
-    @property
-    def l1(self):
-        self.replay()
-        return self._m.l1
-
-    @property
-    def l2(self):
-        self.replay()
-        return self._m.l2
-
-    @property
-    def tlb(self):
-        self.replay()
-        return self._m.tlb
-
-    @property
-    def predictor(self):
-        self.replay()
-        return self._m.predictor
-
-    @property
-    def cycles(self) -> int:
-        self.replay()
-        return self._m.cycles
-
-    @property
-    def seconds(self) -> float:
-        self.replay()
-        return self._m.seconds
-
-    def attach_prefetcher(self, prefetcher) -> None:
-        """Enable an explicit prefetcher for *subsequent* events."""
-        self.replay()  # earlier events must replay without it
-        self.prefetcher = prefetcher
-        self._m.prefetcher = prefetcher
-
-    def counters(self) -> PerfCounters:
-        self.replay()
-        return self._m.counters()
-
-    def snapshot_tuple(self) -> tuple[int, ...]:
-        self.replay()
-        return self._m.snapshot_tuple()
-
-    def reset(self) -> None:
-        """Reset microarchitectural and counter state, keeping the heap.
-
-        Pending events are dropped, not replayed: every piece of state
-        they could influence is either already current (predictor
-        tables, allocator heap — both eager) or about to be cleared
-        (caches, TLB, counters, cycles).
-        """
-        del self._buf[:]
-        self._decode_nb = 8
-        self._m.reset()
-        self._bind()
-
-    # ------------------------------------------------------------------
-    # The replay backend.
-    # ------------------------------------------------------------------
+    """Never constructed; nothing replays a trace any more."""
 
     def replay(self) -> None:
-        """Drain the pending event buffer through the memory hierarchy.
-
-        Decodes the whole chunk with numpy, folds in every vectorizable
-        contribution, then resolves the sequential LRU/prefetch/
-        fractional-cycle residue in one tight loop over the pre-decoded
-        arrays.  Arithmetic matches the scalar engine exactly (see the
-        module docstring).
-        """
-        buf = self._buf
-        if not buf:
-            return
-        m = self._m
-
-        if len(buf) < self._small:
-            # Tiny flush (mid-stream counter read): numpy decode would
-            # cost more than it saves, so feed the events through the
-            # scalar engine — bit-identical by construction.
-            events = buf.tolist()
-            del buf[:]
-            nb = self._decode_nb
-            access = m.access
-            cpi = m._cpi
-            pred = m.predictor
-            for w in events:
-                if w >= 0:
-                    access(w, nb)
-                else:
-                    v = ~w
-                    o = v & 7
-                    if o == 2:
-                        m.instructions += v >> 3
-                        m._cycles += (v >> 3) * cpi
-                    elif o == 3:
-                        m.instructions += 1
-                        m._cycles += cpi
-                    elif o == 4:
-                        m.instructions += 1
-                        m._cycles += cpi
-                        m._cycles_int += m._mispredict_penalty
-                    elif o == 7:
-                        nb = v >> 3
-                    elif o == 5:
-                        m.instructions += v >> 3
-                        m._cycles_int += (v >> 3) * m._div_latency
-                    elif o == 6:
-                        count = v >> 3
-                        m.instructions += count
-                        m._cycles += count * cpi
-                        m._cycles_int += m._mispredict_penalty
-                        pred.branches += count
-                        pred.mispredicts += 1
-                    else:  # o == 1: zero-iteration counted loop
-                        m.instructions += 1
-                        m._cycles += cpi
-                        pred.branches += 1
-            self._decode_nb = nb
-            return
-
-        # ---- vectorized decode ---------------------------------------
-        # Copy out of the typed buffer up front: the recorder's array
-        # must not have live numpy views over it when it is cleared,
-        # and consuming the buffer before resolving means an exception
-        # below can never replay the same events twice.
-        w = np.frombuffer(buf, dtype=np.int64).copy()
-        del buf[:]
-        n = w.shape[0]
-        if self.prefetcher is None and int(w.min()) >= 0 \
-                and self._replay_flat(w, n):
-            return
-        line_shift = m._line_shift
-        page_delta = m._page_delta
-        cpi = m._cpi
-        prefetcher = self.prefetcher
-        is_acc = w >= 0
-        idx = np.flatnonzero(is_acc)
-        opw = ~w  # payload << 3 | op on op rows; garbage on access rows
-        kind = np.empty(n, dtype=np.int64)
-
-        # Deferred order-free state from op rows: instruction counts,
-        # loop-branch predictor counters, and the integer cycle
-        # contributions of penalties and divisions.
-        cint = 0
-        inst_delta = 0
-        branches_delta = 0
-        mispredicts_delta = 0
-        ops_idx = np.flatnonzero(~is_acc)
-        if ops_idx.size:
-            vo = opw[ops_idx]
-            oc = vo & 7
-            oa = vo >> 3
-            icounts = np.where((oc == 3) | (oc == 4), 1, oa)
-            inst_delta = int(icounts.sum()) - int(oa[oc == 7].sum())
-            n4 = int(np.count_nonzero(oc == 4))
-            n6 = int(np.count_nonzero(oc == 6))
-            branches_delta = (int(np.count_nonzero(oc == 1))
-                              + int(oa[oc == 6].sum()))
-            mispredicts_delta = n6
-            cint += (n4 + n6) * m._mispredict_penalty
-            cint += int(oa[oc == 5].sum()) * m._div_latency
-            # Map op rows into loop kinds: 2/3/4/6 keep their ordered
-            # float adds, zero-iteration loops are cycle-identical to a
-            # correct branch, divs and size escapes need no loop work.
-            kind[ops_idx] = np.where(
-                oc == 1, _KIND_CPI_ROW,
-                np.where((oc == 5) | (oc == 7), _KIND_SKIP, oc))
-            escs = ops_idx[oc == 7]
-        else:
-            escs = ops_idx  # empty
-
-        # Access size per event: sizes change only at escape rows.
-        if escs.size:
-            sizes = np.empty(escs.size + 1, dtype=np.int64)
-            sizes[0] = self._decode_nb
-            sizes[1:] = opw[escs] >> 3
-            marker = np.zeros(n, dtype=np.int64)
-            marker[escs] = 1
-            nb_acc = sizes[np.cumsum(marker)][idx]
-            self._decode_nb = int(sizes[-1])
-        else:
-            nb_acc = self._decode_nb  # scalar broadcast
-
-        multis: list | tuple = ()
-        l1_acc_total = 0
-        tlb_acc_total = 0
-        if idx.size:
-            a_acc = w[idx]
-            f_acc = a_acc >> line_shift
-            l_acc = (a_acc + nb_acc - 1) >> line_shift
-            entry_page = f_acc >> page_delta
-            exit_page = l_acc >> page_delta
-            # The page walk depends only on the address stream (never
-            # on hit/miss, never on the prefetcher), so the previous
-            # page seen by every access is precomputable — and with it
-            # the L1/TLB probe totals, which therefore never appear in
-            # the sequential loop at all.
-            prev_page = np.empty_like(exit_page)
-            prev_page[0] = m._last_page
-            prev_page[1:] = exit_page[:-1]
-            page_change = entry_page != prev_page
-            sub_single = f_acc == l_acc
-            l1_acc_total = int((l_acc - f_acc).sum()) + idx.size
-            tlb_acc_total = int((exit_page - entry_page).sum()) \
-                + int(np.count_nonzero(page_change))
-            # Every access's first line pays the full integer L1
-            # latency; streamed lines pay fractional costs in-loop.
-            cint += idx.size * m._l1_lat
-            k_acc = np.where(
-                sub_single,
-                np.where(page_change, _KIND_SINGLE_NEWPAGE, _KIND_SINGLE),
-                _KIND_MULTI,
-            )
-            if prefetcher is None:
-                # A single-line access repeating the previous access's
-                # line is a guaranteed L1 hit on an already-MRU line:
-                # no recency/TLB/L2 state changes, no loop work.
-                mru = np.empty_like(sub_single)
-                mru[0] = False
-                mru[1:] = (sub_single[1:] & sub_single[:-1]
-                           & (f_acc[1:] == f_acc[:-1]))
-                k_acc = np.where(mru, _KIND_MRU_HIT, k_acc)
-            kind[idx] = k_acc
-            new_last_page = int(exit_page[-1])
-            sub_multi = ~sub_single
-            if sub_multi.any():
-                multis = np.column_stack(
-                    (f_acc[sub_multi], l_acc[sub_multi],
-                     prev_page[sub_multi])).tolist()
-        else:
-            new_last_page = m._last_page
-
-        keep = (kind != _KIND_MRU_HIT) & (kind != _KIND_SKIP)
-        kinds = kind[keep].tolist()
-        xs = np.where(is_acc, w >> line_shift, opw >> 3)[keep].tolist()
-
-        # ---- sequential resolve --------------------------------------
-        # Only LRU-dependent state and ordered fractional cycle adds
-        # survive into the loop.  Integer latencies are folded in after
-        # it from the miss counters (every L1 miss probes L2 exactly
-        # once, so l2.accesses is the L1 miss count).
-        cf = m._cycles
-        l1_sets = m._l1_sets
-        l1_mask = m._l1_mask
-        l1_assoc = m._l1_assoc
-        l2_sets = m._l2_sets
-        l2_mask = m._l2_mask
-        l2_assoc = m._l2_assoc
-        tlb_pages = m._tlb_pages
-        tlb_entries = m._tlb_entries
-        l1_lat = m._l1_lat
-        l2_lat = m._l2_lat
-        mem_lat = m._mem_lat
-        stream = m._stream
-        l1_s = l1_lat * stream
-        l2_s = l2_lat * stream
-        mem_s = mem_lat * stream
-        miss = _MISS
-        mit = iter(multis)
-        l1_misses_full = 0
-        l1_misses_stream = 0
-        l2_misses_full = 0
-        l2_misses_stream = 0
-        tlb_misses = 0
-
-        if prefetcher is None:
-            for k, x in zip(kinds, xs):
-                if k == 0:
-                    # Single-line access in the current page: x = line.
-                    ways = l1_sets[x & l1_mask]
-                    if ways.pop(x, miss) is not miss:
-                        ways[x] = None
-                    else:
-                        l1_misses_full += 1
-                        ways[x] = None
-                        if len(ways) > l1_assoc:
-                            for victim in ways:
-                                break
-                            del ways[victim]
-                        ways2 = l2_sets[x & l2_mask]
-                        if ways2.pop(x, miss) is not miss:
-                            ways2[x] = None
-                        else:
-                            l2_misses_full += 1
-                            ways2[x] = None
-                            if len(ways2) > l2_assoc:
-                                for victim in ways2:
-                                    break
-                                del ways2[victim]
-                elif k == 2:
-                    cf += x * cpi
-                elif k == 3:
-                    cf += cpi
-                elif k == 7:
-                    # Single-line access crossing into a new page.
-                    page = x >> page_delta
-                    if tlb_pages.pop(page, miss) is not miss:
-                        tlb_pages[page] = None
-                    else:
-                        tlb_misses += 1
-                        tlb_pages[page] = None
-                        if len(tlb_pages) > tlb_entries:
-                            for victim in tlb_pages:
-                                break
-                            del tlb_pages[victim]
-                    ways = l1_sets[x & l1_mask]
-                    if ways.pop(x, miss) is not miss:
-                        ways[x] = None
-                    else:
-                        l1_misses_full += 1
-                        ways[x] = None
-                        if len(ways) > l1_assoc:
-                            for victim in ways:
-                                break
-                            del ways[victim]
-                        ways2 = l2_sets[x & l2_mask]
-                        if ways2.pop(x, miss) is not miss:
-                            ways2[x] = None
-                        else:
-                            l2_misses_full += 1
-                            ways2[x] = None
-                            if len(ways2) > l2_assoc:
-                                for victim in ways2:
-                                    break
-                                del ways2[victim]
-                elif k == 4:
-                    cf += cpi
-                elif k == 1:
-                    # Multi-line access: the side list carries (first
-                    # line, last line, page of the previous line).  The
-                    # first line's costs are integer (folded in after
-                    # the loop); streamed lines add their discounted
-                    # fractional costs here, in order, exactly like the
-                    # scalar engine's multi-line path.
-                    f, l, last_page = next(mit)
-                    page = f >> page_delta
-                    if page != last_page:
-                        last_page = page
-                        if tlb_pages.pop(page, miss) is not miss:
-                            tlb_pages[page] = None
-                        else:
-                            tlb_misses += 1
-                            tlb_pages[page] = None
-                            if len(tlb_pages) > tlb_entries:
-                                for victim in tlb_pages:
-                                    break
-                                del tlb_pages[victim]
-                    ways = l1_sets[f & l1_mask]
-                    if ways.pop(f, miss) is not miss:
-                        ways[f] = None
-                    else:
-                        l1_misses_full += 1
-                        ways[f] = None
-                        if len(ways) > l1_assoc:
-                            for victim in ways:
-                                break
-                            del ways[victim]
-                        ways2 = l2_sets[f & l2_mask]
-                        if ways2.pop(f, miss) is not miss:
-                            ways2[f] = None
-                        else:
-                            l2_misses_full += 1
-                            ways2[f] = None
-                            if len(ways2) > l2_assoc:
-                                for victim in ways2:
-                                    break
-                                del ways2[victim]
-                    for line in range(f + 1, l + 1):
-                        page = line >> page_delta
-                        if page != last_page:
-                            last_page = page
-                            if tlb_pages.pop(page, miss) is not miss:
-                                tlb_pages[page] = None
-                            else:
-                                tlb_misses += 1
-                                tlb_pages[page] = None
-                                if len(tlb_pages) > tlb_entries:
-                                    for victim in tlb_pages:
-                                        break
-                                    del tlb_pages[victim]
-                        cf += l1_s
-                        ways = l1_sets[line & l1_mask]
-                        if ways.pop(line, miss) is not miss:
-                            ways[line] = None
-                        else:
-                            l1_misses_stream += 1
-                            ways[line] = None
-                            if len(ways) > l1_assoc:
-                                for victim in ways:
-                                    break
-                                del ways[victim]
-                            cf += l2_s
-                            ways2 = l2_sets[line & l2_mask]
-                            if ways2.pop(line, miss) is not miss:
-                                ways2[line] = None
-                            else:
-                                l2_misses_stream += 1
-                                ways2[line] = None
-                                if len(ways2) > l2_assoc:
-                                    for victim in ways2:
-                                        break
-                                    del ways2[victim]
-                                cf += mem_s
-                else:  # k == 6
-                    cf += x * cpi
-        else:
-            # Prefetcher variant: identical modelling plus the hit/miss
-            # callbacks and prefetch fills (ablation runs only, so the
-            # MRU fast kind is not emitted — the prefetcher must
-            # observe every hit).
-            for k, x in zip(kinds, xs):
-                if k == 0 or k == 7:
-                    if k == 7:
-                        page = x >> page_delta
-                        if tlb_pages.pop(page, miss) is not miss:
-                            tlb_pages[page] = None
-                        else:
-                            tlb_misses += 1
-                            tlb_pages[page] = None
-                            if len(tlb_pages) > tlb_entries:
-                                for victim in tlb_pages:
-                                    break
-                                del tlb_pages[victim]
-                    ways = l1_sets[x & l1_mask]
-                    if ways.pop(x, miss) is not miss:
-                        ways[x] = None
-                        prefetcher.on_hit(x)
-                    else:
-                        l1_misses_full += 1
-                        ways[x] = None
-                        if len(ways) > l1_assoc:
-                            for victim in ways:
-                                break
-                            del ways[victim]
-                        for target in prefetcher.on_miss(x):
-                            target_ways = l1_sets[target & l1_mask]
-                            if target not in target_ways:
-                                target_ways[target] = None
-                                if len(target_ways) > l1_assoc:
-                                    for victim in target_ways:
-                                        break
-                                    del target_ways[victim]
-                        ways2 = l2_sets[x & l2_mask]
-                        if ways2.pop(x, miss) is not miss:
-                            ways2[x] = None
-                        else:
-                            l2_misses_full += 1
-                            ways2[x] = None
-                            if len(ways2) > l2_assoc:
-                                for victim in ways2:
-                                    break
-                                del ways2[victim]
-                elif k == 2:
-                    cf += x * cpi
-                elif k == 3:
-                    cf += cpi
-                elif k == 4:
-                    cf += cpi
-                elif k == 1:
-                    f, l, last_page = next(mit)
-                    streamed = False
-                    for line in range(f, l + 1):
-                        page = line >> page_delta
-                        if page != last_page:
-                            last_page = page
-                            if tlb_pages.pop(page, miss) is not miss:
-                                tlb_pages[page] = None
-                            else:
-                                tlb_misses += 1
-                                tlb_pages[page] = None
-                                if len(tlb_pages) > tlb_entries:
-                                    for victim in tlb_pages:
-                                        break
-                                    del tlb_pages[victim]
-                        if streamed:
-                            cf += l1_s
-                        ways = l1_sets[line & l1_mask]
-                        if ways.pop(line, miss) is not miss:
-                            ways[line] = None
-                            prefetcher.on_hit(line)
-                        else:
-                            if streamed:
-                                l1_misses_stream += 1
-                            else:
-                                l1_misses_full += 1
-                            ways[line] = None
-                            if len(ways) > l1_assoc:
-                                for victim in ways:
-                                    break
-                                del ways[victim]
-                            for target in prefetcher.on_miss(line):
-                                target_ways = l1_sets[target & l1_mask]
-                                if target not in target_ways:
-                                    target_ways[target] = None
-                                    if len(target_ways) > l1_assoc:
-                                        for victim in target_ways:
-                                            break
-                                        del target_ways[victim]
-                            if streamed:
-                                cf += l2_s
-                            ways2 = l2_sets[line & l2_mask]
-                            if ways2.pop(line, miss) is not miss:
-                                ways2[line] = None
-                            else:
-                                if streamed:
-                                    l2_misses_stream += 1
-                                    cf += mem_s
-                                else:
-                                    l2_misses_full += 1
-                                ways2[line] = None
-                                if len(ways2) > l2_assoc:
-                                    for victim in ways2:
-                                        break
-                                    del ways2[victim]
-                        streamed = True
-                else:  # k == 6
-                    cf += x * cpi
-
-        # ---- fold the deferred order-free state ----------------------
-        cint += l1_misses_full * l2_lat
-        cint += l2_misses_full * mem_lat
-        cint += tlb_misses * m._tlb_penalty
-        m._cycles = cf
-        m._cycles_int += cint
-        m._last_page = new_last_page
-        m.instructions += inst_delta
-        pred = m.predictor
-        pred.branches += branches_delta
-        pred.mispredicts += mispredicts_delta
-        l1_misses = l1_misses_full + l1_misses_stream
-        l1 = m.l1
-        l1.accesses += l1_acc_total
-        l1.misses += l1_misses
-        l2 = m.l2
-        l2.accesses += l1_misses
-        l2.misses += l2_misses_full + l2_misses_stream
-        tlb = m.tlb
-        tlb.accesses += tlb_acc_total
-        tlb.misses += tlb_misses
-
-    def _replay_flat(self, w, n: int) -> bool:
-        """Minimal-pass replay for the dominant chunk shape.
-
-        A chunk holding nothing but accesses of one size, none crossing
-        a line, replayed without a prefetcher (the caller checks the
-        all-access and no-prefetcher halves via ``w.min()``), needs
-        none of the general decode: no op-row folding, no size-escape
-        cumsum, no kind array, no multi-line side list, and no float
-        cycle work at all — the single-line access path is all-integer.
-        Returns False (having touched nothing) when some access crosses
-        a line, and the general decode takes over.
-        """
-        m = self._m
-        f = w >> m._line_shift
-        last = (w + (self._decode_nb - 1)) >> m._line_shift
-        if not np.array_equal(f, last):
-            return False
-        page_delta = m._page_delta
-        entry = f >> page_delta
-        # Page transitions and line transitions against the previous
-        # event; a repeat of the previous line is a guaranteed L1 hit
-        # on an already-MRU line and never enters the loop.
-        pc = np.empty(n, dtype=bool)
-        pc[0] = int(entry[0]) != m._last_page
-        np.not_equal(entry[1:], entry[:-1], out=pc[1:])
-        lc = np.empty(n, dtype=bool)
-        lc[0] = True
-        np.not_equal(f[1:], f[:-1], out=lc[1:])
-        fk = f[lc]
-        xs = fk.tolist()
-        l1_sets = m._l1_sets
-        ways_it = map(l1_sets.__getitem__, (fk & m._l1_mask).tolist())
-        pcs = pc[lc].tolist()
-        l1_assoc = m._l1_assoc
-        l2_sets = m._l2_sets
-        l2_mask = m._l2_mask
-        l2_assoc = m._l2_assoc
-        tlb_pages = m._tlb_pages
-        tlb_entries = m._tlb_entries
-        miss = _MISS
-        l1_misses = 0
-        l2_misses = 0
-        tlb_misses = 0
-        for new_page, x, ways in zip(pcs, xs, ways_it):
-            if new_page:
-                page = x >> page_delta
-                if tlb_pages.pop(page, miss) is not miss:
-                    tlb_pages[page] = None
-                else:
-                    tlb_misses += 1
-                    tlb_pages[page] = None
-                    if len(tlb_pages) > tlb_entries:
-                        for victim in tlb_pages:
-                            break
-                        del tlb_pages[victim]
-            if ways.pop(x, miss) is not miss:
-                ways[x] = None
-            else:
-                l1_misses += 1
-                ways[x] = None
-                if len(ways) > l1_assoc:
-                    for victim in ways:
-                        break
-                    del ways[victim]
-                ways2 = l2_sets[x & l2_mask]
-                if ways2.pop(x, miss) is not miss:
-                    ways2[x] = None
-                else:
-                    l2_misses += 1
-                    ways2[x] = None
-                    if len(ways2) > l2_assoc:
-                        for victim in ways2:
-                            break
-                        del ways2[victim]
-        m._cycles_int += (n * m._l1_lat + l1_misses * m._l2_lat
-                          + l2_misses * m._mem_lat
-                          + tlb_misses * m._tlb_penalty)
-        m._last_page = int(entry[-1])
-        l1 = m.l1
-        l1.accesses += n
-        l1.misses += l1_misses
-        l2 = m.l2
-        l2.accesses += l1_misses
-        l2.misses += l2_misses
-        tlb = m.tlb
-        # Same-page repeats never probe the TLB (the scalar engine
-        # short-circuits on ``_last_page``), so only transitions count.
-        tlb.accesses += int(np.count_nonzero(pc))
-        tlb.misses += tlb_misses
-        return True
-
-    @property
-    def pending_events(self) -> int:
-        """Buffered words not yet replayed (testing/diagnostics)."""
-        return len(self._buf)
+        raise RuntimeError("the trace-replay engine has been removed")

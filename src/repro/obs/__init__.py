@@ -134,11 +134,6 @@ def record_sim_run(machine, kind: str | None = None) -> None:
         return
     metrics = collector.metrics
     metrics.count("sim.runs")
-    # Per-engine totals: which simulator produced the run's counters
-    # ("scalar" machine or "vector" trace recorder).
-    engine = getattr(machine, "engine", "scalar")
-    metrics.count(f"sim.runs.{engine}")
-    metrics.count(f"sim.cycles.{engine}", machine.cycles)
     metrics.count("sim.cycles", machine.cycles)
     metrics.count("sim.instructions", machine.instructions)
     metrics.count("sim.l1_accesses", machine.l1.accesses)

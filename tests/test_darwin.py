@@ -17,12 +17,10 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
 import repro.api as api
-from repro.apps.base import run_case_study
 from repro.apps.chord import ChordSimulator
 from repro.apps.xalan import XalanStringCache
 from repro.core.advisor import BrainyAdvisor
@@ -34,7 +32,7 @@ from repro.core.darwin import (
     site_candidates,
 )
 from repro.core.report import Report
-from repro.machine import make_machine
+from repro.machine import Machine
 from repro.machine.configs import CORE2
 from repro.models import BrainySuite
 from repro.runtime.options import (
@@ -68,7 +66,7 @@ class TestFootprintCounter:
     """`Allocator.peak_live_bytes` — the memory objective's source."""
 
     def test_peak_tracks_high_water_not_current(self):
-        machine = make_machine(CORE2)
+        machine = Machine(CORE2)
         alloc = machine.allocator
         a = machine.malloc(1000)
         machine.malloc(2000)
@@ -81,26 +79,13 @@ class TestFootprintCounter:
         assert alloc.peak_live_bytes > peak
 
     def test_reset_restarts_peak_from_surviving_live_bytes(self):
-        machine = make_machine(CORE2)
+        machine = Machine(CORE2)
         big = machine.malloc(10_000)
         machine.free(big)
         machine.malloc(64)
         machine.reset()
         assert machine.allocator.peak_live_bytes \
             == machine.allocator.live_bytes
-
-    def test_footprint_identical_across_engines(self):
-        """The memory objective is engine-independent, like every other
-        counter — a vector-engine fitness fan-out scores the exact same
-        fronts."""
-        scalar = run_case_study(
-            XalanStringCache("test"),
-            replace(CORE2, sim_engine="scalar"))
-        vector = run_case_study(
-            XalanStringCache("test"),
-            replace(CORE2, sim_engine="vector"))
-        assert scalar.footprint_bytes == vector.footprint_bytes
-        assert scalar.cycles == vector.cycles
 
 
 class TestRunDarwin:

@@ -1,12 +1,28 @@
-"""Unit tests for the Machine: cycle accounting and counter attribution."""
+"""Unit tests for the Machine: cycle accounting and counter attribution,
+plus pinned SHA-256 oracles of every observable measurement on
+randomized event streams and of a Phase I artifact."""
+
+import hashlib
+import json
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.appgen.config import GeneratorConfig
+from repro.containers.registry import MODEL_GROUPS
 from repro.machine.cache import Cache
-from repro.machine.configs import ATOM, CORE2, MachineConfig
+from repro.machine.configs import (
+    ATOM,
+    ATOM_FULL,
+    CORE2,
+    CORE2_FULL,
+    MachineConfig,
+)
 from repro.machine.machine import Machine
+from repro.machine.prefetch import NextLinePrefetcher
+from repro.training.phase1 import run_phase1
 
 
 class TestBasics:
@@ -211,3 +227,234 @@ def test_access_line_count_formula(nbytes):
     machine.access(addr, nbytes)
     expected = ((addr + nbytes - 1) // 64) - (addr // 64) + 1
     assert machine.counters().l1_accesses == expected
+
+
+def machine_state(machine: Machine) -> tuple:
+    """Every observable measurement: the counter snapshot, the raw
+    ``snapshot_tuple`` the instrumentation reads, the TLB access count
+    (not in the public snapshot) and the float ``seconds``."""
+    return (
+        machine.counters(),
+        machine.snapshot_tuple(),
+        machine.tlb.accesses,
+        machine.seconds,
+    )
+
+
+def state_digest(*machines: Machine) -> str:
+    """SHA-256 over :func:`machine_state` of each machine, with
+    ``seconds`` compared by ``repr`` so any last-bit drift shows."""
+    states = []
+    for machine in machines:
+        counters, snapshot, tlb_accesses, seconds = machine_state(machine)
+        states.append([counters.as_dict(), list(snapshot), tlb_accesses,
+                       repr(seconds)])
+    return hashlib.sha256(json.dumps(states).encode()).hexdigest()
+
+
+def drive_random_stream(machine, seed, events=4000, with_reset=False):
+    """A seeded mixed stream of every event kind the machine accepts."""
+    rng = random.Random(seed)
+    addrs = []
+    for _ in range(events):
+        r = rng.random()
+        if r < 0.52:
+            if addrs and rng.random() < 0.4:
+                machine.access(rng.choice(addrs),
+                               rng.choice((1, 7, 8, 16, 64, 200, 5000)))
+            else:
+                machine.access(rng.randrange(1 << 22),
+                               rng.choice((8, 8, 8, 16)))
+        elif r < 0.67:
+            machine.instr(rng.randrange(0, 200))
+        elif r < 0.80:
+            machine.branch(rng.randrange(4096), rng.random() < 0.7)
+        elif r < 0.85:
+            machine.div(rng.randrange(0, 4))
+        elif r < 0.90:
+            machine.loop_branches(rng.randrange(4096),
+                                  rng.randrange(0, 50))
+        elif r < 0.97:
+            addrs.append(machine.malloc(rng.randrange(1, 512)))
+        elif addrs:
+            machine.free(addrs.pop(rng.randrange(len(addrs))))
+        # Mid-stream observation points.
+        if rng.random() < 0.002:
+            machine.snapshot_tuple()
+        if with_reset and rng.random() < 0.001:
+            machine.reset()
+    return machine
+
+
+#: Digests of :func:`state_digest` over seeds 0-2 of
+#: :func:`drive_random_stream`, keyed by prefetcher and config.  Any
+#: change to a counter, to ``snapshot_tuple`` or to the bits of
+#: ``seconds`` changes them; a deliberate cost-model change re-pins
+#: them in the same commit.
+STREAM_DIGESTS = {
+    "nopf-core2":
+        "d0cbf70e52920f2dc93142b7fe352989548033d64b92da3392c408685d6b3a5c",
+    "nopf-atom":
+        "482cc3eadfff8d9dea095d9b537f3731cb08fcce33edfea20a23774a06d879ed",
+    "nopf-core2-full":
+        "33c607b9271a6d7997d4e32cb065389d2dbf25fa04a9c69be8f77dbae645eca8",
+    "nopf-atom-full":
+        "a9666cef58e100c8dec403d06982869e4a79d64a8eddbc7fc0f6b8e054631a26",
+    "pf-core2":
+        "c7465b2817be67a5c10249c1fff6ca87f512d24bde01db571047be1b32f88e1d",
+    "pf-atom":
+        "ea21e88d932d0e8cb3d75127e005b7e540b4e1cd6b2175bf6b8811b227864f7a",
+    "pf-core2-full":
+        "30a374a9972a3989d3cf49317fe149e2fc615ff7325f58cd857a6883ab8eb509",
+    "pf-atom-full":
+        "09e8c52488b4676565cb7350b67757f57235e4dbd97d1514365b5c080c9378db",
+}
+
+RESET_DIGESTS = {
+    "core2":
+        "163c45e9fc48ee99fc53a84808187627b880664a755c23f8abb7605a41c98223",
+    "core2-full":
+        "da1702a14f3a708b497e34a702770599f9f4f492c8baa638b8131eec3cbb00f0",
+}
+
+#: ``(address mask, access size) -> digest`` for aligned single-line,
+#: unaligned single-line and line-crossing access runs on core2-full.
+LINE_DIGESTS = {
+    (~7, 8):
+        "ec8118e03db1de7b3d8adfc4dfd0fdfd91021372b31e422dc861a19c75d26705",
+    (~0, 8):
+        "c6d295d5972771e614c26db552223e3d19ac20532af3beec9bd04dffcb73b81c",
+    (~0, 60):
+        "dcbc9ba6daec4d4d407c68de390f82937fef5be33548b358418772bcdbd75c15",
+}
+
+#: SHA-256 of the saved ``vector_oo`` Phase I artifact (small
+#: generator config, core2, 2 records per class, at most 12 seeds).
+PHASE1_ARTIFACT_SHA256 = \
+    "bfbf3ec37f9963bed1668b423c06ef1eb64c833edeae59ab30026ec26ef5a18e"
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("config", (CORE2, ATOM, CORE2_FULL, ATOM_FULL),
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("prefetch", (False, True),
+                             ids=("nopf", "pf"))
+    def test_randomized_streams(self, config, prefetch):
+        machines = []
+        for seed in range(3):
+            machine = Machine(config)
+            if prefetch:
+                machine.attach_prefetcher(NextLinePrefetcher())
+            machines.append(drive_random_stream(machine, seed))
+        key = f"{'pf' if prefetch else 'nopf'}-{config.name}"
+        assert state_digest(*machines) == STREAM_DIGESTS[key]
+
+    @pytest.mark.parametrize("config", (CORE2, CORE2_FULL),
+                             ids=lambda c: c.name)
+    def test_resets_mid_stream(self, config):
+        machine = drive_random_stream(Machine(config), 11, with_reset=True)
+        assert state_digest(machine) == RESET_DIGESTS[config.name]
+
+    @pytest.mark.parametrize("mask,nbytes", list(LINE_DIGESTS),
+                             ids=("aligned-8", "unaligned-8",
+                                  "unaligned-60"))
+    def test_line_crossing_and_aligned_runs(self, mask, nbytes):
+        machine = Machine(CORE2_FULL)
+        rng = random.Random(5)
+        for addr in [rng.randrange(1 << 21) & mask for _ in range(4000)]:
+            machine.access(addr, nbytes)
+        assert state_digest(machine) == LINE_DIGESTS[(mask, nbytes)]
+
+
+class TestPinnedPhase1Artifact:
+    def test_artifact_sha256(self, tmp_path):
+        result = run_phase1(
+            MODEL_GROUPS["vector_oo"], GeneratorConfig.small(), CORE2,
+            per_class_target=2, max_seeds=12,
+        )
+        path = tmp_path / "phase1.json"
+        result.save(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PHASE1_ARTIFACT_SHA256
+
+
+class TestAccessValidation:
+    @pytest.mark.parametrize("nbytes", (0, -1, -64))
+    def test_nonpositive_size_rejected(self, nbytes):
+        machine = Machine(CORE2)
+        machine.access(64, 8)  # healthy stream first
+        with pytest.raises(ValueError,
+                           match=rf"access: size must be positive: "
+                                 rf"{nbytes}"):
+            machine.access(128, nbytes)
+
+    def test_rejection_leaves_state_unchanged(self):
+        rejected, clean = Machine(CORE2), Machine(CORE2)
+        rejected.access(64, 8)
+        with pytest.raises(ValueError):
+            rejected.access(128, 0)
+        rejected.access(192, 8)
+        clean.access(64, 8)
+        clean.access(192, 8)
+        assert machine_state(rejected) == machine_state(clean)
+
+
+class TestResetRegression:
+    """reset() must clear allocator counters and prefetcher state while
+    keeping the heap mapping."""
+
+    def test_reset_clears_allocator_counters_keeps_heap(self):
+        machine = Machine(CORE2)
+        first = machine.malloc(128)
+        machine.malloc(64)
+        assert machine.allocator.allocations == 2
+        assert machine.allocator.allocated_bytes > 0
+        machine.reset()
+        assert machine.allocator.allocations == 0
+        assert machine.allocator.frees == 0
+        assert machine.allocator.allocated_bytes == 0
+        assert machine.counters().allocations == 0
+        # Heap mapping survives: freeing a pre-reset block still works,
+        # and new allocations never overlap live ones.
+        machine.free(first)
+        addr = machine.malloc(32)
+        assert addr != first + 16
+
+    def test_reset_clears_prefetcher_state(self):
+        machine = Machine(CORE2)
+        prefetcher = NextLinePrefetcher()
+        machine.attach_prefetcher(prefetcher)
+        for i in range(64):
+            machine.access(i * 64, 8)
+        assert prefetcher.issued > 0
+        machine.reset()
+        assert prefetcher.issued == 0
+        assert prefetcher.useful == 0
+
+    def test_post_reset_runs_identical_to_fresh_machine(self):
+        # Reset keeps the heap mapping by design, so the comparison
+        # stream avoids the allocator: every other counter source
+        # (caches, TLB, predictor, prefetcher, cycles) must behave as
+        # if the machine were new.
+        def drive(machine, seed):
+            rng = random.Random(seed)
+            for _ in range(3000):
+                r = rng.random()
+                if r < 0.6:
+                    machine.access(rng.randrange(1 << 20),
+                                   rng.choice((8, 16, 200)))
+                elif r < 0.8:
+                    machine.branch(rng.randrange(4096),
+                                   rng.random() < 0.7)
+                else:
+                    machine.instr(rng.randrange(1, 50))
+
+        used = Machine(CORE2)
+        used.attach_prefetcher(NextLinePrefetcher())
+        drive(used, 3)
+        used.reset()
+        fresh = Machine(CORE2)
+        fresh.attach_prefetcher(NextLinePrefetcher())
+        drive(used, 4)
+        drive(fresh, 4)
+        assert machine_state(used) == machine_state(fresh)

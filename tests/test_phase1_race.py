@@ -81,14 +81,6 @@ class TestBoundedRun:
         assert not bounded.abandoned
         assert bounded.cycles == full.cycles
 
-    def test_auto_engine_runs_bounded_runs_on_the_scalar_machine(
-            self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        app = generate_app(3, MODEL_GROUPS["set"], CONFIG)
-        assert app.run(DSKind.SET, CORE2, limit=10**12).machine.engine \
-            == "scalar"
-        assert app.run(DSKind.SET, CORE2).machine.engine == "vector"
-
 
 class TestRaceMatchesFullSweep:
     @pytest.mark.parametrize("group_name", sorted(MODEL_GROUPS))
@@ -214,12 +206,9 @@ class TestCycleOrder:
                     == list(raced.items())
 
     @pytest.mark.parametrize("kind", MODEL_GROUPS["vector_oo"].classes)
-    def test_paused_and_resumed_run_equals_one_run(self, kind,
-                                                   monkeypatch):
+    def test_paused_and_resumed_run_equals_one_run(self, kind):
         app = generate_app(11, MODEL_GROUPS["vector_oo"], CONFIG)
-        with monkeypatch.context() as scalar:
-            scalar.setenv("REPRO_SIM_ENGINE", "scalar")
-            whole = app.run(kind, CORE2)
+        whole = app.run(kind, CORE2)
         total = whole.cycles
         run = app.run(kind, CORE2, limit=0)
         for limit in (total // 5, total // 2, total - 1):
