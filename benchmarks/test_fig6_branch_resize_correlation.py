@@ -21,9 +21,9 @@ def _collect(group_name, n_apps, gen_config, seed_base):
     group = MODEL_GROUPS[group_name]
     for seed in range(n_apps):
         app = generate_app(seed_base + seed, group, gen_config)
-        run = app.run(group.original, CORE2, instrument=True)
-        stats = run.profiled.stats
-        hw = run.profiled.hardware_counters()
+        run = app.run(group.original, CORE2)
+        stats = run.container.stats
+        hw = run.hardware_counters()
         # Resize fires on insert, so the ratio is per insert invocation.
         resize_ratio = 100 * stats.resizes / max(1, stats.inserts)
         points.append((hw.branch_miss_rate, resize_ratio))

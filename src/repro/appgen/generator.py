@@ -21,8 +21,9 @@ import repro.obs as obs
 from repro.appgen.config import BehaviorProfile, GeneratorConfig
 from repro.containers.base import Container
 from repro.containers.registry import DSKind, ModelGroup, make_container
-from repro.instrumentation.profiler import ProfiledContainer
+from repro.instrumentation.features import feature_vector
 from repro.machine.configs import CORE2, MachineConfig
+from repro.machine.events import PerfCounters
 from repro.machine.machine import Machine
 
 #: Interfaces exercised per model family.  Sequence targets get the full
@@ -108,26 +109,53 @@ def _sample_profile(seed: int, group: ModelGroup,
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class AppRun:
-    """Result of executing a synthetic app against one container kind."""
+    """One execution of a synthetic app against one container kind.
+
+    A run stopped at its ``limit`` is *paused*: passing it back to
+    :meth:`SyntheticApp.run` as ``resume=`` continues it in place.
+    """
 
     kind: DSKind
-    cycles: int
-    seconds: float
     machine: Machine
-    profiled: ProfiledContainer | None
+    container: Container
+    #: The machine's counters right after the container was built.
+    start: tuple[int, ...]
     #: True when the run stopped early because its cycles passed the
     #: caller's ``limit``; ``cycles`` is then a lower bound, and passing
     #: the run back as ``resume=`` continues it.
     abandoned: bool = False
-    _steps: Iterator[None] | None = field(default=None, repr=False,
-                                          compare=False)
+    _steps: Iterator[None] | None = field(default=None, repr=False)
+
+    @property
+    def cycles(self) -> int:
+        return self.machine.cycles
+
+    @property
+    def seconds(self) -> float:
+        return self.machine.seconds
+
+    def hardware_counters(self) -> PerfCounters:
+        """Machine events since the container was built.
+
+        A synthetic app raises machine events only inside interface
+        calls, so this equals what a
+        :class:`~repro.instrumentation.profiler.ProfiledContainer`
+        attributes to the container call by call.
+        """
+        end = self.machine.snapshot_tuple()
+        return PerfCounters(*(a - b for a, b in zip(end, self.start)))
 
     def features(self) -> np.ndarray:
-        if self.profiled is None:
-            raise ValueError("run was not instrumented; pass instrument=True")
-        return self.profiled.features()
+        """The canonical feature vector of a completed run."""
+        if self._steps is not None:
+            raise ValueError("features need a completed run; this one "
+                             "stopped at its limit")
+        return feature_vector(self.container.stats,
+                              self.hardware_counters(),
+                              self.container.element_bytes,
+                              self.machine.config.line_bytes)
 
 
 class SyntheticApp:
@@ -145,8 +173,7 @@ class SyntheticApp:
                 f"calls={self.profile.total_calls})")
 
     def run(self, kind: DSKind,
-            machine_config: MachineConfig = CORE2,
-            instrument: bool = False, *,
+            machine_config: MachineConfig = CORE2, *,
             limit: int | None = None,
             resume: AppRun | None = None) -> AppRun:
         """Execute the app on a fresh machine with the given container.
@@ -154,9 +181,9 @@ class SyntheticApp:
         With ``limit`` set, the cycle count is read after every interface
         call (prefill included) and the run stops as soon as it exceeds
         ``limit``, returning an :class:`AppRun` marked ``abandoned``.
-        Passing that run as ``resume`` continues it from where it
-        stopped, on the same machine, under the new ``limit``: a run
-        paused and resumed any number of times ends exactly as one run.
+        Passing that run as ``resume`` continues it in place, on the
+        same machine, under the new ``limit``: a run paused and resumed
+        any number of times ends exactly as one run.
         """
         if kind not in self.group.classes:
             raise ValueError(
@@ -169,36 +196,23 @@ class SyntheticApp:
                 kind, machine, profile.elem_size,
                 profile.payload_size if profile.payload_size else None,
             )
-            target: Container | ProfiledContainer = container
-            profiled = None
-            if instrument:
-                profiled = ProfiledContainer(
-                    container, context=f"synthetic:{self.seed}"
-                )
-                target = profiled
-            steps = self._drive(target, random.Random(self.seed))
+            run = AppRun(kind, machine, container, machine.snapshot_tuple(),
+                         _steps=self._drive(container,
+                                            random.Random(self.seed)))
         else:
             if resume.kind != kind or resume._steps is None:
                 raise ValueError(f"resume= needs a stopped run of {kind}")
-            machine, profiled = resume.machine, resume.profiled
-            steps, resume._steps = resume._steps, None
+            run = resume
+            machine = run.machine
 
-        abandoned = False
-        for _ in steps:
+        for _ in run._steps:
             if limit is not None and machine.cycles > limit:
-                abandoned = True
-                break
-        if not abandoned:
-            obs.record_sim_run(machine)
-        return AppRun(
-            kind=kind,
-            cycles=machine.cycles,
-            seconds=machine.seconds,
-            machine=machine,
-            profiled=profiled,
-            abandoned=abandoned,
-            _steps=steps if abandoned else None,
-        )
+                run.abandoned = True
+                return run
+        run.abandoned = False
+        run._steps = None
+        obs.record_sim_run(machine)
+        return run
 
     def _drive(self, target, rng: random.Random) -> Iterator[None]:
         """The function-dispatch loop, yielding after every interface

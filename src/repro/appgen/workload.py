@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +26,16 @@ def measure_candidates(app: SyntheticApp,
         kind: app.run(kind, machine_config).cycles
         for kind in app.group.classes
     }
+
+
+class Race(NamedTuple):
+    """What :func:`race_sets` found for one app."""
+
+    #: Per candidate set, the cycles of the candidates that completed
+    #: that set's own race, in completion order.
+    runtimes: list[dict[DSKind, int]]
+    #: Every run that completed, by kind.
+    runs: dict[DSKind, AppRun]
 
 
 def race_candidates(app: SyntheticApp,
@@ -50,38 +61,70 @@ def race_candidates(app: SyntheticApp,
     ``group.classes``.  Returns cycles for the candidates that ran to
     completion, in completion order.
     """
+    return race_sets(app, machine_config, [app.group.classes],
+                     margin).runtimes[0]
+
+
+def race_sets(app: SyntheticApp,
+              machine_config: MachineConfig,
+              sets: Sequence[Iterable[DSKind]],
+              margin: float = DEFAULT_MARGIN) -> Race:
+    """:func:`race_candidates` for several candidate sets at once.
+
+    One cycle-ordered race runs over the union of the sets, and each
+    set keeps its own bound: a run stops counting for a set once it
+    passes that set's bound, and is dropped once no set it belongs to
+    still counts it.  A run is paused whenever it passes the cheapest
+    other run, so runs complete in the order of their totals whichever
+    other sets share the race, and each set's runtimes equal
+    ``race_candidates`` on that set alone, entries and order.  No run
+    goes further than the furthest it would go in one set's own race.
+    """
     rank = {kind: i for i, kind in enumerate(DSKind)}
-    runs: dict[DSKind, AppRun | None] = dict.fromkeys(app.group.classes)
+    sets = [frozenset(kinds) for kinds in sets]
+    runtimes: list[dict[DSKind, int]] = [{} for _ in sets]
+    bounds: list[int | None] = [None] * len(sets)
+    # For each kind, the sets that still count its run.
+    counting = {kind: [i for i, kinds in enumerate(sets) if kind in kinds]
+                for kind in sorted(frozenset().union(*sets), key=rank.get)}
+    runs: dict[DSKind, AppRun | None] = dict.fromkeys(counting)
     # (cycles so far, declaration rank, kind): the head is the run to
     # resume next.
-    queue = [(0, rank[kind], kind) for kind in runs]
+    queue = [(0, rank[kind], kind) for kind in counting]
     heapq.heapify(queue)
-    runtimes: dict[DSKind, int] = {}
-    bound = None
+    completed: dict[DSKind, AppRun] = {}
 
-    def drop(run: AppRun) -> None:
-        obs.counter("phase1.abandoned", kind=run.kind.value)
-        obs.record_sim_run(run.machine)
+    def prune(kind: DSKind, cycles: int) -> bool:
+        """Stop counting the run for every set it has passed the bound
+        of; True when no set counts it any more."""
+        counting[kind] = [i for i in counting[kind]
+                          if bounds[i] is None or cycles <= bounds[i]]
+        if counting[kind]:
+            return False
+        obs.counter("phase1.abandoned", kind=kind.value)
+        obs.record_sim_run(runs[kind].machine)
+        return True
 
     while queue:
         spent, _, kind = heapq.heappop(queue)
-        run = runs[kind]
-        if bound is not None and spent > bound:
-            drop(run)
+        if prune(kind, spent):
             continue
+        reach = [bounds[i] for i in counting[kind]]
         limit = queue[0][0] if queue else None
-        if bound is not None and (limit is None or bound < limit):
-            limit = bound
-        run = app.run(kind, machine_config, limit=limit, resume=run)
+        if None not in reach and (limit is None or max(reach) < limit):
+            limit = max(reach)
+        run = app.run(kind, machine_config, limit=limit, resume=runs[kind])
+        runs[kind] = run
         if not run.abandoned:
-            runtimes[kind] = run.cycles
-            bound = _race_limit(sorted(runtimes.values()), margin)
-        elif bound is not None and run.cycles > bound:
-            drop(run)
-        else:
-            runs[kind] = run
+            completed[kind] = run
+            for i in counting[kind]:
+                if bounds[i] is None or run.cycles <= bounds[i]:
+                    runtimes[i][kind] = run.cycles
+                    bounds[i] = _race_limit(sorted(runtimes[i].values()),
+                                            margin)
+        elif not prune(kind, run.cycles):
             heapq.heappush(queue, (run.cycles, rank[kind], kind))
-    return runtimes
+    return Race(runtimes, completed)
 
 
 def _race_limit(completed: list[int], margin: float) -> int | None:
@@ -133,10 +176,9 @@ def best_candidate(runtimes: dict[DSKind, int],
 
 def collect_features(app: SyntheticApp,
                      machine_config: MachineConfig = CORE2) -> np.ndarray:
-    """Phase II: replay the app on its *original* kind, instrumented.
+    """Phase II: replay the app on its *original* kind.
 
     Brainy models how the original data structure behaves (§7), so the
     feature vector always comes from the original-kind run.
     """
-    run = app.run(app.group.original, machine_config, instrument=True)
-    return run.features()
+    return app.run(app.group.original, machine_config).features()

@@ -193,7 +193,7 @@ class ChunkedDeque(Container):
 
     def iterate(self, steps: int) -> int:
         self._dispatch()
-        visited = min(steps, len(self._values))
+        visited = max(0, min(steps, len(self._values)))
         if visited > 0:
             self._access_span(0, visited)
             self.machine.instr(visited * _INSTR_PER_MOVE)

@@ -137,7 +137,7 @@ class DynamicArray(Container):
 
     def iterate(self, steps: int) -> int:
         self._dispatch()
-        visited = min(steps, len(self._values))
+        visited = max(0, min(steps, len(self._values)))
         if visited > 0:
             machine = self.machine
             machine.access(self._base, visited * self.element_bytes)

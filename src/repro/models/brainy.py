@@ -271,14 +271,15 @@ class BrainyModel:
 
 
 def phase1_tasks(groups: Iterable[ModelGroup]) -> list[tuple[str, ...]]:
-    """Pack groups with one :func:`~repro.training.phase1.phase1_key`,
-    whose Phase I results are equal, into one training task each.
+    """Pack groups with one :func:`~repro.training.phase1.phase1_key`
+    (one app family), which share one Phase I seed loop, into one
+    training task each.
 
     Tasks keep the groups' first-appearance order; the six default
-    groups make four tasks: ``vector+list``, ``vector_oo+list_oo``,
-    ``set`` and ``map``.
+    groups make three tasks: ``vector+vector_oo+list+list_oo``, ``set``
+    and ``map``.
     """
-    tasks: dict[tuple, list[str]] = {}
+    tasks: dict[str, list[str]] = {}
     for group in groups:
         tasks.setdefault(phase1_key(group), []).append(group.name)
     return [tuple(names) for names in tasks.values()]
@@ -299,15 +300,17 @@ def _train_groups(group_names: tuple[str, ...],
                   retry_policy: RetryPolicy | None,
                   seed_budget_seconds: float | None,
                   jobs: int) -> list[BrainyModel]:
-    """One task's pipelines: Phase I once, then Phase II → ANN fit for
-    each group that shares it (see :func:`phase1_tasks`).
+    """One task's pipelines: Phase I once for the app family, then
+    Phase II → ANN fit for each group (see :func:`phase1_tasks`).
 
     A pure function of its (picklable) arguments, which is what lets
     :meth:`BrainySuite.train` overlap independent tasks across a worker
-    pool while staying byte-identical to the serial loop.  The shared
-    Phase I checkpoints to ``<first group>.phase1.json`` and Phase II to
-    ``<group>.phase2.json``, so concurrent tasks never touch the same
-    path.
+    pool while staying byte-identical to the serial loop.  Each
+    candidate set's Phase I checkpoints to ``<its first group>.phase1.json``
+    and each group's Phase II to ``<group>.phase2.json``, so concurrent
+    tasks never touch the same path.  Phase II simulates each
+    ``(seed, original kind)`` at most once per task: it reuses the
+    race's completed runs and the runs of earlier groups.
     """
     # Rebuilt worker-side from plain (picklable) arguments; a live
     # telemetry collector never crosses the process boundary.
@@ -324,28 +327,31 @@ def _train_groups(group_names: tuple[str, ...],
         path = Path(checkpoint_dir) / f"{name}.{phase}.json"
         return path, (path if resume and path.exists() else None)
 
+    groups = [MODEL_GROUPS[name] for name in group_names]
+    features: dict = {}
     models = []
-    phase1 = None
-    for group_name in group_names:
-        group = MODEL_GROUPS[group_name]
-        with obs.span("train.group", group=group_name):
-            if phase1 is None:
-                p1_path, p1_resume = checkpoint(group_name, "phase1")
+    for index, group in enumerate(groups):
+        with obs.span("train.group", group=group.name):
+            if index == 0:
+                paths = {name: checkpoint(name, "phase1")
+                         for name in group_names}
                 phase1 = run_phase1(
-                    group, config, machine_config,
+                    groups, config, machine_config,
                     per_class_target=per_class_target,
                     max_seeds=max_seeds, seed_base=seed_base,
-                    resume_from=p1_resume, checkpoint_path=p1_path,
-                    options=phase_options,
+                    resume_from={name: resume
+                                 for name, (_, resume) in paths.items()},
+                    checkpoint_path={name: path
+                                     for name, (path, _) in paths.items()},
+                    options=phase_options, features=features,
                 )
             else:
-                phase1 = phase1.for_group(group)
-                obs.counter("phase1.shared", group=group_name)
-            p2_path, p2_resume = checkpoint(group_name, "phase2")
+                obs.counter("phase1.shared", group=group.name)
+            p2_path, p2_resume = checkpoint(group.name, "phase2")
             training_set = run_phase2(
-                phase1, config, machine_config,
+                phase1[index], config, machine_config,
                 resume_from=p2_resume, checkpoint_path=p2_path,
-                options=phase_options,
+                options=phase_options, features=features,
             )
             models.append(BrainyModel.train(training_set, hidden=hidden,
                                             seed=seed))
@@ -405,11 +411,11 @@ class BrainySuite:
               ) -> "BrainySuite":
         """End-to-end training: Phase I + Phase II + ANN fit per group.
 
-        Groups that share Phase I (:func:`phase1_tasks`) run it once, as
-        one task, under the first group's name.  With ``checkpoint_dir``
-        set, Phase I writes periodic checkpoints there
-        (``<first group>.phase1.json``) and so does each group's Phase
-        II (``<group>.phase2.json``); with ``resume=True`` an
+        Groups of one app family (:func:`phase1_tasks`) run one Phase I
+        seed loop, as one task.  With ``checkpoint_dir`` set, each
+        candidate set's Phase I writes periodic checkpoints there
+        (``<its first group>.phase1.json``) and so does each group's
+        Phase II (``<group>.phase2.json``); with ``resume=True`` an
         interrupted run picks up from those files.
         Completed phases leave ``complete=True`` checkpoints, so resume
         skips finished work.  Checkpoints are removed once the whole
@@ -426,8 +432,11 @@ class BrainySuite:
         workers are daemonic and cannot host a nested pool.  With a
         single task the parallelism goes into the per-seed fan-out
         instead.  Either way the deterministic in-order merge keeps the
-        trained suite byte-identical for any ``jobs`` value (and the
-        merged telemetry content identical too).  ``executor`` overrides
+        trained suite byte-identical for any ``jobs`` value, and the
+        merged telemetry content too, except that a single task of
+        several candidate sets fanned out per seed may race a set a few
+        seeds past its stop (seeds already shipped), which adds
+        simulation counts.  ``executor`` overrides
         the group-level pool (the test seam for fault injection).
         """
         config = config or GeneratorConfig()

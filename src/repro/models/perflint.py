@@ -183,12 +183,8 @@ class PerflintModel:
         for i in range(n_apps):
             group = groups[i % len(groups)]
             app = generate_app(seed_base + i, group, config)
-            runtimes = {
-                kind: app.run(kind, machine_config).cycles
-                for kind in group.classes
-            }
-            original = app.run(group.original, machine_config,
-                               instrument=True)
-            assert original.profiled is not None
-            samples.append((original.profiled.stats, runtimes))
+            runs = {kind: app.run(kind, machine_config)
+                    for kind in group.classes}
+            samples.append((runs[group.original].container.stats,
+                            {kind: run.cycles for kind, run in runs.items()}))
         return cls.fit(samples)

@@ -102,18 +102,21 @@ class FaultInjector:
         return wrapped
 
     def wrap_measure(self, fn: Callable | None = None) -> Callable:
-        """A drop-in for Phase I's ``measure_fn(app, machine_config)``.
+        """A drop-in for Phase I's ``measure_fn(app, machine_config,
+        ...)``.
 
         Wraps :func:`~repro.appgen.workload.race_candidates` by default,
         which races at the default margin: pair it with a Phase I run at
-        that margin, or pass ``fn`` explicitly.
+        that margin, or pass ``fn`` explicitly — e.g.
+        :func:`~repro.appgen.workload.race_sets` for a Phase I over
+        several groups.
         """
         if fn is None:
             from repro.appgen.workload import race_candidates as fn
 
-        def wrapped(app, machine_config):
+        def wrapped(app, machine_config, *sets):
             self.before(app.seed, STAGE_MEASURE)
-            return fn(app, machine_config)
+            return fn(app, machine_config, *sets)
 
         return wrapped
 

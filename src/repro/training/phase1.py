@@ -24,6 +24,13 @@ run: with ``jobs > 1`` seeds are fanned out out-of-order to a worker
 pool (:mod:`repro.runtime.parallel`) while the merge loop consumes them
 in order, so artifacts, checkpoints, and quarantine records are
 indistinguishable from a serial run's.
+
+Groups of one app family (:func:`phase1_key`) generate identical apps,
+so :func:`run_phase1` can take them together: one seed loop generates
+each seed's app once and races it once over the union of the candidate
+sets still collecting (:func:`~repro.appgen.workload.race_sets`), while
+each candidate set keeps its own result, counts, stop rule and
+checkpoint, exactly as if it ran alone.
 """
 
 from __future__ import annotations
@@ -32,15 +39,18 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 import repro.obs as obs
 from repro.appgen.config import GeneratorConfig
 from repro.appgen.generator import app_family, generate_app
 from repro.appgen.workload import (
     DEFAULT_MARGIN,
+    Race,
     best_candidate,
-    race_candidates,
+    race_sets,
 )
 from repro.containers.registry import DSKind, ModelGroup
 from repro.machine.configs import CORE2, MachineConfig
@@ -67,11 +77,14 @@ PHASE1_ARTIFACT_KIND = "phase1-result"
 PHASE1_SCHEMA_VERSION = 4
 
 
-def phase1_key(group: ModelGroup) -> tuple:
-    """What a group's Phase I result depends on besides the run knobs:
-    its app family (:func:`~repro.appgen.generator.app_family`) and its
-    candidate *set*, which the race reads in no particular order."""
-    return app_family(group.original), frozenset(group.classes)
+def phase1_key(group: ModelGroup) -> str:
+    """The unit of Phase I: the group's app family
+    (:func:`~repro.appgen.generator.app_family`).  Groups with one key
+    generate identical apps for every seed, so one seed loop and one
+    race per seed serve them all; groups that also share a candidate
+    *set* (which the race reads in no particular order) have equal
+    results."""
+    return app_family(group.original)
 
 
 @dataclass
@@ -130,11 +143,12 @@ class Phase1Result:
     def for_group(self, group: ModelGroup) -> "Phase1Result":
         """This result under a sibling group's name.
 
-        Groups with one :func:`phase1_key` generate identical apps and
-        race identical candidates, so their Phase I results are equal
-        record for record.
+        Groups with one :func:`phase1_key` and one candidate set
+        generate identical apps and race identical candidates, so their
+        Phase I results are equal record for record.
         """
-        if phase1_key(group) != phase1_key(self.group):
+        if (phase1_key(group) != phase1_key(self.group)
+                or set(group.classes) != set(self.group.classes)):
             raise ValueError(
                 f"group {group.name!r} does not share Phase I with "
                 f"{self.group.name!r}")
@@ -186,24 +200,43 @@ class SeedOutcome:
     """
 
     seed: int
-    runtimes: dict[DSKind, int] | None = None
+    #: Each raced candidate set's runtimes, by the set's index.
+    runtimes: dict[int, dict[DSKind, int]] | None = None
     quarantine: QuarantineRecord | None = None
+    #: Feature vectors of the completed race runs of the kinds asked for.
+    features: dict[DSKind, np.ndarray] = field(default_factory=dict)
 
 
 def evaluate_seed(seed: int,
                   group: ModelGroup,
+                  sets: Sequence[tuple[DSKind, ...]],
+                  first_seeds: Sequence[int | None],
                   config: GeneratorConfig,
                   machine_config: MachineConfig,
                   retry_policy: RetryPolicy | None,
                   seed_budget_seconds: float | None,
                   generate_fn: Callable,
-                  measure_fn: Callable) -> SeedOutcome:
-    """Generate and measure one seed inside the per-seed error boundary.
+                  measure_fn: Callable,
+                  keep: frozenset[DSKind] = frozenset()) -> SeedOutcome:
+    """Generate and race one seed inside the per-seed error boundary.
 
-    Pure function of its arguments; safe to run in any process.  Used by
-    both the serial path and pool workers, which is what guarantees the
-    two produce identical outcomes.
+    The app is generated for ``group`` and raced over every set ``i``
+    still collecting at ``seed``: ``first_seeds[i]`` is the first seed
+    set ``i`` needs, or None once it stopped.  The merge loop updates
+    ``first_seeds`` as sets stop; this call reads it when it runs, which
+    in process is when the merge loop consumes the seed.  A pool worker
+    gets the list as it stood when the seed was shipped, which may
+    still name sets that stopped since; racing those changes no other
+    set's runtimes.
+
+    Otherwise a pure function of its arguments, and used by both the
+    serial path and pool workers, which is what guarantees the two
+    produce identical outcomes.
     """
+    raced = [i for i, first in enumerate(first_seeds)
+             if first is not None and seed >= first]
+    if not raced:
+        return SeedOutcome(seed=seed, runtimes={})
     budget = WorkBudget(seed_budget_seconds).start()
     with obs.span("phase1.seed", seed=seed):
         try:
@@ -214,14 +247,25 @@ def evaluate_seed(seed: int,
                     budget=budget,
                 )
             with obs.span("measure"):
-                runtimes = run_guarded(
-                    lambda: measure_fn(app, machine_config),
+                race = run_guarded(
+                    lambda: measure_fn(app, machine_config,
+                                       [sets[i] for i in raced]),
                     seed=seed, stage="measure", policy=retry_policy,
                     budget=budget,
                 )
         except SeedQuarantined as quarantine:
             return SeedOutcome(seed=seed, quarantine=quarantine.record)
-    return SeedOutcome(seed=seed, runtimes=runtimes)
+    return SeedOutcome(
+        seed=seed, runtimes=dict(zip(raced, race.runtimes)),
+        features={kind: run.features()
+                  for kind, run in race.runs.items() if kind in keep})
+
+
+def _one_set(measure_fn: Callable, app, machine_config,
+             sets) -> Race:
+    """Adapt a one-group ``measure_fn(app, machine_config)`` to the
+    race seam."""
+    return Race([measure_fn(app, machine_config)], {})
 
 
 def _recover_worker_crash(failure: TaskFailure,
@@ -303,7 +347,26 @@ def _restore_checkpoint(checkpoint: Phase1Checkpoint | str | Path,
     return result, counts, checkpoint.next_offset, checkpoint.complete
 
 
-def run_phase1(group: ModelGroup,
+@dataclass
+class _SetLoop:
+    """One candidate set's Algorithm 1 bookkeeping in a seed loop."""
+
+    result: Phase1Result
+    counts: dict[DSKind, int]
+    start: int
+    checkpoint_path: str | Path | None
+    done: bool
+
+    def flush(self, seed_base: int, next_offset: int,
+              complete: bool = False) -> None:
+        if self.checkpoint_path is not None:
+            _checkpoint_state(self.result, self.counts, seed_base,
+                              next_offset, complete
+                              ).save(self.checkpoint_path)
+            obs.counter("phase1.checkpoints")
+
+
+def run_phase1(group: ModelGroup | Sequence[ModelGroup],
                config: GeneratorConfig,
                machine_config: MachineConfig = CORE2,
                per_class_target: int = 30,
@@ -312,22 +375,35 @@ def run_phase1(group: ModelGroup,
                seed_base: int = 0,
                progress: Callable[[int, Phase1Result], None] | None = None,
                *,
-               resume_from: Phase1Checkpoint | str | Path | None = None,
-               checkpoint_path: str | Path | None = None,
+               resume_from: (Phase1Checkpoint | str | Path
+                             | Mapping[str, Phase1Checkpoint | str | Path
+                                       | None] | None) = None,
+               checkpoint_path: (str | Path | Mapping[str, str | Path | None]
+                                 | None) = None,
                options: RunOptions | None = None,
                checkpoint_every: int | None = None,
                retry_policy: RetryPolicy | None = None,
                seed_budget_seconds: float | None = None,
                generate_fn: Callable | None = None,
                measure_fn: Callable | None = None,
+               features: dict[tuple[int, DSKind], np.ndarray] | None = None,
                jobs: int | None = None,
                window: int | None = None,
                executor=None,
-               ) -> Phase1Result:
+               ) -> Phase1Result | list[Phase1Result]:
     """Algorithm 1: collect ``(seed, best DS)`` pairs for one model group.
 
     Parameters
     ----------
+    group:
+        One model group, or a sequence of groups of one app family
+        (:func:`phase1_key`).  Given a sequence, one seed loop serves
+        them all: each seed's app is generated once, for the group with
+        the widest candidate set, and raced once over the union of the
+        candidate sets still collecting.  Each candidate set keeps its
+        own counts, stop rule and checkpoint, and the call returns a
+        list with one result per group, each equal to what the group
+        gets alone.  Every set must lie inside the widest one.
     per_class_target:
         ``need_more_sets`` threshold: stop once every class has this many
         winning applications (the paper uses e.g. ten thousand).
@@ -344,7 +420,9 @@ def run_phase1(group: ModelGroup,
         Where periodic checkpoints are written (cadence comes from
         ``options.checkpoint_every``), and on interruption.  A completed
         run leaves a ``complete=True`` checkpoint behind so resuming a
-        finished phase is instant.
+        finished phase is instant.  For a sequence of groups,
+        ``resume_from`` and ``checkpoint_path`` map group names to the
+        above; each candidate set uses the entry of its first group.
     options:
         The cross-cutting run knobs as one frozen
         :class:`~repro.runtime.options.RunOptions` (``jobs``, ``window``,
@@ -354,9 +432,18 @@ def run_phase1(group: ModelGroup,
     checkpoint_every / retry_policy / seed_budget_seconds / jobs / window:
         Deprecated spellings of the corresponding ``options`` fields.
     generate_fn / measure_fn:
-        Pluggable seams for the app generator and the candidate sweep
-        (used by the fault-injection harness); defaults are the real
-        :func:`generate_app` and :func:`race_candidates` at ``margin``.
+        Pluggable seams for the app generator and the race (used by the
+        fault-injection harness); defaults are the real
+        :func:`generate_app` and :func:`race_sets` at ``margin``.  For
+        one group, ``measure_fn(app, machine_config)`` returns the
+        group's runtimes, like
+        :func:`~repro.appgen.workload.race_candidates`; for a sequence
+        it is ``measure_fn(app, machine_config, sets)`` and returns a
+        :class:`~repro.appgen.workload.Race`.
+    features:
+        When given, the feature vectors of the race's completed runs of
+        the groups' original kinds are added to it by ``(seed, kind)``,
+        for :func:`~repro.training.phase2.run_phase2` to reuse.
     executor:
         Overrides the worker pool entirely (tests pass an in-process
         :class:`~repro.runtime.parallel.SerialExecutor` so stateful
@@ -374,105 +461,187 @@ def run_phase1(group: ModelGroup,
         seed_budget_seconds=seed_budget_seconds,
     )
     checkpoint_every = options.checkpoint_every
-    retry_policy = options.retry_policy
-    seed_budget_seconds = options.seed_budget_seconds
-    window = options.window
     if checkpoint_every is not None and checkpoint_path is None:
         raise ValueError("checkpoint_every requires checkpoint_path")
+    if isinstance(group, ModelGroup):
+        groups = [group]
+        checkpoint_paths = {group.name: checkpoint_path}
+        resumes = {group.name: resume_from}
+        if measure_fn is not None:
+            measure_fn = partial(_one_set, measure_fn)
+    else:
+        groups = list(group)
+        checkpoint_paths = dict(checkpoint_path or {})
+        resumes = dict(resume_from or {})
+    if len({phase1_key(g) for g in groups}) != 1:
+        raise ValueError("run_phase1 takes one group, or groups of one "
+                         "app family")
+    # One loop per candidate set, named after its first group.
+    leaders: dict[frozenset[DSKind], ModelGroup] = {}
+    for g in groups:
+        leaders.setdefault(frozenset(g.classes), g)
+    widest = max(leaders.values(), key=lambda g: len(g.classes))
+    if not all(kinds <= set(widest.classes) for kinds in leaders):
+        raise ValueError("every group's candidates must lie inside the "
+                         "widest group's")
     jobs = resolve_jobs(options.jobs)
     generate_fn = generate_fn or generate_app
-    measure_fn = measure_fn or partial(race_candidates, margin=margin)
+    measure_fn = measure_fn or partial(race_sets, margin=margin)
     telemetry_scope = (obs.use_collector(options.telemetry)
                        if options.telemetry is not None else nullcontext())
 
-    with telemetry_scope, obs.span("phase1", group=group.name,
+    with telemetry_scope, obs.span("phase1", group=groups[0].name,
                                    machine=machine_config.name):
-        if resume_from is not None:
-            result, counts, start_offset, complete = _restore_checkpoint(
-                resume_from, group, machine_config, seed_base
-            )
-            if complete:
-                return result
-        else:
-            result = Phase1Result(group=group,
-                                  machine_name=machine_config.name)
-            counts = {kind: 0 for kind in group.classes}
-            start_offset = 0
-
-        def flush(next_offset: int, complete: bool = False) -> None:
-            if checkpoint_path is not None:
-                _checkpoint_state(result, counts, seed_base, next_offset,
-                                  complete).save(checkpoint_path)
-                obs.counter("phase1.checkpoints")
-
+        loops = []
+        for leader in leaders.values():
+            if resumes.get(leader.name) is not None:
+                result, counts, start, done = _restore_checkpoint(
+                    resumes[leader.name], leader, machine_config, seed_base
+                )
+            else:
+                result = Phase1Result(group=leader,
+                                      machine_name=machine_config.name)
+                counts = {kind: 0 for kind in leader.classes}
+                start, done = 0, False
+            loops.append(_SetLoop(result, counts, start,
+                                  checkpoint_paths.get(leader.name), done))
+        first_seeds = [None if loop.done else seed_base + loop.start
+                       for loop in loops]
         worker = partial(
             evaluate_seed,
-            group=group, config=config, machine_config=machine_config,
-            retry_policy=retry_policy,
-            seed_budget_seconds=seed_budget_seconds,
+            group=widest,
+            sets=[loop.result.group.classes for loop in loops],
+            first_seeds=first_seeds,
+            config=config, machine_config=machine_config,
+            retry_policy=options.retry_policy,
+            seed_budget_seconds=options.seed_budget_seconds,
             generate_fn=generate_fn, measure_fn=measure_fn,
+            keep=(frozenset(g.original for g in groups)
+                  if features is not None else frozenset()),
         )
         if executor is None:
             jobs = usable_jobs(worker, jobs, "the Phase-I seed worker")
-        outcomes = map_ordered(
-            worker,
-            (seed_base + off for off in range(start_offset, max_seeds)),
-            jobs=jobs, window=window, executor=executor,
-        )
-        try:
-            offset = start_offset
-            for offset in range(start_offset, max_seeds):
-                if all(count >= per_class_target
-                       for count in counts.values()):
-                    break
-                seed = seed_base + offset
-                try:
-                    outcome = next(outcomes)
-                except KeyboardInterrupt:
-                    # State reflects only fully-applied seeds; resuming
-                    # at ``offset`` replays nothing and skips nothing.
-                    flush(next_offset=offset)
-                    raise TrainingInterrupted(
-                        f"phase 1 interrupted at seed {seed}"
-                        + (f"; checkpoint at {checkpoint_path}"
-                           if checkpoint_path is not None else ""),
-                        checkpoint_path=(
-                            Path(checkpoint_path)
-                            if checkpoint_path is not None else None),
-                    ) from None
-                if isinstance(outcome, TaskFailure):
-                    obs.counter("phase1.worker_crashes")
-                    outcome = _recover_worker_crash(outcome, worker)
-                result.seeds_tried += 1
-                obs.counter("phase1.seeds")
-                if outcome.quarantine is not None:
-                    result.quarantined.append(outcome.quarantine)
-                    obs.counter("phase1.quarantined",
-                                stage=outcome.quarantine.stage,
-                                category=outcome.quarantine.category)
+        _seed_loop(loops, first_seeds, worker, per_class_target, max_seeds,
+                   margin, seed_base, progress, features, options, jobs,
+                   executor)
+        by_set = {frozenset(loop.result.group.classes): loop.result
+                  for loop in loops}
+        results = [by_set[frozenset(g.classes)] for g in groups]
+        results = [result if result.group is g else result.for_group(g)
+                   for g, result in zip(groups, results)]
+        return results[0] if isinstance(group, ModelGroup) else results
+
+
+def _seed_loop(loops: list[_SetLoop],
+               first_seeds: list[int | None],
+               worker: Callable[[int], SeedOutcome],
+               per_class_target: int,
+               max_seeds: int,
+               margin: float,
+               seed_base: int,
+               progress: Callable[[int, Phase1Result], None] | None,
+               features: dict | None,
+               options: RunOptions,
+               jobs: int,
+               executor) -> None:
+    """Fold seed outcomes into every candidate set's loop, in seed order.
+
+    Each set sees exactly the seeds, stop checks and checkpoints its own
+    loop would: it joins at its start offset and leaves, clearing its
+    ``first_seeds`` entry, once its classes are full.
+    """
+    checkpoint_every = options.checkpoint_every
+    pending = [loop.start for loop in loops if not loop.done]
+    if not pending:
+        return
+
+    def finish(i: int, next_offset: int) -> None:
+        loops[i].done = True
+        first_seeds[i] = None
+        loops[i].flush(seed_base, next_offset, complete=True)
+
+    outcomes = map_ordered(
+        worker, (seed_base + off for off in range(min(pending), max_seeds)),
+        jobs=jobs, window=options.window, executor=executor,
+    )
+    try:
+        for offset in range(min(pending), max_seeds):
+            active = []
+            for i, loop in enumerate(loops):
+                if loop.done or offset < loop.start:
                     continue
-                best = best_candidate(outcome.runtimes, margin=margin)
-                if best is None:
-                    result.no_winner += 1
-                    obs.counter("phase1.no_winner")
-                elif counts[best] >= per_class_target:
-                    # Phase I's early filter (§4.3): extra applications
-                    # for an already-full class are not handed to the
-                    # expensive Phase II.
-                    pass
+                if all(count >= per_class_target
+                       for count in loop.counts.values()):
+                    finish(i, offset + 1)
                 else:
-                    counts[best] += 1
-                    result.records.append(
-                        SeedRecord(seed=seed, best=best,
-                                   runtimes=outcome.runtimes))
-                    obs.counter("phase1.records", best=best.value)
-                    if progress is not None:
-                        progress(seed, result)
-                if (checkpoint_every is not None
-                        and (offset + 1 - start_offset) % checkpoint_every
-                        == 0):
-                    flush(next_offset=offset + 1)
-        finally:
-            outcomes.close()
-        flush(next_offset=offset + 1, complete=True)
-        return result
+                    active.append(i)
+            if all(loop.done for loop in loops):
+                break
+            seed = seed_base + offset
+            try:
+                outcome = next(outcomes)
+            except KeyboardInterrupt:
+                # State reflects only fully-applied seeds; resuming at
+                # ``offset`` replays nothing and skips nothing.
+                paths = []
+                for i in active:
+                    loops[i].flush(seed_base, next_offset=offset)
+                    if loops[i].checkpoint_path is not None:
+                        paths.append(Path(loops[i].checkpoint_path))
+                raise TrainingInterrupted(
+                    f"phase 1 interrupted at seed {seed}"
+                    + "".join(f"; checkpoint at {path}" for path in paths),
+                    checkpoint_path=paths[0] if paths else None,
+                ) from None
+            if not active:
+                continue
+            if isinstance(outcome, TaskFailure):
+                obs.counter("phase1.worker_crashes")
+                outcome = _recover_worker_crash(outcome, worker)
+            if features is not None:
+                for kind, vector in outcome.features.items():
+                    features.setdefault((seed, kind), vector)
+            for i in active:
+                if _apply(loops[i], i, outcome, margin, per_class_target,
+                          progress) and checkpoint_every is not None \
+                        and (offset + 1 - loops[i].start) \
+                        % checkpoint_every == 0:
+                    loops[i].flush(seed_base, next_offset=offset + 1)
+    finally:
+        outcomes.close()
+    for i, loop in enumerate(loops):
+        if not loop.done:
+            finish(i, max(loop.start, max_seeds - 1) + 1)
+
+
+def _apply(loop: _SetLoop, index: int, outcome: SeedOutcome,
+           margin: float, per_class_target: int,
+           progress: Callable[[int, Phase1Result], None] | None) -> bool:
+    """One seed's step of Algorithm 1 for set ``index``; False when the
+    seed was quarantined, which skips that seed's periodic checkpoint."""
+    result = loop.result
+    result.seeds_tried += 1
+    obs.counter("phase1.seeds")
+    if outcome.quarantine is not None:
+        result.quarantined.append(outcome.quarantine)
+        obs.counter("phase1.quarantined",
+                    stage=outcome.quarantine.stage,
+                    category=outcome.quarantine.category)
+        return False
+    runtimes = outcome.runtimes[index]
+    best = best_candidate(runtimes, margin=margin)
+    if best is None:
+        result.no_winner += 1
+        obs.counter("phase1.no_winner")
+    elif loop.counts[best] >= per_class_target:
+        # Phase I's early filter (§4.3): extra applications for an
+        # already-full class are not handed to the expensive Phase II.
+        pass
+    else:
+        loop.counts[best] += 1
+        result.records.append(
+            SeedRecord(seed=outcome.seed, best=best, runtimes=runtimes))
+        obs.counter("phase1.records", best=best.value)
+        if progress is not None:
+            progress(outcome.seed, result)
+    return True

@@ -1,9 +1,10 @@
 """Training framework Phase II (Algorithm 2).
 
-Replay every Phase-I seed with the instrumented library: regenerate the
-application from its seed, run it on the model group's *original*
-container kind with profiling enabled, and emit the
-``(features, best DS)`` training row.  Regenerating from seeds keeps disk
+Replay every Phase-I seed: regenerate the application from its seed,
+run it on the model group's *original* container kind, and emit the
+``(features, best DS)`` training row.  A run that an earlier step of the
+same training task already simulated — the Phase I race, or another
+group's Phase II — is not simulated again (``features=``).  Regenerating from seeds keeps disk
 usage constant no matter how many training applications are used.
 
 Like Phase I, the replay loop runs behind the :mod:`repro.runtime`
@@ -31,7 +32,7 @@ import repro.obs as obs
 
 from repro.appgen.config import GeneratorConfig
 from repro.appgen.generator import generate_app
-from repro.containers.registry import ModelGroup
+from repro.containers.registry import DSKind, ModelGroup
 from repro.machine.configs import CORE2, MachineConfig
 from repro.runtime.checkpoint import Phase2Checkpoint, TrainingInterrupted
 from repro.runtime.faults import (
@@ -103,7 +104,7 @@ def replay_seed(seed: int,
                 retry_policy: RetryPolicy | None,
                 seed_budget_seconds: float | None,
                 generate_fn: Callable) -> ReplayOutcome:
-    """Regenerate one app and profile it on the group's original kind.
+    """Regenerate one app and run it on the group's original kind.
 
     Pure function of its arguments; shared by the serial path and pool
     workers.  The feature vector is extracted worker-side so only a
@@ -120,8 +121,7 @@ def replay_seed(seed: int,
                 )
             with obs.span("replay"):
                 run = run_guarded(
-                    lambda: app.run(group.original, machine_config,
-                                    instrument=True),
+                    lambda: app.run(group.original, machine_config),
                     seed=seed, stage="replay", policy=retry_policy,
                     budget=budget,
                 )
@@ -164,6 +164,7 @@ def run_phase2(phase1: Phase1Result,
                seed_budget_seconds: float | None = None,
                generate_fn: Callable | None = None,
                on_fault: Callable[[QuarantineRecord], None] | None = None,
+               features: dict[tuple[int, DSKind], np.ndarray] | None = None,
                jobs: int | None = None,
                window: int | None = None,
                executor=None,
@@ -175,6 +176,12 @@ def run_phase2(phase1: Phase1Result,
     keywords are the deprecated spelling of :class:`RunOptions` fields.
     A record whose replay fails deterministically is skipped (reported
     through ``on_fault``) instead of aborting the phase.
+
+    ``features`` maps ``(seed, kind)`` to the feature vector of a run
+    already simulated for the same app family (as filled by
+    :func:`~repro.training.phase1.run_phase1`): a record found there is
+    not replayed, and every replay's features are added to it.  A run
+    is deterministic, so the rows are the same either way.
     """
     group: ModelGroup = phase1.group
     if machine_config.name != phase1.machine_name:
@@ -236,40 +243,44 @@ def run_phase2(phase1: Phase1Result,
         )
         if executor is None:
             jobs = usable_jobs(worker, jobs, "the Phase-II replay worker")
-        outcomes = map_ordered(
-            worker,
-            (phase1.records[i].seed
-             for i in range(start_index, len(phase1.records))),
-            jobs=jobs, window=window, executor=executor,
-        )
+        known = {} if features is None else features
+        replays = [record.seed for record in phase1.records[start_index:]
+                   if (record.seed, group.original) not in known]
+        outcomes = map_ordered(worker, replays, jobs=jobs, window=window,
+                               executor=executor)
         try:
             index = start_index
             for index in range(start_index, len(phase1.records)):
                 record = phase1.records[index]
-                try:
-                    outcome = next(outcomes)
-                except KeyboardInterrupt:
-                    flush(next_index=index)
-                    raise TrainingInterrupted(
-                        f"phase 2 interrupted at record {index} "
-                        f"(seed {record.seed})"
-                        + (f"; checkpoint at {checkpoint_path}"
-                           if checkpoint_path is not None else ""),
-                        checkpoint_path=(
-                            Path(checkpoint_path)
-                            if checkpoint_path is not None else None),
-                    ) from None
-                if isinstance(outcome, TaskFailure):
-                    obs.counter("phase2.worker_crashes")
-                    outcome = _recover_worker_crash(outcome, worker)
-                if outcome.quarantine is not None:
-                    obs.counter("phase2.quarantined",
-                                stage=outcome.quarantine.stage,
-                                category=outcome.quarantine.category)
-                    if on_fault is not None:
-                        on_fault(outcome.quarantine)
-                    continue
-                train_set.add(outcome.features, record.best, record.seed)
+                key = (record.seed, group.original)
+                if key in known:
+                    obs.counter("phase2.reused")
+                else:
+                    try:
+                        outcome = next(outcomes)
+                    except KeyboardInterrupt:
+                        flush(next_index=index)
+                        raise TrainingInterrupted(
+                            f"phase 2 interrupted at record {index} "
+                            f"(seed {record.seed})"
+                            + (f"; checkpoint at {checkpoint_path}"
+                               if checkpoint_path is not None else ""),
+                            checkpoint_path=(
+                                Path(checkpoint_path)
+                                if checkpoint_path is not None else None),
+                        ) from None
+                    if isinstance(outcome, TaskFailure):
+                        obs.counter("phase2.worker_crashes")
+                        outcome = _recover_worker_crash(outcome, worker)
+                    if outcome.quarantine is not None:
+                        obs.counter("phase2.quarantined",
+                                    stage=outcome.quarantine.stage,
+                                    category=outcome.quarantine.category)
+                        if on_fault is not None:
+                            on_fault(outcome.quarantine)
+                        continue
+                    known[key] = outcome.features
+                train_set.add(known[key], record.best, record.seed)
                 obs.counter("phase2.rows", best=record.best.value)
                 if (checkpoint_every is not None
                         and (index + 1 - start_index) % checkpoint_every

@@ -12,6 +12,7 @@ from repro.appgen.workload import (
     measure_candidates,
 )
 from repro.containers.registry import DSKind, MODEL_GROUPS
+from repro.instrumentation.features import FEATURE_NAMES
 from repro.machine.configs import ATOM, CORE2
 
 
@@ -110,23 +111,25 @@ class TestExecution:
         sizes = set()
         multisets = set()
         for kind in group.classes:
-            run = app.run(kind, CORE2, instrument=True)
-            container = run.profiled.inner
+            run = app.run(kind, CORE2)
+            container = run.container
             sizes.add(len(container))
             multisets.add(tuple(sorted(container.to_list())))
         assert len(sizes) == 1
         assert len(multisets) == 1
 
-    def test_features_require_instrumentation(self, config):
+    def test_features_require_a_completed_run(self, config):
         app = generate_app(3, MODEL_GROUPS["set"], config)
-        run = app.run(DSKind.SET, CORE2)
-        with pytest.raises(ValueError):
+        run = app.run(DSKind.SET, CORE2, limit=0)
+        with pytest.raises(ValueError, match="completed run"):
             run.features()
+        run = app.run(DSKind.SET, CORE2, resume=run)
+        assert run.features().shape == (len(FEATURE_NAMES),)
 
     def test_total_calls_respected(self, config):
         app = generate_app(5, MODEL_GROUPS["set"], config)
-        run = app.run(DSKind.SET, CORE2, instrument=True)
-        stats = run.profiled.stats
+        run = app.run(DSKind.SET, CORE2)
+        stats = run.container.stats
         expected = config.total_interface_calls + app.profile.prefill
         assert stats.total_calls == expected
 

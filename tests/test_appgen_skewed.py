@@ -58,8 +58,8 @@ class TestExecution:
         app = generate_app(5, group, SKEWED)
         contents = set()
         for kind in group.classes:
-            run = app.run(kind, CORE2, instrument=True)
-            contents.add(tuple(sorted(run.profiled.inner.to_list())))
+            run = app.run(kind, CORE2)
+            contents.add(tuple(sorted(run.container.to_list())))
         assert len(contents) == 1
 
     def test_skew_concentrates_find_values(self):
@@ -67,8 +67,8 @@ class TestExecution:
         tree-find depth relative to uniform probing."""
         def avg_find_depth(config, seed=11):
             app = generate_app(seed, MODEL_GROUPS["set"], config)
-            run = app.run(DSKind.SET, CORE2, instrument=True)
-            stats = run.profiled.stats
+            run = app.run(DSKind.SET, CORE2)
+            stats = run.container.stats
             if stats.finds == 0:
                 return None
             return stats.find_cost / stats.finds

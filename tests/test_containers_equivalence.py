@@ -73,6 +73,23 @@ def test_ordered_kinds_iterate_sorted(ops):
         assert contents == sorted(contents), kind
 
 
+@pytest.mark.parametrize("steps", [-3, 0, 1, "len+5"])
+def test_iterate_visits_the_same_count_on_every_kind(steps):
+    """``iterate(steps)`` visits ``min(max(steps, 0), len)`` elements on
+    every kind and adds exactly that to ``stats.iterate_cost``."""
+    values = [5, 1, 9, 3, 7, 3]
+    count = len(values) + 5 if steps == "len+5" else steps
+    seen = set()
+    for kind in DSKind:
+        container = make_container(kind, Machine(CORE2), elem_size=8)
+        for i, value in enumerate(values):
+            container.insert(value, i)
+        before = container.stats.iterate_cost
+        visited = container.iterate(count)
+        seen.add((visited, container.stats.iterate_cost - before))
+    assert seen == {(min(max(count, 0), len(values)),) * 2}
+
+
 class TestPerformanceOrderings:
     """The qualitative performance claims the selection problem rests on
     (motivating examples from the paper's §1/§2)."""

@@ -1,10 +1,15 @@
 """Unit tests for the Perflint baseline and the Oracle."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.appgen.config import GeneratorConfig
 from repro.containers.base import OpCost
 from repro.containers.registry import DSKind
+from repro.machine.configs import CORE2
 from repro.models.oracle import oracle_select
 from repro.models.perflint import PerflintModel, asymptotic_row
 
@@ -129,6 +134,22 @@ class TestPerflintFit:
             DSKind.VECTOR, stats_with(finds=300, avg_n=300)
         )
         assert suggestion in (DSKind.VECTOR, DSKind.SET)
+
+    @pytest.mark.parametrize("config,n_apps,digest", [
+        (GeneratorConfig.small(), 12,
+         "10f96dcc2881044a7dfd619f783a3c8261557fda1ed6e155a35b8cbfbd3ba80b"),
+        (GeneratorConfig(), 6,
+         "6718c89c73299480ae1ea5c9dbf7c2738324c66ddd0a537d774c9a63e27a1f9d"),
+    ], ids=["small", "default"])
+    def test_fit_synthetic_coefficients_are_pinned(self, config, n_apps,
+                                                   digest):
+        """SHA-256 of the exact coefficients; pinned when the fit read
+        the original kind's stats from a second, instrumented run."""
+        model = PerflintModel.fit_synthetic(CORE2, config, n_apps=n_apps)
+        payload = {kind.value: [float(x).hex() for x in coef]
+                   for kind, coef in model.coefficients.items()}
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestOracle:

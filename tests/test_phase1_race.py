@@ -1,16 +1,19 @@
 """Phase I's candidate race is exact: abandoning runs never changes a
 verdict, a record, or a trained artifact; it runs in cycle order, so its
-result depends on the candidate set only, and groups that share an app
-family and a candidate set share one Phase I."""
+result depends on the candidate set only; and the groups of one app
+family share one Phase I, racing each seed once over the union of their
+candidate sets."""
 
 import dataclasses
 import json
 import random
+import types
 
 import pytest
 
 import repro.models.validation as validation_mod
 import repro.obs as obs
+import repro.training.phase1 as phase1_mod
 from repro.appgen.config import GeneratorConfig
 from repro.appgen.generator import app_family, generate_app
 from repro.appgen.workload import (
@@ -18,9 +21,12 @@ from repro.appgen.workload import (
     best_candidate,
     measure_candidates,
     race_candidates,
+    race_sets,
 )
-from repro.containers.registry import DSKind, MODEL_GROUPS
+from repro.containers.registry import DSKind, MODEL_GROUPS, make_container
+from repro.instrumentation.profiler import ProfiledContainer
 from repro.machine.configs import ATOM, CORE2
+from repro.machine.machine import Machine
 from repro.models.brainy import BrainySuite, phase1_tasks
 from repro.models.validation import validate_model
 from repro.runtime.artifacts import ArtifactVersionMismatch, write_artifact
@@ -29,6 +35,7 @@ from repro.runtime.checkpoint import (
     PHASE1_CHECKPOINT_SCHEMA_VERSION,
     Phase1Checkpoint,
 )
+from repro.runtime.checkpoint import TrainingInterrupted
 from repro.runtime.inject import FaultInjector, FaultPlan
 from repro.runtime.options import RunOptions
 from repro.training.phase1 import (
@@ -229,13 +236,173 @@ class TestCycleOrder:
                 app.run(kind, CORE2, resume=spent)
 
 
+#: The sequence family's two candidate sets.
+SEQUENCE_SETS = [MODEL_GROUPS["vector"].classes,
+                 MODEL_GROUPS["vector_oo"].classes]
+#: ``train-mini``'s apps: the default config at 100 interface calls.
+MINI = GeneratorConfig(total_interface_calls=100)
+
+
+class ScriptedApp:
+    """Stands in for a :class:`SyntheticApp` whose runs cost a fixed
+    number of cycles per interface call, for race scenarios too rare to
+    find among generated apps."""
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def run(self, kind, machine_config, *, limit=None, resume=None):
+        run = resume or types.SimpleNamespace(
+            kind=kind, cycles=0, calls=iter(self.steps[kind]),
+            machine=None)
+        run.abandoned = False
+        for cost in run.calls:
+            run.cycles += cost
+            if limit is not None and run.cycles > limit:
+                run.abandoned = True
+                break
+        return run
+
+
+class TestUnionRace:
+    @pytest.mark.parametrize("config", [MINI, CONFIG],
+                             ids=["mini", "small"])
+    def test_each_set_gets_its_own_race(self, config):
+        """Projected onto one candidate set, the union race equals that
+        set's own race: the same completed kinds, totals and order."""
+        group = MODEL_GROUPS["vector_oo"]
+        for seed in range(20):
+            app = generate_app(seed, group, config)
+            for machine in (CORE2, ATOM):
+                for margin in (0.05, 0.0, -0.01, 0.3):
+                    union = race_sets(app, machine, SEQUENCE_SETS, margin)
+                    for kinds, raced in zip(SEQUENCE_SETS, union.runtimes):
+                        alone = race_candidates(
+                            generate_app(seed, dataclasses.replace(
+                                group, classes=kinds), config),
+                            machine, margin)
+                        assert list(raced.items()) == list(alone.items())
+                    assert set(union.runs) == set().union(*union.runtimes)
+
+    def test_a_run_kept_for_one_set_is_not_counted_past_anothers_bound(
+            self):
+        """``vector`` completes at 105 for the set without ``hash_set``
+        (nothing there bounds it), but the set with ``hash_set`` had
+        bounded it at 104, so only the first set records it."""
+        app = ScriptedApp({DSKind.VECTOR: [50, 53, 2],
+                           DSKind.LIST: [52, 60],
+                           DSKind.HASH_SET: [10] * 10})
+        sets = [(DSKind.VECTOR, DSKind.LIST),
+                (DSKind.VECTOR, DSKind.LIST, DSKind.HASH_SET)]
+        union = race_sets(app, CORE2, sets)
+        assert union.runtimes == [{DSKind.VECTOR: 105},
+                                  {DSKind.HASH_SET: 100}]
+        assert union.runtimes == [race_sets(app, CORE2, [kinds]).runtimes[0]
+                                  for kinds in sets]
+
+    def test_union_does_no_more_work_than_separate_races(self):
+        def simulated(race):
+            collector = obs.Collector()
+            with obs.use_collector(collector):
+                race()
+            return collector.metrics.counter_value("sim.l1_accesses")
+
+        group = MODEL_GROUPS["vector_oo"]
+        saved = 0
+        for seed in range(10):
+            app = generate_app(seed, group, CONFIG)
+            union = simulated(lambda: race_sets(app, CORE2, SEQUENCE_SETS))
+            apart = sum(simulated(lambda: race_sets(app, CORE2, [kinds]))
+                        for kinds in SEQUENCE_SETS)
+            assert union <= apart
+            saved += apart - union
+        assert saved > 0
+
+
+def profiled_features(app, kind, machine_config):
+    """The reference: the app driven through a ``ProfiledContainer``,
+    which attributes machine events call by call."""
+    machine = Machine(machine_config)
+    profiled = ProfiledContainer(make_container(
+        kind, machine, app.profile.elem_size,
+        app.profile.payload_size or None))
+    for _ in app._drive(profiled, random.Random(app.seed)):
+        pass
+    return profiled.features()
+
+
+class TestPlainRunFeatures:
+    @pytest.mark.parametrize("group_name", sorted(MODEL_GROUPS))
+    def test_equal_profiled_attribution_bit_for_bit(self, group_name):
+        group = MODEL_GROUPS[group_name]
+        for seed in range(3):
+            app = generate_app(seed, group, CONFIG)
+            for machine in (CORE2, ATOM):
+                for kind in group.classes:
+                    plain = app.run(kind, machine).features()
+                    reference = profiled_features(app, kind, machine)
+                    assert plain.tobytes() == reference.tobytes()
+
+    def test_race_runs_carry_the_features_of_a_whole_run(self):
+        app = generate_app(4, MODEL_GROUPS["vector_oo"], CONFIG)
+        race = race_sets(app, CORE2, SEQUENCE_SETS)
+        for kind, run in race.runs.items():
+            assert run.features().tobytes() \
+                == app.run(kind, CORE2).features().tobytes()
+
+
+class TestFamilyPhase1:
+    GROUPS = [MODEL_GROUPS[name]
+              for name in ("vector", "vector_oo", "list", "list_oo")]
+    KWARGS = dict(per_class_target=3, max_seeds=30)
+
+    def test_each_group_gets_its_own_result_and_checkpoint(self,
+                                                          tmp_path):
+        family = run_phase1(
+            self.GROUPS, CONFIG, CORE2, **self.KWARGS,
+            checkpoint_path={g.name: tmp_path / f"{g.name}.json"
+                             for g in self.GROUPS})
+        for group, result in zip(self.GROUPS, family):
+            alone_path = tmp_path / f"{group.name}.alone.json"
+            alone = run_phase1(group, CONFIG, CORE2, **self.KWARGS,
+                               checkpoint_path=alone_path)
+            assert result.group is group
+            result.save(tmp_path / "a.json")
+            alone.save(tmp_path / "b.json")
+            assert (tmp_path / "a.json").read_bytes() \
+                == (tmp_path / "b.json").read_bytes()
+            if group.name in ("vector", "vector_oo"):
+                assert (tmp_path / f"{group.name}.json").read_bytes() \
+                    == alone_path.read_bytes()
+            else:  # the set's checkpoint is named after its first group
+                assert not (tmp_path / f"{group.name}.json").exists()
+
+    def test_features_come_from_completed_original_runs(self):
+        features = {}
+        family = run_phase1(self.GROUPS, CONFIG, CORE2, **self.KWARGS,
+                            features=features)
+        assert features
+        assert {kind for _, kind in features} \
+            <= {DSKind.VECTOR, DSKind.LIST}
+        for (seed, kind), vector in features.items():
+            app = generate_app(seed, self.GROUPS[0], CONFIG)
+            assert vector.tobytes() \
+                == app.run(kind, CORE2).features().tobytes()
+        assert family[0].seeds_tried == max(r.seeds_tried for r in family)
+
+    def test_groups_of_other_families_are_refused(self):
+        with pytest.raises(ValueError, match="app family"):
+            run_phase1([MODEL_GROUPS["vector"], MODEL_GROUPS["set"]],
+                       CONFIG, CORE2, per_class_target=1, max_seeds=2)
+
+
 SIBLINGS = [("vector", "list"), ("vector_oo", "list_oo")]
 
 
 class TestSharedPhase1:
-    def test_default_groups_pack_into_four_tasks(self):
+    def test_default_groups_pack_into_three_tasks(self):
         assert phase1_tasks(MODEL_GROUPS.values()) == [
-            ("vector", "list"), ("vector_oo", "list_oo"), ("set",),
+            ("vector", "vector_oo", "list", "list_oo"), ("set",),
             ("map",)]
         assert phase1_tasks([MODEL_GROUPS["list"], MODEL_GROUPS["set"],
                              MODEL_GROUPS["vector"]]) \
@@ -275,7 +442,10 @@ class TestSharedPhase1:
 
 
 class TestSharedTraining:
-    GROUPS = [MODEL_GROUPS["vector"], MODEL_GROUPS["list"]]
+    """One training task for the whole sequence family."""
+
+    GROUPS = [MODEL_GROUPS[name]
+              for name in ("vector", "list", "vector_oo", "list_oo")]
 
     @staticmethod
     def train(groups, **extra):
@@ -296,33 +466,70 @@ class TestSharedTraining:
                 collector.metrics)
         return out
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_shared_training_is_byte_identical(self, alone, jobs,
-                                               tmp_path):
-        shared = suite_bytes(
-            self.train(self.GROUPS, options=RunOptions(jobs=jobs)),
-            tmp_path)
+    def assert_alone(self, shared, alone):
         for group in self.GROUPS:
             name = f"{group.name}.json"
             assert shared[name] == alone[group.name][0][name]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_training_is_byte_identical(self, alone, jobs,
+                                               tmp_path):
+        self.assert_alone(suite_bytes(
+            self.train(self.GROUPS, options=RunOptions(jobs=jobs)),
+            tmp_path), alone)
 
     def test_shared_training_survives_an_executor_fault(self, alone,
                                                         tmp_path):
         flaky = FlakyExecutor(fail_submissions={0})
         shared = suite_bytes(self.train(self.GROUPS, executor=flaky),
                              tmp_path)
-        assert flaky.count == 1  # one task for the two groups
-        for group in self.GROUPS:
-            name = f"{group.name}.json"
-            assert shared[name] == alone[group.name][0][name]
+        assert flaky.count == 1  # one task for the four groups
+        self.assert_alone(shared, alone)
+
+    def test_interrupt_and_resume_mid_phase1(self, alone, tmp_path,
+                                             monkeypatch):
+        injector = FaultInjector(FaultPlan(interrupt_at_seeds=frozenset({6})))
+        monkeypatch.setattr(phase1_mod, "generate_app",
+                            injector.wrap_generate())
+        checkpoints = tmp_path / "checkpoints"
+        with pytest.raises(TrainingInterrupted):
+            self.train(self.GROUPS, checkpoint_dir=checkpoints,
+                       options=RunOptions(checkpoint_every=2))
+        # One Phase I checkpoint per candidate set, both mid-loop.
+        assert sorted(path.name for path in checkpoints.iterdir()) \
+            == ["vector.phase1.json", "vector_oo.phase1.json"]
+        for path in checkpoints.iterdir():
+            state = Phase1Checkpoint.load(path)
+            assert (state.next_offset, state.complete) == (6, False)
+        resumed = self.train(self.GROUPS, checkpoint_dir=checkpoints,
+                             resume=True)
+        self.assert_alone(suite_bytes(resumed, tmp_path / "suite"), alone)
+        assert list(checkpoints.iterdir()) == []
 
     def test_shared_phase1_is_counted_once(self, alone):
         collector = obs.Collector()
         self.train(self.GROUPS, options=RunOptions(telemetry=collector))
         metrics = collector.metrics
-        vector = alone["vector"][1]
-        assert metrics.find("phase1.shared") == {"phase1.shared{group=list}": 1}
+        assert metrics.find("phase1.shared") == {
+            f"phase1.shared{{group={name}}}": 1
+            for name in ("list", "vector_oo", "list_oo")}
+        # Counted per candidate set, as if each set ran alone.
+        leaders = [alone["vector"][1], alone["vector_oo"][1]]
         for name in ("phase1.seeds", "phase1.no_winner"):
-            assert metrics.counter_value(name) == vector.counter_value(name)
-        assert metrics.find("phase1.records") == vector.find("phase1.records")
-        assert metrics.counter_value("train.groups") == 2
+            assert metrics.counter_value(name) \
+                == sum(m.counter_value(name) for m in leaders)
+        records = {}
+        for m in leaders:
+            for key, value in m.find("phase1.records").items():
+                records[key] = records.get(key, 0) + value
+        assert metrics.find("phase1.records") == records
+        assert metrics.counter_value("train.groups") == 4
+        # Every (seed, original kind) is simulated at most once.
+        rows = metrics.counter_value("phase2.rows")
+        reused = metrics.counter_value("phase2.reused")
+        assert reused > 0
+        assert rows == sum(alone[g.name][1].counter_value("phase2.rows")
+                           for g in self.GROUPS)
+        assert metrics.counter_value("sim.l1_accesses") < sum(
+            alone[g.name][1].counter_value("sim.l1_accesses")
+            for g in self.GROUPS)
