@@ -109,6 +109,15 @@ class CaseStudyApp(ABC):
 
         Returns an application-specific output (checked by tests to prove
         the app computes the same result regardless of container choice).
+
+        The contract that lets darwin and the Oracle sweep replay one
+        recorded run for every assignment (:mod:`repro.apps.tape`):
+        control flow may depend on ``find`` / ``len`` / ``iterate`` /
+        ``to_list`` results and on the app's own data, but never on the
+        cost an ``insert`` / ``erase`` returns, on container or
+        ``malloc`` addresses, or on the machine's counters.  The app
+        issues machine events only through ``machine`` and touches only
+        memory it allocated there.
         """
 
     def primary_site(self) -> Site:
@@ -126,14 +135,32 @@ def run_case_study(app: CaseStudyApp,
     sites keep their declared default).  Overrides must be legal per the
     site's Table 1 candidate set.
     """
+    machine, containers, chosen = build_containers(app, machine_config,
+                                                   kinds)
+    handles: dict[str, Container | ProfiledContainer] = dict(containers)
+    profiled: dict[str, ProfiledContainer] = {}
+    if instrument:
+        for name, container in containers.items():
+            profiled[name] = handles[name] = ProfiledContainer(
+                container, context=f"{app.name}:{name}")
+    output = app.execute(machine, handles)
+    return finish_run(app, machine, containers, chosen, output, profiled)
+
+
+def build_containers(app: CaseStudyApp,
+                     machine_config: MachineConfig,
+                     kinds: dict[str, DSKind] | None = None,
+                     ) -> tuple[Machine, dict[str, Container],
+                                dict[str, DSKind]]:
+    """A fresh machine and one container per site, in site order.
+
+    Returns ``(machine, containers, chosen kinds)``; ``kinds`` is
+    validated as :func:`run_case_study` documents.
+    """
     kinds = dict(kinds or {})
     machine = Machine(machine_config)
     containers: dict[str, Container] = {}
-    handles: dict[str, Container | ProfiledContainer] = {}
-    profiled: dict[str, ProfiledContainer] = {}
     chosen: dict[str, DSKind] = {}
-    site_meta: dict[str, tuple[bool, bool]] = {}
-
     for site in app.sites():
         kind = kinds.pop(site.name, site.default_kind)
         if kind != site.default_kind and kind not in site.legal_candidates():
@@ -141,25 +168,22 @@ def run_case_study(app: CaseStudyApp,
                 f"{kind} is not a legal replacement at site "
                 f"{site.name!r} (legal: {site.legal_candidates()})"
             )
-        container = make_container(
+        containers[site.name] = make_container(
             kind, machine, site.elem_size,
             site.payload_size if site.payload_size else None,
         )
-        containers[site.name] = container
         chosen[site.name] = kind
-        site_meta[site.name] = (site.order_oblivious, site.keyed)
-        if instrument:
-            prof = ProfiledContainer(
-                container, context=f"{app.name}:{site.name}"
-            )
-            profiled[site.name] = prof
-            handles[site.name] = prof
-        else:
-            handles[site.name] = container
     if kinds:
         raise ValueError(f"unknown site overrides: {sorted(kinds)}")
+    return machine, containers, chosen
 
-    output = app.execute(machine, handles)
+
+def finish_run(app: CaseStudyApp, machine: Machine,
+               containers: dict[str, Container],
+               chosen: dict[str, DSKind], output: object,
+               profiled: dict[str, ProfiledContainer] | None = None
+               ) -> AppResult:
+    """Record a completed run's simulator totals and wrap it up."""
     obs.record_sim_run(machine)
     result = AppResult(
         cycles=machine.cycles,
@@ -167,8 +191,9 @@ def run_case_study(app: CaseStudyApp,
         machine=machine,
         kinds=chosen,
         containers=containers,
-        profiled=profiled,
+        profiled=profiled or {},
         output=output,
     )
-    result._site_meta = site_meta
+    result._site_meta = {site.name: (site.order_oblivious, site.keyed)
+                         for site in app.sites()}
     return result

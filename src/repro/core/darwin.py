@@ -9,8 +9,10 @@ per container site, and an NSGA-II search
 surfacing the *trade-off front* instead of a single answer.  A cheaper
 container at a cold site can shrink the footprint without measurable
 cycle cost, and interactions between sites (shared caches, allocator
-layout) are captured because every fitness evaluation runs the whole
-program.
+layout) are captured because every fitness evaluation simulates the
+whole program.  The app's own Python runs once per search: that run is
+recorded as an interface-call tape (:mod:`repro.apps.tape`) and every
+other assignment replays it.
 
 Generation zero is seeded with the app's declared defaults and with the
 greedy per-instance advisor picks, so the evolved front starts no worse
@@ -34,11 +36,12 @@ boundary with the best-front-so-far flagged ``truncated=budget``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from repro.apps.base import CaseStudyApp, run_case_study
+from repro.apps.base import AppResult, CaseStudyApp, run_case_study
+from repro.apps.tape import Tape
 from repro.containers.registry import DSKind
 from repro.core.advisor import BrainyAdvisor
 from repro.core.report import Report
@@ -72,15 +75,29 @@ def _objective_values(result, objectives: tuple[str, ...]
     return tuple(readings[name] for name in objectives)
 
 
+def run_assignment(app: CaseStudyApp, machine_config: MachineConfig,
+                   kinds: dict[str, DSKind], tape: Tape | None
+                   ) -> AppResult:
+    """``app``'s run under ``kinds``: replayed off ``tape`` when there is
+    one, else (or when the replay mismatches) run for real."""
+    result = tape.replay(kinds) if tape is not None else None
+    if result is None:
+        result = run_case_study(app, machine_config, kinds=kinds)
+    return result
+
+
 @dataclass(frozen=True)
 class AssignmentFitness:
     """Score one whole-program container assignment.
 
     Picklable by construction (plain data fields, module-level class),
     so the GA can fan evaluations out over worker processes.  Each call
-    runs the *entire* application on a fresh machine with the
+    simulates the *entire* application on a fresh machine with the
     chromosome's per-site container choices and reads the requested
     objectives off the finished run — lower is better for every one.
+    With a ``tape`` (:mod:`repro.apps.tape`) the run is replayed off the
+    app's recorded interface calls instead of re-running its Python;
+    the result is the same.
     """
 
     app: CaseStudyApp
@@ -88,6 +105,7 @@ class AssignmentFitness:
     site_names: tuple[str, ...]
     candidates: tuple[tuple[DSKind, ...], ...]
     objectives: tuple[str, ...] = ("cycles", "memory")
+    tape: Tape | None = None
 
     def kinds_for(self, chromosome) -> dict[str, DSKind]:
         genes = [int(g) for g in chromosome]
@@ -97,8 +115,8 @@ class AssignmentFitness:
         }
 
     def __call__(self, chromosome) -> tuple[float, ...]:
-        result = run_case_study(self.app, self.machine_config,
-                                kinds=self.kinds_for(chromosome))
+        result = run_assignment(self.app, self.machine_config,
+                                self.kinds_for(chromosome), self.tape)
         return _objective_values(result, self.objectives)
 
 
@@ -391,15 +409,19 @@ def run_darwin(app: CaseStudyApp,
         objectives=objectives,
     )
 
-    def measure(chromosome) -> AssignmentPoint:
-        kinds = fitness.kinds_for(chromosome)
-        result = run_case_study(app, machine_config, kinds=kinds)
+    def point(kinds: dict[str, DSKind], result: AppResult
+              ) -> AssignmentPoint:
         return AssignmentPoint(
             kinds=tuple((f"{app.name}:{site}", kinds[site].value)
                         for site in site_names),
             cycles=int(result.cycles),
             footprint_bytes=int(result.footprint_bytes),
         )
+
+    def measure(chromosome) -> AssignmentPoint:
+        kinds = fitness.kinds_for(chromosome)
+        return point(kinds, run_assignment(app, machine_config, kinds,
+                                           fitness.tape))
 
     default_chromosome = tuple(
         kinds.index(site.default_kind)
@@ -472,15 +494,20 @@ def run_darwin(app: CaseStudyApp,
             return "budget" if elapsed() >= budget_seconds else None
 
     try:
+        # One real run of the defaults records the tape every later
+        # evaluation replays, and is the default point itself.
+        default_kinds = fitness.kinds_for(default_chromosome)
+        tape, default_run = Tape.record(app, machine_config, default_kinds)
+        fitness = replace(fitness, tape=tape)
         result: ParetoResult = search.pareto(
             fitness, objectives, jobs=jobs, window=window,
             executor=executor, resume_state=resume_state,
             on_generation=on_generation, stop=stop,
             retry_policy=retry_policy)
 
-        front = [measure(point.genome) for point in result.front]
+        front = [measure(p.genome) for p in result.front]
         front.sort(key=lambda p: (p.cycles, p.footprint_bytes, p.kinds))
-        default_point = measure(default_chromosome)
+        default_point = point(default_kinds, default_run)
         greedy_point = (measure(greedy_chromosome)
                         if greedy_chromosome is not None else
                         default_point if advisor is not None else None)

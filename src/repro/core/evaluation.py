@@ -9,8 +9,10 @@ it, measure.  These helpers implement that loop over any
 from __future__ import annotations
 
 from repro.apps.base import CaseStudyApp, run_case_study
+from repro.apps.tape import Tape
 from repro.containers.registry import DSKind
 from repro.core.advisor import BrainyAdvisor
+from repro.core.darwin import run_assignment
 from repro.machine.configs import MachineConfig
 from repro.models.brainy import BrainySuite
 
@@ -20,15 +22,24 @@ def sweep_site(app: CaseStudyApp, arch: MachineConfig,
                candidates: tuple[DSKind, ...] | None = None,
                ) -> dict[DSKind, int]:
     """Cycles per candidate kind at one site (default: primary site and
-    its Table 1-legal candidates)."""
+    its Table 1-legal candidates).
+
+    The first candidate's run is recorded as a tape
+    (:mod:`repro.apps.tape`) and the others replay it, as darwin does.
+    """
     site = (app.primary_site() if site_name is None
             else next(s for s in app.sites() if s.name == site_name))
     kinds = candidates if candidates is not None \
         else site.legal_candidates()
-    return {
-        kind: run_case_study(app, arch, kinds={site.name: kind}).cycles
-        for kind in kinds
-    }
+    if not kinds:
+        return {}
+    first, *rest = kinds
+    tape, result = Tape.record(app, arch, {site.name: first})
+    cycles = {first: result.cycles}
+    for kind in rest:
+        cycles[kind] = run_assignment(app, arch, {site.name: kind},
+                                      tape).cycles
+    return cycles
 
 
 def brainy_selection(app: CaseStudyApp, arch: MachineConfig,

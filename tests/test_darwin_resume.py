@@ -296,7 +296,8 @@ class TestRunDarwinResume:
             raise AssertionError("resume of a complete checkpoint must "
                                  "not simulate anything")
 
-        monkeypatch.setattr("repro.core.darwin.run_case_study", boom)
+        # Every simulation, real run or tape replay, builds a Machine.
+        monkeypatch.setattr("repro.machine.machine.Machine.__init__", boom)
         resumed = chord_run(checkpoint=path, resume=True)
         assert json.dumps(resumed.to_payload(),
                           sort_keys=True) == chord_baseline
