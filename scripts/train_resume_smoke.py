@@ -4,14 +4,18 @@
 Proves the ``repro train`` checkpoint contract end to end against the
 real CLI, as real processes:
 
-1. a straight (uninterrupted) ``--scale tiny`` train saves its suite;
+1. a straight (uninterrupted) ``--scale tiny`` train saves its suite,
+   and its telemetry must show Phase II reusing a Phase I run for
+   every row (``phase2.reused == phase2.rows``);
 2. the same train is started with ``--checkpoint-every 2`` in a fresh
    cache, SIGTERMed as soon as the first Phase I checkpoint lands, and
    must exit 143 after flushing resumable checkpoints (one per candidate
    set of the app family whose seed loop was running);
 3. ``--resume`` continues the interrupted train to completion: every
    saved suite file must be **byte-identical** to the straight run's,
-   and the checkpoints directory must be left empty.
+   and the checkpoints directory must be left empty.  Phase I's resumed
+   seed loop no longer holds the features of the seeds before the
+   interrupt, so this run's Phase II simulates those rows afresh.
 
 Exits non-zero (with a diagnostic) on the first violated expectation.
 Run from the repo root:
@@ -74,13 +78,23 @@ def main() -> int:
     checkpoints = resumed_cache / "checkpoints" / f"{MACHINE}-{SCALE}"
 
     print("train-resume-smoke: straight run ...")
-    straight = run(train_command(), straight_cache)
+    telemetry = tmp / "straight.telemetry.json"
+    straight = run(train_command("--telemetry", str(telemetry)),
+                   straight_cache)
     check(straight.returncode == 0,
           f"straight run exited 0 (got {straight.returncode}; "
           f"stderr: {straight.stderr[-500:]})")
     expected = suite_files(straight_cache)
     check("suite.json" in expected and len(expected) > 1,
           f"straight run saved a suite ({sorted(expected)})")
+    counters = json.loads(telemetry.read_text())["payload"]["metrics"][
+        "counters"]
+    rows = sum(value for key, value in counters.items()
+               if key.startswith("phase2.rows{"))
+    reused = counters.get("phase2.reused", 0)
+    check(rows > 0 and reused == rows,
+          f"Phase II reused a Phase I run for every row ({reused} of "
+          f"{rows})")
 
     print("train-resume-smoke: interrupted run ...")
     proc = subprocess.Popen(

@@ -36,6 +36,20 @@ class Race(NamedTuple):
     runtimes: list[dict[DSKind, int]]
     #: Every run that completed, by kind.
     runs: dict[DSKind, AppRun]
+    #: Every run the race dropped, by kind: each is paused, and passing
+    #: it to :meth:`SyntheticApp.run` as ``resume=`` finishes it.
+    stopped: dict[DSKind, AppRun]
+
+    def release(self) -> None:
+        """Record the runs still stopped in telemetry.
+
+        A run counts in ``sim.*`` once, when it is over: a completed run
+        when it completes, a stopped one when its owner gives it up.
+        Call this once no stopped run will be resumed any more.
+        """
+        for run in self.stopped.values():
+            if run.abandoned:
+                obs.record_sim_run(run.machine)
 
 
 def race_candidates(app: SyntheticApp,
@@ -61,8 +75,9 @@ def race_candidates(app: SyntheticApp,
     ``group.classes``.  Returns cycles for the candidates that ran to
     completion, in completion order.
     """
-    return race_sets(app, machine_config, [app.group.classes],
-                     margin).runtimes[0]
+    race = race_sets(app, machine_config, [app.group.classes], margin)
+    race.release()
+    return race.runtimes[0]
 
 
 def race_sets(app: SyntheticApp,
@@ -79,6 +94,10 @@ def race_sets(app: SyntheticApp,
     other sets share the race, and each set's runtimes equal
     ``race_candidates`` on that set alone, entries and order.  No run
     goes further than the furthest it would go in one set's own race.
+
+    The dropped runs come back paused in ``Race.stopped``, so the
+    caller may finish some of them; it owns them, and
+    :meth:`Race.release` records the rest in telemetry.
     """
     rank = {kind: i for i, kind in enumerate(DSKind)}
     sets = [frozenset(kinds) for kinds in sets]
@@ -93,6 +112,7 @@ def race_sets(app: SyntheticApp,
     queue = [(0, rank[kind], kind) for kind in counting]
     heapq.heapify(queue)
     completed: dict[DSKind, AppRun] = {}
+    stopped: dict[DSKind, AppRun] = {}
 
     def prune(kind: DSKind, cycles: int) -> bool:
         """Stop counting the run for every set it has passed the bound
@@ -102,7 +122,7 @@ def race_sets(app: SyntheticApp,
         if counting[kind]:
             return False
         obs.counter("phase1.abandoned", kind=kind.value)
-        obs.record_sim_run(runs[kind].machine)
+        stopped[kind] = runs[kind]
         return True
 
     while queue:
@@ -124,7 +144,7 @@ def race_sets(app: SyntheticApp,
                                             margin)
         elif not prune(kind, run.cycles):
             heapq.heappush(queue, (run.cycles, rank[kind], kind))
-    return Race(runtimes, completed)
+    return Race(runtimes, completed, stopped)
 
 
 def _race_limit(completed: list[int], margin: float) -> int | None:

@@ -97,7 +97,8 @@ class AssignmentFitness:
     objectives off the finished run — lower is better for every one.
     With a ``tape`` (:mod:`repro.apps.tape`) the run is replayed off the
     app's recorded interface calls instead of re-running its Python;
-    the result is the same.
+    the result is the same.  The ``recorded`` chromosome (the tape's
+    own run) is scored off its measured point without a replay.
     """
 
     app: CaseStudyApp
@@ -106,6 +107,7 @@ class AssignmentFitness:
     candidates: tuple[tuple[DSKind, ...], ...]
     objectives: tuple[str, ...] = ("cycles", "memory")
     tape: Tape | None = None
+    recorded: tuple[tuple[int, ...], AssignmentPoint] | None = None
 
     def kinds_for(self, chromosome) -> dict[str, DSKind]:
         genes = [int(g) for g in chromosome]
@@ -115,6 +117,9 @@ class AssignmentFitness:
         }
 
     def __call__(self, chromosome) -> tuple[float, ...]:
+        if self.recorded is not None \
+                and tuple(int(g) for g in chromosome) == self.recorded[0]:
+            return _objective_values(self.recorded[1], self.objectives)
         result = run_assignment(self.app, self.machine_config,
                                 self.kinds_for(chromosome), self.tape)
         return _objective_values(result, self.objectives)
@@ -409,19 +414,30 @@ def run_darwin(app: CaseStudyApp,
         objectives=objectives,
     )
 
-    def point(kinds: dict[str, DSKind], result: AppResult
+    def point(chromosome, cycles: float, footprint_bytes: float
               ) -> AssignmentPoint:
+        kinds = fitness.kinds_for(chromosome)
         return AssignmentPoint(
             kinds=tuple((f"{app.name}:{site}", kinds[site].value)
                         for site in site_names),
-            cycles=int(result.cycles),
-            footprint_bytes=int(result.footprint_bytes),
+            cycles=int(cycles),
+            footprint_bytes=int(footprint_bytes),
         )
 
     def measure(chromosome) -> AssignmentPoint:
-        kinds = fitness.kinds_for(chromosome)
-        return point(kinds, run_assignment(app, machine_config, kinds,
-                                           fitness.tape))
+        """The point of ``chromosome``: the recording run's, or read
+        off the search's archive when it searched both axes, else
+        simulated."""
+        if tuple(chromosome) == default_chromosome:
+            return default_point
+        values = (result.archive.get(tuple(chromosome))
+                  if set(objectives) == set(OBJECTIVES) else None)
+        if values is not None:
+            reading = dict(zip(objectives, values))
+            return point(chromosome, reading["cycles"], reading["memory"])
+        run = run_assignment(app, machine_config,
+                             fitness.kinds_for(chromosome), fitness.tape)
+        return point(chromosome, run.cycles, run.footprint_bytes)
 
     default_chromosome = tuple(
         kinds.index(site.default_kind)
@@ -496,9 +512,12 @@ def run_darwin(app: CaseStudyApp,
     try:
         # One real run of the defaults records the tape every later
         # evaluation replays, and is the default point itself.
-        default_kinds = fitness.kinds_for(default_chromosome)
-        tape, default_run = Tape.record(app, machine_config, default_kinds)
-        fitness = replace(fitness, tape=tape)
+        tape, default_run = Tape.record(
+            app, machine_config, fitness.kinds_for(default_chromosome))
+        default_point = point(default_chromosome, default_run.cycles,
+                              default_run.footprint_bytes)
+        fitness = replace(fitness, tape=tape,
+                          recorded=(default_chromosome, default_point))
         result: ParetoResult = search.pareto(
             fitness, objectives, jobs=jobs, window=window,
             executor=executor, resume_state=resume_state,
@@ -507,10 +526,8 @@ def run_darwin(app: CaseStudyApp,
 
         front = [measure(p.genome) for p in result.front]
         front.sort(key=lambda p: (p.cycles, p.footprint_bytes, p.kinds))
-        default_point = point(default_kinds, default_run)
         greedy_point = (measure(greedy_chromosome)
-                        if greedy_chromosome is not None else
-                        default_point if advisor is not None else None)
+                        if advisor is not None else None)
     except KeyboardInterrupt:
         # The loop only hands out states at generation boundaries, so
         # the flushed checkpoint resumes byte-identically.

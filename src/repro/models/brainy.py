@@ -310,7 +310,8 @@ def _train_groups(group_names: tuple[str, ...],
     and each group's Phase II to ``<group>.phase2.json``, so concurrent
     tasks never touch the same path.  Phase II simulates each
     ``(seed, original kind)`` at most once per task: it reuses the
-    race's completed runs and the runs of earlier groups.
+    race's runs (Phase I finishes the stopped ones its records need)
+    and the runs of earlier groups.
     """
     # Rebuilt worker-side from plain (picklable) arguments; a live
     # telemetry collector never crosses the process boundary.

@@ -43,7 +43,8 @@ class RunOptions:
         Worker processes for seed/group fan-out (``None`` reads
         ``REPRO_JOBS``, default serial).
     window:
-        In-flight speculation bound for :func:`map_ordered`.
+        In-flight speculation bound for :func:`map_ordered` (Phase I's
+        seed loop caps it at ``phase1.FINISH_LAG``).
     checkpoint_every:
         Periodic checkpoint cadence, in seeds/records.
     retry_policy / seed_budget_seconds:

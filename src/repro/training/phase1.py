@@ -67,6 +67,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.options import RunOptions, resolve_run_options
 from repro.runtime.parallel import (
+    DEFAULT_WINDOW_PER_JOB,
     TaskFailure,
     map_ordered,
     resolve_jobs,
@@ -75,6 +76,12 @@ from repro.runtime.parallel import (
 
 PHASE1_ARTIFACT_KIND = "phase1-result"
 PHASE1_SCHEMA_VERSION = 4
+
+#: How many seeds back a seed's finish decision reads its candidate
+#: sets' full classes (see :func:`evaluate_seed`).  The seed loop keeps
+#: at most this many seeds in flight, so a pool worker always holds that
+#: state when its seed ships, and work is the same for any ``jobs``.
+FINISH_LAG = 16
 
 
 def phase1_key(group: ModelGroup) -> str:
@@ -203,7 +210,8 @@ class SeedOutcome:
     #: Each raced candidate set's runtimes, by the set's index.
     runtimes: dict[int, dict[DSKind, int]] | None = None
     quarantine: QuarantineRecord | None = None
-    #: Feature vectors of the completed race runs of the kinds asked for.
+    #: Feature vectors of the kinds asked for, from the race's
+    #: completed runs and the stopped runs finished for them.
     features: dict[DSKind, np.ndarray] = field(default_factory=dict)
 
 
@@ -217,7 +225,10 @@ def evaluate_seed(seed: int,
                   seed_budget_seconds: float | None,
                   generate_fn: Callable,
                   measure_fn: Callable,
-                  keep: frozenset[DSKind] = frozenset()) -> SeedOutcome:
+                  keep: Sequence[frozenset[DSKind]],
+                  margin: float,
+                  filled: Sequence[Mapping[DSKind, int | None]]
+                  ) -> SeedOutcome:
     """Generate and race one seed inside the per-seed error boundary.
 
     The app is generated for ``group`` and raced over every set ``i``
@@ -228,6 +239,23 @@ def evaluate_seed(seed: int,
     gets the list as it stood when the seed was shipped, which may
     still name sets that stopped since; racing those changes no other
     set's runtimes.
+
+    ``keep[i]`` names the kinds whose features set ``i``'s Phase II
+    needs (its groups' original kinds).  The outcome carries the
+    features of every completed race run of a kept kind, and when set
+    ``i`` raced and has a winner at ``margin``, the race's stopped runs
+    of ``keep[i]`` are finished for theirs: the seed may then become a
+    record, whose Phase II row needs exactly that run.  It cannot when
+    the winner's class is full, and ``filled[i][kind]`` is the seed
+    that filled it (None while it is not full); the merge loop updates
+    it like ``first_seeds``.  The decision reads only fills at least
+    :data:`FINISH_LAG` seeds back, which every executor has applied
+    by the time it evaluates the seed, so it is the same for any
+    ``jobs``, except on a stale set above: a pool worker may then
+    finish runs for a set a serial run does not race, which adds work
+    but changes no outcome.  A finish that raises only loses its
+    features (Phase II then runs the record afresh); it never changes
+    the seed's outcome.
 
     Otherwise a pure function of its arguments, and used by both the
     serial path and pool workers, which is what guarantees the two
@@ -255,17 +283,43 @@ def evaluate_seed(seed: int,
                 )
         except SeedQuarantined as quarantine:
             return SeedOutcome(seed=seed, quarantine=quarantine.record)
-    return SeedOutcome(
-        seed=seed, runtimes=dict(zip(raced, race.runtimes)),
-        features={kind: run.features()
-                  for kind, run in race.runs.items() if kind in keep})
+        runtimes = dict(zip(raced, race.runtimes))
+        kept = frozenset().union(*keep)
+        features = {kind: run.features()
+                    for kind, run in race.runs.items() if kind in kept}
+        wanted = frozenset().union(*(
+            keep[i] for i in raced
+            if _may_record(best_candidate(runtimes[i], margin=margin),
+                           filled[i], seed)))
+        for kind, run in race.stopped.items():
+            if kind not in wanted:
+                continue
+            try:
+                with obs.span("finish", kind=kind.value):
+                    features[kind] = app.run(kind, machine_config,
+                                             resume=run).features()
+            except Exception:
+                continue
+            obs.counter("phase1.finished", kind=kind.value)
+        race.release()
+    return SeedOutcome(seed=seed, runtimes=runtimes, features=features)
+
+
+def _may_record(best: DSKind | None,
+                filled: Mapping[DSKind, int | None], seed: int) -> bool:
+    """Whether a seed whose race has winner ``best`` may become a
+    record, judged from the class fills :data:`FINISH_LAG` seeds back."""
+    if best is None:
+        return False
+    filled_at = filled[best]
+    return filled_at is None or filled_at > seed - FINISH_LAG
 
 
 def _one_set(measure_fn: Callable, app, machine_config,
              sets) -> Race:
     """Adapt a one-group ``measure_fn(app, machine_config)`` to the
     race seam."""
-    return Race([measure_fn(app, machine_config)], {})
+    return Race([measure_fn(app, machine_config)], {}, {})
 
 
 def _recover_worker_crash(failure: TaskFailure,
@@ -356,6 +410,9 @@ class _SetLoop:
     start: int
     checkpoint_path: str | Path | None
     done: bool
+    #: The seed that filled each full class; shared with the seed
+    #: worker as its ``filled`` entry.
+    filled: dict[DSKind, int | None]
 
     def flush(self, seed_base: int, next_offset: int,
               complete: bool = False) -> None:
@@ -441,9 +498,13 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
         it is ``measure_fn(app, machine_config, sets)`` and returns a
         :class:`~repro.appgen.workload.Race`.
     features:
-        When given, the feature vectors of the race's completed runs of
-        the groups' original kinds are added to it by ``(seed, kind)``,
-        for :func:`~repro.training.phase2.run_phase2` to reuse.
+        When given, the feature vectors of the groups' original kinds
+        are added to it by ``(seed, kind)``, for
+        :func:`~repro.training.phase2.run_phase2` to reuse: those of the
+        race's completed runs, and, for every seed that may become a
+        record, those of the original-kind runs the race stopped, which
+        are finished for it (see :func:`evaluate_seed`).  Phase II then
+        simulates nothing that this loop recorded.
     executor:
         Overrides the worker pool entirely (tests pass an in-process
         :class:`~repro.runtime.parallel.SerialExecutor` so stateful
@@ -503,8 +564,14 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
                                       machine_name=machine_config.name)
                 counts = {kind: 0 for kind in leader.classes}
                 start, done = 0, False
+            # A class a checkpoint restores full counts as filled just
+            # before the resumed loop's first seed.
+            filled = {kind: (seed_base + start - 1
+                             if count >= per_class_target else None)
+                      for kind, count in counts.items()}
             loops.append(_SetLoop(result, counts, start,
-                                  checkpoint_paths.get(leader.name), done))
+                                  checkpoint_paths.get(leader.name), done,
+                                  filled))
         first_seeds = [None if loop.done else seed_base + loop.start
                        for loop in loops]
         worker = partial(
@@ -516,8 +583,12 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
             retry_policy=options.retry_policy,
             seed_budget_seconds=options.seed_budget_seconds,
             generate_fn=generate_fn, measure_fn=measure_fn,
-            keep=(frozenset(g.original for g in groups)
-                  if features is not None else frozenset()),
+            keep=[frozenset(g.original for g in groups
+                            if features is not None
+                            and frozenset(g.classes) == kinds)
+                  for kinds in leaders],
+            margin=margin,
+            filled=[loop.filled for loop in loops],
         )
         if executor is None:
             jobs = usable_jobs(worker, jobs, "the Phase-I seed worker")
@@ -560,9 +631,10 @@ def _seed_loop(loops: list[_SetLoop],
         first_seeds[i] = None
         loops[i].flush(seed_base, next_offset, complete=True)
 
+    window = options.window or max(2, jobs * DEFAULT_WINDOW_PER_JOB)
     outcomes = map_ordered(
         worker, (seed_base + off for off in range(min(pending), max_seeds)),
-        jobs=jobs, window=options.window, executor=executor,
+        jobs=jobs, window=min(window, FINISH_LAG), executor=executor,
     )
     try:
         for offset in range(min(pending), max_seeds):
@@ -639,6 +711,8 @@ def _apply(loop: _SetLoop, index: int, outcome: SeedOutcome,
         pass
     else:
         loop.counts[best] += 1
+        if loop.counts[best] == per_class_target:
+            loop.filled[best] = outcome.seed
         result.records.append(
             SeedRecord(seed=outcome.seed, best=best, runtimes=runtimes))
         obs.counter("phase1.records", best=best.value)

@@ -19,9 +19,7 @@ from repro.runtime.options import (
     RunOptions,
     resolve_run_options,
 )
-
-TINY = cache_mod.ScaleParams("unit-api", per_class_target=3, max_seeds=60,
-                             validation_apps=5, hidden=(8,))
+from tests.conftest import UNIT_SCALE as TINY
 
 
 @pytest.fixture
@@ -29,6 +27,13 @@ def tmp_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(cache_mod, "CACHE_DIR", tmp_path / "cache")
     monkeypatch.setitem(cache_mod.SCALES, "unit-api", TINY)
     return tmp_path
+
+
+@pytest.fixture
+def trained_cache(tmp_cache, install_suite):
+    """``tmp_cache`` holding the session's trained ``unit-api`` suite."""
+    install_suite(tmp_cache / "cache", TINY.name)
+    return tmp_cache
 
 
 class TestFacadeExports:
@@ -57,9 +62,10 @@ class TestTrain:
         assert handle.groups == tuple(sorted(handle.suite.models))
         assert len(handle.groups) >= 5
 
-    def test_train_writes_telemetry(self, tmp_cache):
-        telemetry = tmp_cache / "train.telemetry.json"
-        handle = api.train(scale="unit-api", telemetry=telemetry)
+    def test_train_writes_telemetry(self, trained_suite):
+        # The session's shared suite is this call's training:
+        # ``api.train(scale="unit-api", telemetry=telemetry)``.
+        handle, telemetry = trained_suite
         assert handle.telemetry_path == telemetry
         payload = repro.obs.load_telemetry(telemetry)
         assert payload["meta"]["command"] == "train"
@@ -94,7 +100,7 @@ class TestTrain:
 
 
 class TestAdviseAndValidate:
-    def test_advise_returns_report(self, tmp_cache):
+    def test_advise_returns_report(self, trained_cache):
         report = api.advise("relipmoc", input_name="small",
                             scale="unit-api")
         assert isinstance(report, Report)
@@ -106,7 +112,7 @@ class TestAdviseAndValidate:
         with pytest.raises(api.UsageError, match="unknown input"):
             api.advise("relipmoc", input_name="bogus")
 
-    def test_validate_returns_result(self, tmp_cache):
+    def test_validate_returns_result(self, trained_cache):
         result = api.validate(group="map", scale="unit-api", apps=5)
         assert isinstance(result, ValidationResult)
         assert result.group_name == "map"

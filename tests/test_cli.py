@@ -184,14 +184,17 @@ class TestAppgenCommand:
 
 
 class TestTrainAndAdvise:
-    def test_train_then_advise(self, tmp_path, monkeypatch, capsys):
-        # Point the cache at a temp dir and register a unit-test scale.
+    def test_train_then_advise(self, tmp_path, monkeypatch, capsys,
+                               install_suite):
+        # Point the cache at a temp dir and register a unit-test scale,
+        # whose suite the session has trained already.
         from repro.models import cache as cache_mod
         monkeypatch.setattr(cache_mod, "CACHE_DIR", tmp_path)
         tiny = cache_mod.ScaleParams("cli", per_class_target=3,
                                      max_seeds=60, validation_apps=5,
                                      hidden=(8,))
         monkeypatch.setitem(cache_mod.SCALES, "cli", tiny)
+        install_suite(tmp_path, "cli")
 
         assert main(["train", "--machine", "core2",
                      "--scale", "cli"]) == 0
@@ -249,13 +252,14 @@ class TestTelemetryCommand:
 
 class TestValidateCommand:
     def test_validate_with_tiny_suite(self, tmp_path, monkeypatch,
-                                      capsys):
+                                      capsys, install_suite):
         from repro.models import cache as cache_mod
         monkeypatch.setattr(cache_mod, "CACHE_DIR", tmp_path)
         tiny = cache_mod.ScaleParams("cli2", per_class_target=3,
                                      max_seeds=60, validation_apps=5,
                                      hidden=(8,))
         monkeypatch.setitem(cache_mod.SCALES, "cli2", tiny)
+        install_suite(tmp_path, "cli2")
         code = main(["validate", "--group", "map", "--scale", "cli2",
                      "--apps", "6"])
         assert code == 0

@@ -11,6 +11,7 @@ import types
 
 import pytest
 
+import repro.appgen.generator as generator_mod
 import repro.models.validation as validation_mod
 import repro.obs as obs
 import repro.training.phase1 as phase1_mod
@@ -155,6 +156,28 @@ class TestRaceTelemetry:
         # Abandoned runs still go through record_sim_run.
         assert metrics.counter_value("sim.runs") \
             == candidates * result.seeds_tried
+
+    def test_each_run_is_recorded_once(self, monkeypatch):
+        """Finishing a dropped run records it once, whole: ``sim.runs``
+        is the number of machines built and ``sim.l1_accesses`` the
+        lines they simulated."""
+        built = []
+
+        class CountingMachine(generator_mod.Machine):
+            def __init__(self, config):
+                super().__init__(config)
+                built.append(self)
+
+        monkeypatch.setattr(generator_mod, "Machine", CountingMachine)
+        collector = obs.Collector()
+        with obs.use_collector(collector):
+            run_phase1(TestFamilyPhase1.GROUPS, CONFIG, CORE2,
+                       **TestFamilyPhase1.KWARGS, features={})
+        metrics = collector.metrics
+        assert sum(metrics.find("phase1.finished{kind=").values()) > 0
+        assert metrics.counter_value("sim.runs") == len(built)
+        assert metrics.counter_value("sim.l1_accesses") \
+            == sum(machine.l1.accesses for machine in built)
 
 
 class TestSchemaBump:
@@ -311,9 +334,11 @@ class TestUnionRace:
         saved = 0
         for seed in range(10):
             app = generate_app(seed, group, CONFIG)
-            union = simulated(lambda: race_sets(app, CORE2, SEQUENCE_SETS))
-            apart = sum(simulated(lambda: race_sets(app, CORE2, [kinds]))
-                        for kinds in SEQUENCE_SETS)
+            union = simulated(
+                lambda: race_sets(app, CORE2, SEQUENCE_SETS).release())
+            apart = sum(
+                simulated(lambda: race_sets(app, CORE2, [kinds]).release())
+                for kinds in SEQUENCE_SETS)
             assert union <= apart
             saved += apart - union
         assert saved > 0
@@ -349,6 +374,21 @@ class TestPlainRunFeatures:
         for kind, run in race.runs.items():
             assert run.features().tobytes() \
                 == app.run(kind, CORE2).features().tobytes()
+
+    def test_a_finished_stopped_run_has_the_features_of_a_whole_run(self):
+        finished = 0
+        for seed in range(6):
+            app = generate_app(seed, MODEL_GROUPS["vector_oo"], CONFIG)
+            race = race_sets(app, CORE2, SEQUENCE_SETS)
+            assert not set(race.stopped) & set(race.runs)
+            for kind, run in race.stopped.items():
+                with pytest.raises(ValueError, match="completed run"):
+                    run.features()
+                done = app.run(kind, CORE2, resume=run)
+                assert done.features().tobytes() \
+                    == app.run(kind, CORE2).features().tobytes()
+                finished += 1
+        assert finished > 0
 
 
 class TestFamilyPhase1:
@@ -505,6 +545,70 @@ class TestSharedTraining:
                              resume=True)
         self.assert_alone(suite_bytes(resumed, tmp_path / "suite"), alone)
         assert list(checkpoints.iterdir()) == []
+
+    def test_phase2_simulates_nothing(self):
+        """Phase I finishes the original-kind runs its records need, so
+        every Phase II row reuses a Phase I run, whatever ``jobs``."""
+        counters = []
+        for jobs in (1, 2):
+            collector = obs.Collector()
+            self.train(self.GROUPS, options=RunOptions(
+                jobs=jobs, telemetry=collector))
+            metrics = collector.metrics
+            rows = sum(metrics.find("phase2.rows{").values())
+            assert rows > 0
+            assert metrics.counter_value("phase2.reused") == rows
+            assert "phase2.seed" not in json.dumps(collector.span_tree())
+            counters.append(collector.snapshot()["metrics"]["counters"])
+        assert counters[0] == counters[1]
+
+    def test_no_finish_for_a_seed_whose_class_is_full(self, alone,
+                                                      tmp_path,
+                                                      monkeypatch):
+        """A seed whose winner's class filled ``FINISH_LAG`` seeds back
+        cannot become a record, so its stopped runs stay unfinished;
+        every record's run is still finished for Phase II."""
+        finished = {}
+        for lag in (2, 10**6):
+            monkeypatch.setattr(phase1_mod, "FINISH_LAG", lag)
+            collector = obs.Collector()
+            suite = self.train(self.GROUPS,
+                               options=RunOptions(telemetry=collector))
+            self.assert_alone(suite_bytes(suite, tmp_path / str(lag)),
+                              alone)
+            metrics = collector.metrics
+            rows = sum(metrics.find("phase2.rows{").values())
+            assert metrics.counter_value("phase2.reused") == rows
+            finished[lag] = sum(metrics.find("phase1.finished{").values())
+        assert finished[2] < finished[10**6]
+
+    def test_a_finish_that_raises_leaves_the_record_to_phase2(
+            self, alone, tmp_path, monkeypatch):
+        """A stopped run whose finish raises loses only its features:
+        Phase II runs that record afresh, and the suite is unchanged."""
+        real_race_sets = phase1_mod.race_sets
+
+        def broken_steps():
+            raise RuntimeError("finish failed")
+            yield
+
+        def race_with_broken_stopped_runs(app, *args, **kwargs):
+            race = real_race_sets(app, *args, **kwargs)
+            if app.seed % 2:
+                for run in race.stopped.values():
+                    run._steps = broken_steps()
+            return race
+
+        monkeypatch.setattr(phase1_mod, "race_sets",
+                            race_with_broken_stopped_runs)
+        collector = obs.Collector()
+        suite = self.train(self.GROUPS,
+                           options=RunOptions(telemetry=collector))
+        self.assert_alone(suite_bytes(suite, tmp_path), alone)
+        metrics = collector.metrics
+        rows = sum(metrics.find("phase2.rows{").values())
+        assert 0 < metrics.counter_value("phase2.reused") < rows
+        assert sum(metrics.find("phase1.finished{").values()) > 0
 
     def test_shared_phase1_is_counted_once(self, alone):
         collector = obs.Collector()
