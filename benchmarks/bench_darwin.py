@@ -38,6 +38,7 @@ from repro.core.advisor import BrainyAdvisor
 from repro.core.darwin import AssignmentPoint, DarwinResult, run_darwin
 from repro.machine.configs import CORE2
 from repro.models import BrainySuite
+from repro.runtime.options import RunOptions
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,8 +89,9 @@ def bench_app(make_app, input_name: str, quick: bool,
     start = time.perf_counter()
     result: DarwinResult = run_darwin(
         make_app(), CORE2, advisor,
-        generations=generations, population=population, seed=0,
-        input_name=input_name, jobs=jobs,
+        options=RunOptions(darwin_generations=generations,
+                           darwin_population=population, jobs=jobs),
+        seed=0, input_name=input_name,
     )
     darwin_wall = time.perf_counter() - start
 

@@ -128,14 +128,16 @@ def resolve_config(config: str | Path | GeneratorConfig | None
 
 
 def _resolve_options(options: RunOptions | None,
-                     jobs: int | None) -> RunOptions:
-    if options is None:
-        options = RunOptions()
-    if jobs is not None:
-        if jobs < 1:
-            raise UsageError("jobs must be >= 1")
-        options = options.with_overrides(jobs=jobs)
-    return options
+                     **overrides: object) -> RunOptions:
+    """``options`` with the verb's convenience keywords applied (those
+    not ``None``), its training knobs checked (:class:`UsageError`)."""
+    options = (options or RunOptions()).with_overrides(
+        **{knob: value for knob, value in overrides.items()
+           if value is not None})
+    try:
+        return options.validate_training()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 @contextmanager
@@ -198,11 +200,8 @@ def train(machine: str | MachineConfig = "core2",
     """
     machine = resolve_machine(machine)
     scale = resolve_scale(scale)
-    options = _resolve_options(options, jobs)
-    if checkpoint_every is not None:
-        if checkpoint_every <= 0:
-            raise UsageError("checkpoint_every must be positive")
-        options = options.with_overrides(checkpoint_every=checkpoint_every)
+    options = _resolve_options(options, jobs=jobs,
+                               checkpoint_every=checkpoint_every)
     meta = {"command": "train", "machine": machine.name,
             "scale": scale.name, "jobs": options.jobs}
     with _telemetry_run(telemetry, meta):
@@ -236,7 +235,7 @@ def advise(app: str,
     _load_apps()
     machine = resolve_machine(machine)
     scale = resolve_scale(scale)
-    options = _resolve_options(options, jobs)
+    options = _resolve_options(options, jobs=jobs)
     try:
         app_cls, inputs = APPS[app]
     except KeyError:
@@ -305,20 +304,13 @@ def darwin(app: str,
     _load_apps()
     machine = resolve_machine(machine)
     scale = resolve_scale(scale)
-    options = _resolve_options(options, jobs)
-    if generations is not None:
-        options = options.with_overrides(darwin_generations=generations)
-    if population is not None:
-        options = options.with_overrides(darwin_population=population)
-    if objectives is not None:
-        options = options.with_overrides(
-            darwin_objectives=tuple(objectives))
-    if checkpoint_every is not None:
-        options = options.with_overrides(
-            darwin_checkpoint_every=checkpoint_every)
-    if budget_seconds is not None:
-        options = options.with_overrides(
-            darwin_budget_seconds=budget_seconds)
+    options = _resolve_options(
+        options, jobs=jobs, darwin_generations=generations,
+        darwin_population=population,
+        darwin_objectives=(tuple(objectives) if objectives is not None
+                           else None),
+        darwin_checkpoint_every=checkpoint_every,
+        darwin_budget_seconds=budget_seconds)
     if seed < 0:
         raise UsageError("seed must be non-negative")
     try:
@@ -355,16 +347,9 @@ def darwin(app: str,
         suite = get_or_train_suite(machine, scale, options=options)
         advisor = BrainyAdvisor(suite)
         return run_darwin(
-            app_cls(input_name), machine, advisor,
-            generations=options.darwin_generations,
-            population=options.darwin_population,
-            objectives=tuple(options.darwin_objectives),
+            app_cls(input_name), machine, advisor, options=options,
             seed=seed, input_name=input_name,
-            jobs=options.jobs, window=options.window,
             checkpoint=checkpoint_path, resume=resume,
-            checkpoint_every=options.darwin_checkpoint_every,
-            budget_seconds=options.darwin_budget_seconds,
-            retry_policy=options.retry_policy,
         )
 
 
@@ -382,7 +367,7 @@ def validate(group: str | ModelGroup = "vector_oo",
     machine = resolve_machine(machine)
     scale = resolve_scale(scale)
     group = resolve_group(group)
-    options = _resolve_options(options, jobs)
+    options = _resolve_options(options, jobs=jobs)
     meta = {"command": "validate", "group": group.name,
             "machine": machine.name, "scale": scale.name, "apps": apps}
     with _telemetry_run(telemetry, meta):
@@ -459,7 +444,7 @@ def serve(machine: str | MachineConfig = "core2",
         raise UsageError("poll_interval must be positive")
     if registry is not None and suite_dir is not None:
         raise UsageError("pass either registry or suite_dir, not both")
-    options = _resolve_options(options, jobs)
+    options = _resolve_options(options, jobs=jobs)
     try:
         options.validate_serving()
     except ValueError as exc:
@@ -551,7 +536,7 @@ def pipeline(machine: str | MachineConfig = "core2",
 
     machine = resolve_machine(machine)
     scale = resolve_scale(scale)
-    options = _resolve_options(options, jobs)
+    options = _resolve_options(options, jobs=jobs)
     try:
         options.validate_serving()
     except ValueError as exc:

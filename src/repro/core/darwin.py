@@ -59,7 +59,7 @@ from repro.ml.strategies import (
     UniformCrossover,
 )
 from repro.runtime.checkpoint import DarwinCheckpoint, TrainingInterrupted
-from repro.runtime.faults import RetryPolicy
+from repro.runtime.options import RunOptions
 
 #: Objective name -> how to read it off a finished app run.
 OBJECTIVES: dict[str, str] = {
@@ -312,19 +312,12 @@ def site_candidates(app: CaseStudyApp
 def run_darwin(app: CaseStudyApp,
                machine_config: MachineConfig,
                advisor: BrainyAdvisor | None = None, *,
-               generations: int = 12,
-               population: int = 16,
-               objectives: tuple[str, ...] = ("cycles", "memory"),
+               options: RunOptions | None = None,
                seed: int = 0,
                input_name: str = "",
-               jobs: int | None = None,
-               window: int | None = None,
                executor=None,
                checkpoint: str | Path | None = None,
                resume: bool = False,
-               checkpoint_every: int | None = None,
-               budget_seconds: float | None = None,
-               retry_policy: RetryPolicy | None = None,
                clock: Callable[[], float] = time.monotonic
                ) -> DarwinResult:
     """Evolve whole-program container assignments for ``app``.
@@ -335,41 +328,45 @@ def run_darwin(app: CaseStudyApp,
     program search beats per-instance greed).  Without one, only the
     app's declared defaults seed the search.
 
-    ``objectives`` picks which axes the GA minimises (any non-empty
-    subset of ``cycles``/``memory``); reported points always carry both
-    measurements.  All randomness stays in the parent process and
-    fitness fans out over the worker pool, so the result is
-    byte-identical for any ``jobs`` value.
+    ``options`` (:class:`~repro.runtime.options.RunOptions`) carries the
+    search knobs, checked up front by
+    :meth:`~repro.runtime.options.RunOptions.validate_darwin`:
+    ``darwin_generations`` / ``darwin_population``, and
+    ``darwin_objectives``, which picks the axes the GA minimises (any
+    non-empty subset of ``cycles``/``memory``); reported points always
+    carry both measurements.  All randomness stays in the parent
+    process and fitness fans out over ``options.jobs`` workers
+    (``options.window`` in flight), so the result is byte-identical for
+    any ``jobs`` value.
 
     Robustness knobs:
 
     * ``checkpoint`` — path for the :class:`DarwinCheckpoint` artifact.
-      With ``checkpoint_every=N`` every Nth completed generation is
-      flushed; an interrupt (``KeyboardInterrupt``, i.e. SIGINT, or
-      SIGTERM converted by the CLI) flushes the last generation boundary
-      and raises :class:`TrainingInterrupted`; a finished run stores the
-      final result with ``complete=True``.
+      With ``options.darwin_checkpoint_every=N`` every Nth completed
+      generation is flushed; an interrupt (``KeyboardInterrupt``, i.e.
+      SIGINT, or SIGTERM converted by the CLI) flushes the last
+      generation boundary and raises :class:`TrainingInterrupted`; a
+      finished run stores the final result with ``complete=True``.
     * ``resume=True`` — load ``checkpoint`` (if it exists) and continue
       byte-identically from its generation boundary; a ``complete``
       checkpoint returns the stored result instantly.  The checkpoint's
       identity fields must match this call's app/input/machine/
       objectives/seed/generations/population.
-    * ``budget_seconds`` — wall-clock budget (resume-aware: time spent
-      before an interrupt counts); the search stops cleanly at the next
-      generation boundary, checkpoints, and the result comes back
-      flagged ``truncated="budget"``.
-    * ``retry_policy`` — fault-boundary tuning for per-chromosome
-      transient retries; deterministic failures quarantine the
-      chromosome into :attr:`DarwinResult.quarantined` and the search
-      continues.
+    * ``options.darwin_budget_seconds`` — wall-clock budget
+      (resume-aware: time spent before an interrupt counts); the search
+      stops cleanly at the next generation boundary, checkpoints, and
+      the result comes back flagged ``truncated="budget"``.
+    * ``options.retry_policy`` — fault-boundary tuning for
+      per-chromosome transient retries; deterministic failures
+      quarantine the chromosome into :attr:`DarwinResult.quarantined`
+      and the search continues.
     """
-    unknown = sorted(set(objectives) - set(OBJECTIVES))
-    if unknown:
-        raise ValueError(
-            "unknown objective(s) " + ", ".join(unknown)
-            + "; valid objectives: " + ", ".join(OBJECTIVES)
-        )
-    objectives = tuple(objectives)
+    options = (options or RunOptions()).validate_darwin()
+    generations = options.darwin_generations
+    population = options.darwin_population
+    objectives = tuple(options.darwin_objectives)
+    checkpoint_every = options.darwin_checkpoint_every
+    budget_seconds = options.darwin_budget_seconds
     checkpoint = Path(checkpoint) if checkpoint is not None else None
     if checkpoint is None:
         if checkpoint_every is not None:
@@ -519,10 +516,10 @@ def run_darwin(app: CaseStudyApp,
         fitness = replace(fitness, tape=tape,
                           recorded=(default_chromosome, default_point))
         result: ParetoResult = search.pareto(
-            fitness, objectives, jobs=jobs, window=window,
+            fitness, objectives, jobs=options.jobs, window=options.window,
             executor=executor, resume_state=resume_state,
             on_generation=on_generation, stop=stop,
-            retry_policy=retry_policy)
+            retry_policy=options.retry_policy)
 
         front = [measure(p.genome) for p in result.front]
         front.sort(key=lambda p: (p.cycles, p.footprint_bytes, p.kinds))

@@ -38,8 +38,7 @@ from repro.runtime.artifacts import (
     write_artifact,
 )
 from repro.runtime.checkpoint import TrainingInterrupted
-from repro.runtime.faults import RetryPolicy
-from repro.runtime.options import RunOptions, resolve_run_options
+from repro.runtime.options import RunOptions
 from repro.runtime.parallel import map_retry, resolve_jobs, usable_jobs
 from repro.training.dataset import TrainingSet
 from repro.training.phase1 import phase1_key, run_phase1
@@ -295,11 +294,8 @@ def _train_groups(group_names: tuple[str, ...],
                   seed_base: int,
                   seed: int,
                   checkpoint_dir: str | None,
-                  checkpoint_every: int | None,
                   resume: bool,
-                  retry_policy: RetryPolicy | None,
-                  seed_budget_seconds: float | None,
-                  jobs: int) -> list[BrainyModel]:
+                  options: RunOptions) -> list[BrainyModel]:
     """One task's pipelines: Phase I once for the app family, then
     Phase II → ANN fit for each group (see :func:`phase1_tasks`).
 
@@ -311,16 +307,9 @@ def _train_groups(group_names: tuple[str, ...],
     tasks never touch the same path.  Phase II simulates each
     ``(seed, original kind)`` at most once per task: it reuses the
     race's runs (Phase I finishes the stopped ones its records need)
-    and the runs of earlier groups.
+    and the runs of earlier groups.  ``options`` carries no telemetry
+    collector: a live one never crosses the process boundary.
     """
-    # Rebuilt worker-side from plain (picklable) arguments; a live
-    # telemetry collector never crosses the process boundary.
-    phase_options = RunOptions(
-        jobs=jobs, checkpoint_every=checkpoint_every,
-        retry_policy=retry_policy,
-        seed_budget_seconds=seed_budget_seconds,
-    )
-
     def checkpoint(name: str, phase: str) -> tuple[Path | None,
                                                    Path | None]:
         if checkpoint_dir is None:
@@ -344,7 +333,7 @@ def _train_groups(group_names: tuple[str, ...],
                                  for name, (_, resume) in paths.items()},
                     checkpoint_path={name: path
                                      for name, (path, _) in paths.items()},
-                    options=phase_options, features=features,
+                    options=options, features=features,
                 )
             else:
                 obs.counter("phase1.shared", group=group.name)
@@ -352,7 +341,7 @@ def _train_groups(group_names: tuple[str, ...],
             training_set = run_phase2(
                 phase1[index], config, machine_config,
                 resume_from=p2_resume, checkpoint_path=p2_path,
-                options=phase_options, features=features,
+                options=options, features=features,
             )
             models.append(BrainyModel.train(training_set, hidden=hidden,
                                             seed=seed))
@@ -404,10 +393,6 @@ class BrainySuite:
               checkpoint_dir: str | Path | None = None,
               resume: bool = False,
               options: RunOptions | None = None,
-              checkpoint_every: int | None = None,
-              retry_policy: RetryPolicy | None = None,
-              seed_budget_seconds: float | None = None,
-              jobs: int | None = None,
               executor=None,
               ) -> "BrainySuite":
         """End-to-end training: Phase I + Phase II + ANN fit per group.
@@ -422,9 +407,10 @@ class BrainySuite:
         skips finished work.  Checkpoints are removed once the whole
         suite trains successfully.
 
-        Cross-cutting run knobs (``jobs``, ``checkpoint_every``, fault
-        tuning, ``telemetry``) arrive via ``options=RunOptions(...)``;
-        the matching bare keywords are the deprecated spelling.
+        Cross-cutting run knobs (``jobs``, ``window``,
+        ``checkpoint_every``, fault tuning, ``telemetry``) arrive via
+        ``options=RunOptions(...)`` and are checked before any group
+        trains.
 
         ``RunOptions.jobs`` parallelises training (``None`` reads
         ``REPRO_JOBS``, default serial).  With several tasks, whole
@@ -445,14 +431,7 @@ class BrainySuite:
             else list(MODEL_GROUPS.values())
         checkpoint_dir = (Path(checkpoint_dir)
                           if checkpoint_dir is not None else None)
-        options = resolve_run_options(
-            options, jobs=jobs, checkpoint_every=checkpoint_every,
-            retry_policy=retry_policy,
-            seed_budget_seconds=seed_budget_seconds,
-        )
-        checkpoint_every = options.checkpoint_every
-        retry_policy = options.retry_policy
-        seed_budget_seconds = options.seed_budget_seconds
+        options = (options or RunOptions()).validate_training()
         jobs = resolve_jobs(options.jobs)
         tasks = phase1_tasks(groups)
         group_jobs = min(jobs, len(tasks)) if len(tasks) > 1 else 1
@@ -470,9 +449,8 @@ class BrainySuite:
                 hidden=tuple(hidden), seed_base=seed_base, seed=seed,
                 checkpoint_dir=(str(checkpoint_dir)
                                 if checkpoint_dir is not None else None),
-                checkpoint_every=checkpoint_every, resume=resume,
-                retry_policy=retry_policy,
-                seed_budget_seconds=seed_budget_seconds, jobs=inner,
+                resume=resume,
+                options=options.with_overrides(jobs=inner, telemetry=None),
             )
 
         worker = make_worker(inner_jobs)

@@ -11,7 +11,7 @@ Cached artifacts are atomic, versioned, and checksummed (see
 :mod:`repro.runtime.artifacts`); a truncated, corrupted, or
 schema-stale cache file is detected on load and rebuilt instead of
 crashing the caller.  Long training runs can checkpoint and resume via
-``checkpoint_every=`` / ``resume=``.
+``options=RunOptions(checkpoint_every=...)`` and ``resume=True``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.appgen.config import GeneratorConfig
 from repro.machine.configs import MachineConfig
 from repro.models.brainy import BrainySuite
 from repro.runtime.artifacts import ArtifactError, quarantine_artifact
-from repro.runtime.options import RunOptions, resolve_run_options
+from repro.runtime.options import RunOptions
 
 
 def _resolve_cache_dir() -> Path:
@@ -121,21 +121,18 @@ def get_or_build_dataset(group_name: str,
                          config: GeneratorConfig | None = None,
                          force: bool = False,
                          *,
-                         options: RunOptions | None = None,
-                         jobs: int | None = None):
+                         options: RunOptions | None = None):
     """Load (or run Phase I+II to build) one group's training set.
 
     A corrupt or schema-stale cached dataset is rebuilt, not raised.
     ``options`` carries the cross-cutting run knobs
-    (:class:`repro.runtime.options.RunOptions`); ``jobs`` is the
-    deprecated spelling of ``options.jobs``.
+    (:class:`repro.runtime.options.RunOptions`).
     """
     from repro.containers.registry import MODEL_GROUPS
     from repro.training.dataset import TrainingSet
     from repro.training.phase1 import run_phase1
     from repro.training.phase2 import run_phase2
 
-    options = resolve_run_options(options, jobs=jobs)
     scale = scale or current_scale()
     path = (CACHE_DIR / "datasets"
             / f"{machine_config.name}-{scale.name}-{group_name}.json")
@@ -162,9 +159,7 @@ def get_or_train_suite(machine_config: MachineConfig,
                        force: bool = False,
                        *,
                        resume: bool = False,
-                       options: RunOptions | None = None,
-                       checkpoint_every: int | None = None,
-                       jobs: int | None = None) -> BrainySuite:
+                       options: RunOptions | None = None) -> BrainySuite:
     """Load the cached suite for this machine/scale, training on a miss.
 
     A corrupt or schema-stale cached suite is retrained, not raised.
@@ -173,10 +168,8 @@ def get_or_train_suite(machine_config: MachineConfig,
     continues an interrupted training run from them.  ``options.jobs``
     fans training seeds out over worker processes (``None`` reads
     ``REPRO_JOBS``; the trained suite is identical for any value).
-    ``checkpoint_every`` / ``jobs`` are the deprecated spellings.
     """
-    options = resolve_run_options(options, jobs=jobs,
-                                  checkpoint_every=checkpoint_every)
+    options = options or RunOptions()
     scale = scale or current_scale()
     path = suite_path(machine_config, scale)
     if not force and (path / "suite.json").exists():

@@ -43,7 +43,7 @@ from repro.runtime.inject import (
     ServeFaultPlan,
     corrupt_artifact,
 )
-from repro.runtime.options import RunOptions, resolve_run_options
+from repro.runtime.options import RunOptions
 from repro.runtime.parallel import (
     PoolExecutor,
     SerialExecutor,
@@ -87,5 +87,4 @@ __all__ = [
     "ServeFaultPlan",
     "corrupt_artifact",
     "RunOptions",
-    "resolve_run_options",
 ]

@@ -266,6 +266,8 @@ def map_ordered(fn: Callable[[Any], Any],
     """
     from repro.obs import get_collector
 
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     parent_collector = get_collector()
     own_executor = executor is None
     if executor is None:

@@ -65,7 +65,7 @@ from repro.runtime.faults import (
     classify,
     run_guarded,
 )
-from repro.runtime.options import RunOptions, resolve_run_options
+from repro.runtime.options import RunOptions
 from repro.runtime.parallel import (
     DEFAULT_WINDOW_PER_JOB,
     TaskFailure,
@@ -438,14 +438,9 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
                checkpoint_path: (str | Path | Mapping[str, str | Path | None]
                                  | None) = None,
                options: RunOptions | None = None,
-               checkpoint_every: int | None = None,
-               retry_policy: RetryPolicy | None = None,
-               seed_budget_seconds: float | None = None,
                generate_fn: Callable | None = None,
                measure_fn: Callable | None = None,
                features: dict[tuple[int, DSKind], np.ndarray] | None = None,
-               jobs: int | None = None,
-               window: int | None = None,
                executor=None,
                ) -> Phase1Result | list[Phase1Result]:
     """Algorithm 1: collect ``(seed, best DS)`` pairs for one model group.
@@ -484,10 +479,9 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
         The cross-cutting run knobs as one frozen
         :class:`~repro.runtime.options.RunOptions` (``jobs``, ``window``,
         ``checkpoint_every``, fault-boundary tuning, telemetry
-        collector).  The individual keyword spellings below still work
-        for one release but emit a ``DeprecationWarning``.
-    checkpoint_every / retry_policy / seed_budget_seconds / jobs / window:
-        Deprecated spellings of the corresponding ``options`` fields.
+        collector); ``None`` means the defaults.  The knobs are checked
+        (:meth:`~repro.runtime.options.RunOptions.validate_training`)
+        before any seed is simulated.
     generate_fn / measure_fn:
         Pluggable seams for the app generator and the race (used by the
         fault-injection harness); defaults are the real
@@ -516,13 +510,8 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
     """
     if per_class_target <= 0:
         raise ValueError("per_class_target must be positive")
-    options = resolve_run_options(
-        options, jobs=jobs, window=window,
-        checkpoint_every=checkpoint_every, retry_policy=retry_policy,
-        seed_budget_seconds=seed_budget_seconds,
-    )
-    checkpoint_every = options.checkpoint_every
-    if checkpoint_every is not None and checkpoint_path is None:
+    options = (options or RunOptions()).validate_training()
+    if options.checkpoint_every is not None and checkpoint_path is None:
         raise ValueError("checkpoint_every requires checkpoint_path")
     if isinstance(group, ModelGroup):
         groups = [group]

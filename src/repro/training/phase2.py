@@ -44,7 +44,7 @@ from repro.runtime.faults import (
     classify,
     run_guarded,
 )
-from repro.runtime.options import RunOptions, resolve_run_options
+from repro.runtime.options import RunOptions
 from repro.runtime.parallel import (
     TaskFailure,
     map_ordered,
@@ -159,21 +159,16 @@ def run_phase2(phase1: Phase1Result,
                resume_from: Phase2Checkpoint | str | Path | None = None,
                checkpoint_path: str | Path | None = None,
                options: RunOptions | None = None,
-               checkpoint_every: int | None = None,
-               retry_policy: RetryPolicy | None = None,
-               seed_budget_seconds: float | None = None,
                generate_fn: Callable | None = None,
                on_fault: Callable[[QuarantineRecord], None] | None = None,
                features: dict[tuple[int, DSKind], np.ndarray] | None = None,
-               jobs: int | None = None,
-               window: int | None = None,
                executor=None,
                ) -> TrainingSet:
     """Algorithm 2: build the training set from recorded seed/DS pairs.
 
-    ``resume_from`` / ``checkpoint_path`` and ``options`` /  ``executor``
-    mirror :func:`repro.training.phase1.run_phase1`; the remaining knob
-    keywords are the deprecated spelling of :class:`RunOptions` fields.
+    ``resume_from`` / ``checkpoint_path`` and ``options`` / ``executor``
+    mirror :func:`repro.training.phase1.run_phase1`; the knobs in
+    ``options`` are checked before any record is replayed.
     A record whose replay fails deterministically is skipped (reported
     through ``on_fault``) instead of aborting the phase.
 
@@ -189,15 +184,8 @@ def run_phase2(phase1: Phase1Result,
             "Phase II must replay on the same machine Phase I measured "
             f"({phase1.machine_name!r}), got {machine_config.name!r}"
         )
-    options = resolve_run_options(
-        options, jobs=jobs, window=window,
-        checkpoint_every=checkpoint_every, retry_policy=retry_policy,
-        seed_budget_seconds=seed_budget_seconds,
-    )
+    options = (options or RunOptions()).validate_training()
     checkpoint_every = options.checkpoint_every
-    retry_policy = options.retry_policy
-    seed_budget_seconds = options.seed_budget_seconds
-    window = options.window
     if checkpoint_every is not None and checkpoint_path is None:
         raise ValueError("checkpoint_every requires checkpoint_path")
     jobs = resolve_jobs(options.jobs)
@@ -237,8 +225,8 @@ def run_phase2(phase1: Phase1Result,
         worker = partial(
             replay_seed,
             group=group, config=config, machine_config=machine_config,
-            retry_policy=retry_policy,
-            seed_budget_seconds=seed_budget_seconds,
+            retry_policy=options.retry_policy,
+            seed_budget_seconds=options.seed_budget_seconds,
             generate_fn=generate_fn,
         )
         if executor is None:
@@ -246,8 +234,8 @@ def run_phase2(phase1: Phase1Result,
         known = {} if features is None else features
         replays = [record.seed for record in phase1.records[start_index:]
                    if (record.seed, group.original) not in known]
-        outcomes = map_ordered(worker, replays, jobs=jobs, window=window,
-                               executor=executor)
+        outcomes = map_ordered(worker, replays, jobs=jobs,
+                               window=options.window, executor=executor)
         try:
             index = start_index
             for index in range(start_index, len(phase1.records)):

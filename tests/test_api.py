@@ -8,17 +8,18 @@ import pytest
 
 import repro
 from repro import api
+from repro.appgen.config import GeneratorConfig
+from repro.appgen.generator import generate_app
+from repro.containers.registry import DSKind, MODEL_GROUPS
 from repro.core.report import Report
 from repro.machine.configs import CORE2
 from repro.models import cache as cache_mod
+from repro.models.brainy import BrainySuite
 from repro.models.validation import ValidationResult
 from repro.runtime.checkpoint import TrainingInterrupted
-from repro.runtime.faults import RetryPolicy
-from repro.runtime.options import (
-    LEGACY_KNOBS,
-    RunOptions,
-    resolve_run_options,
-)
+from repro.runtime.options import RunOptions
+from repro.training.phase1 import Phase1Result, SeedRecord, run_phase1
+from repro.training.phase2 import run_phase2
 from tests.conftest import UNIT_SCALE as TINY
 
 
@@ -157,43 +158,30 @@ class TestRunOptions:
         assert base.jobs is None  # frozen: original untouched
 
     def test_explicit_options_pass_through_silently(self):
-        opts = RunOptions(jobs=2)
+        opts = RunOptions(jobs=2, window=3, checkpoint_every=5,
+                          seed_budget_seconds=1.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_run_options(opts) is opts
-
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            resolved = resolve_run_options(None, jobs=2,
-                                           checkpoint_every=5)
-        assert resolved.jobs == 2
-        assert resolved.checkpoint_every == 5
+            assert opts.validate_training() is opts
 
     def test_both_spellings_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_run_options(RunOptions(jobs=2), jobs=4)
-
-    def test_entry_points_accept_legacy_kwargs(self):
-        """Every documented legacy knob still resolves."""
-        legacy = dict.fromkeys(LEGACY_KNOBS)
-        legacy.update(jobs=1, retry_policy=RetryPolicy(retries=1,
-                                                       backoff=0.0))
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_run_options(None, **legacy)
-        assert resolved.jobs == 1
-        assert resolved.retry_policy.retries == 1
+        """``options=`` is the only spelling of a run knob: a bare knob
+        keyword next to it is not accepted."""
+        with pytest.raises(TypeError, match="jobs"):
+            run_phase1(MODEL_GROUPS["set"], GeneratorConfig.small(),
+                       options=RunOptions(jobs=2), jobs=4)
+        with pytest.raises(TypeError, match="checkpoint_every"):
+            BrainySuite.train(options=RunOptions(),
+                              checkpoint_every=5)
 
     def test_unknown_knob_raises_the_same_typeerror_contract(self):
-        """An unrecognised keyword fails the same way whether it rides
-        alone or alongside ``options=`` — a ``TypeError`` naming the
-        offender and the valid knobs."""
-        with pytest.raises(TypeError, match="unknown run option.*jbos"):
-            resolve_run_options(None, jbos=4)
-        with pytest.raises(TypeError, match="jbos.*valid knobs.*jobs"):
-            resolve_run_options(RunOptions(jobs=2), jbos=4)
-        # Unknown wins over both-spellings: diagnose the typo first.
-        with pytest.raises(TypeError, match="unknown run option"):
-            resolve_run_options(RunOptions(jobs=2), jbos=4, jobs=1)
+        """An unrecognised knob is a ``TypeError`` naming the offender,
+        whether it is given to RunOptions or to an entry point."""
+        with pytest.raises(TypeError, match="jbos"):
+            RunOptions(jbos=4)
+        with pytest.raises(TypeError, match="jbos"):
+            run_phase1(MODEL_GROUPS["set"], GeneratorConfig.small(),
+                       options=RunOptions(jobs=2), jbos=4)
 
     def test_serving_knobs_have_real_defaults(self):
         """Serving knobs default in RunOptions itself (unlike the
@@ -208,3 +196,70 @@ class TestRunOptions:
                                      queue_depth=4)
         assert (bumped.deadline_seconds, bumped.queue_depth) == (0.5, 4)
         assert opts.queue_depth == 32  # frozen: original untouched
+
+
+class TestTrainingKnobValidation:
+    """Training knobs are checked where they arrive in ``RunOptions``,
+    before any app is generated or simulated."""
+
+    @pytest.mark.parametrize("changes,message", [
+        (dict(jobs=0), "jobs must be >= 1"),
+        (dict(window=0), "window must be >= 1"),
+        (dict(checkpoint_every=0), "checkpoint_every must be >= 1"),
+        (dict(checkpoint_every=-3), "checkpoint_every must be >= 1"),
+        (dict(seed_budget_seconds=0.0),
+         "seed_budget_seconds must be positive"),
+    ])
+    def test_bad_knob_named(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            RunOptions(**changes).validate_training()
+
+    def test_problems_are_joined(self):
+        with pytest.raises(ValueError) as excinfo:
+            RunOptions(window=0, checkpoint_every=0).validate_training()
+        assert "window" in str(excinfo.value)
+        assert "checkpoint_every" in str(excinfo.value)
+
+    @staticmethod
+    def recording_generate(generated):
+        """A generator seam that records each seed it is asked for."""
+        def generate(seed, group, config):
+            generated.append(seed)
+            return generate_app(seed, group, config)
+        return generate
+
+    def test_phase1_rejects_zero_checkpoint_cadence(self, tmp_path):
+        generated = []
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            run_phase1(MODEL_GROUPS["set"], GeneratorConfig.small(),
+                       per_class_target=2, max_seeds=4,
+                       checkpoint_path=tmp_path / "p1.json",
+                       options=RunOptions(checkpoint_every=0),
+                       generate_fn=self.recording_generate(generated))
+        assert generated == []
+
+    def test_phase2_rejects_zero_window(self):
+        phase1 = Phase1Result(
+            group=MODEL_GROUPS["set"], machine_name=CORE2.name,
+            records=[SeedRecord(seed=1, best=DSKind.SET,
+                                runtimes={DSKind.SET: 10})])
+        generated = []
+        with pytest.raises(ValueError, match="window"):
+            run_phase2(phase1, GeneratorConfig.small(), CORE2,
+                       options=RunOptions(window=0),
+                       generate_fn=self.recording_generate(generated))
+        assert generated == []
+
+    def test_suite_train_rejects_before_any_group(self):
+        with pytest.raises(ValueError, match="seed_budget_seconds"):
+            BrainySuite.train(groups=[MODEL_GROUPS["set"]],
+                              per_class_target=2, max_seeds=4,
+                              options=RunOptions(seed_budget_seconds=-1))
+
+    def test_api_maps_options_knobs_to_usage_error(self):
+        with pytest.raises(api.UsageError, match="checkpoint_every"):
+            api.train(scale="tiny",
+                      options=RunOptions(checkpoint_every=0))
+        with pytest.raises(api.UsageError, match="window"):
+            api.advise("xalan", scale="tiny",
+                       options=RunOptions(window=0))

@@ -12,6 +12,7 @@ Perflint baseline — deliberately: no training, fast tests, and a greedy
 assignment the evolved front can strictly beat.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -35,11 +36,10 @@ from repro.core.report import Report
 from repro.machine import Machine
 from repro.machine.configs import CORE2
 from repro.models import BrainySuite
-from repro.runtime.options import (
-    KNOWN_KNOBS,
-    RunOptions,
-    resolve_run_options,
-)
+from repro.runtime.options import RunOptions
+
+#: The search size most tests use: small enough to run in seconds.
+SMALL = RunOptions(darwin_generations=3, darwin_population=6)
 
 
 def degraded_advisor() -> BrainyAdvisor:
@@ -51,15 +51,13 @@ def degraded_advisor() -> BrainyAdvisor:
 @pytest.fixture(scope="module")
 def xalan_result() -> DarwinResult:
     return run_darwin(XalanStringCache("test"), CORE2, degraded_advisor(),
-                      generations=3, population=6, seed=0,
-                      input_name="test")
+                      options=SMALL, seed=0, input_name="test")
 
 
 @pytest.fixture(scope="module")
 def chord_result() -> DarwinResult:
     return run_darwin(ChordSimulator("small"), CORE2, degraded_advisor(),
-                      generations=3, population=6, seed=0,
-                      input_name="small")
+                      options=SMALL, seed=0, input_name="small")
 
 
 class TestFootprintCounter:
@@ -133,15 +131,18 @@ class TestRunDarwin:
     def test_byte_identical_across_jobs(self):
         payloads = [
             run_darwin(ChordSimulator("small"), CORE2,
-                       degraded_advisor(), generations=3, population=6,
-                       seed=0, jobs=jobs).to_payload()
+                       degraded_advisor(),
+                       options=SMALL.with_overrides(jobs=jobs),
+                       seed=0).to_payload()
             for jobs in (1, 2, 4)
         ]
         assert payloads[0] == payloads[1] == payloads[2]
 
     def test_without_advisor_uses_defaults_only(self):
         result = run_darwin(ChordSimulator("small"), CORE2,
-                            generations=2, population=4, seed=0)
+                            options=RunOptions(darwin_generations=2,
+                                               darwin_population=4),
+                            seed=0)
         assert result.greedy is None
         assert result.dominating() == []
         assert result.front
@@ -150,17 +151,20 @@ class TestRunDarwin:
 
     def test_single_objective_search_reports_both_axes(self):
         result = run_darwin(ChordSimulator("small"), CORE2,
-                            generations=2, population=4, seed=0,
-                            objectives=("memory",))
+                            options=RunOptions(darwin_generations=2,
+                                               darwin_population=4,
+                                               darwin_objectives=("memory",)),
+                            seed=0)
         assert result.objectives == ("memory",)
         for p in result.front:
             assert p.cycles > 0 and p.footprint_bytes > 0
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError,
-                           match="unknown objective.*latency"):
+                           match="unknown darwin objective.*latency"):
             run_darwin(ChordSimulator("small"), CORE2,
-                       objectives=("cycles", "latency"))
+                       options=RunOptions(
+                           darwin_objectives=("cycles", "latency")))
 
     def test_evaluations_are_memoised(self, chord_result):
         """Distinct assignments only: far fewer evaluations than
@@ -179,10 +183,13 @@ from repro.core.advisor import BrainyAdvisor
 from repro.core.darwin import run_darwin
 from repro.machine.configs import CORE2
 from repro.models import BrainySuite
+from repro.runtime.options import RunOptions
 
 result = run_darwin(ChordSimulator("small"), CORE2,
                     BrainyAdvisor(BrainySuite("core2")),
-                    generations=3, population=6, seed=0, jobs=2)
+                    options=RunOptions(darwin_generations=3,
+                                       darwin_population=6, jobs=2),
+                    seed=0)
 with open(sys.argv[1], "w") as fh:
     json.dump(result.to_payload(), fh, sort_keys=True)
 """
@@ -215,7 +222,9 @@ class TestDarwinResultPayload:
 
     def test_round_trip_without_greedy(self):
         result = run_darwin(ChordSimulator("small"), CORE2,
-                            generations=1, population=4, seed=0)
+                            options=RunOptions(darwin_generations=1,
+                                               darwin_population=4),
+                            seed=0)
         payload = result.to_payload()
         assert payload["greedy"] is None
         assert DarwinResult.from_payload(payload).greedy is None
@@ -231,7 +240,9 @@ class TestDarwinResultPayload:
 
     def test_format_without_advisor_has_no_greedy_row(self):
         result = run_darwin(ChordSimulator("small"), CORE2,
-                            generations=1, population=4, seed=0)
+                            options=RunOptions(darwin_generations=1,
+                                               darwin_population=4),
+                            seed=0)
         text = result.format()
         assert "[default]" in text
         assert "[greedy advisor]" not in text
@@ -293,7 +304,7 @@ class TestDarwinKnobs:
     def test_knobs_are_known_run_options(self):
         for knob in ("darwin_generations", "darwin_population",
                      "darwin_objectives"):
-            assert knob in KNOWN_KNOBS
+            assert knob in {f.name for f in dataclasses.fields(RunOptions)}
 
     @pytest.mark.parametrize("changes,message", [
         (dict(darwin_generations=0), "darwin_generations must be >= 1"),
@@ -320,21 +331,6 @@ class TestDarwinKnobs:
                            match="valid objectives: cycles, memory"):
             RunOptions(
                 darwin_objectives=("heap",)).validate_darwin()
-
-    def test_resolve_run_options_accepts_darwin_knobs(self):
-        with pytest.warns(DeprecationWarning, match="darwin_generations"):
-            options = resolve_run_options(None, darwin_generations=5)
-        assert options.darwin_generations == 5
-
-    def test_resolve_run_options_rejects_both_spellings(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_run_options(RunOptions(), darwin_generations=5)
-
-    def test_resolve_run_options_names_valid_knobs_on_typo(self):
-        with pytest.raises(TypeError) as excinfo:
-            resolve_run_options(None, darwin_gens=5)
-        assert "darwin_gens" in str(excinfo.value)
-        assert "darwin_generations" in str(excinfo.value)
 
 
 class TestApiDarwin:

@@ -46,6 +46,7 @@ from repro.models import BrainySuite
 from repro.runtime.checkpoint import DarwinCheckpoint, TrainingInterrupted
 from repro.runtime.faults import NO_WAIT
 from repro.runtime.inject import DarwinFaultInjector, DarwinFaultPlan
+from repro.runtime.options import RunOptions
 from repro.runtime.parallel import SerialExecutor
 
 
@@ -224,10 +225,14 @@ class TestDarwinCheckpoint:
         assert not loaded.complete and loaded.result is None
 
 
-def chord_run(**kwargs):
+#: The search every chord run below uses, unless a test adds knobs.
+CHORD = RunOptions(darwin_generations=3, darwin_population=6)
+
+
+def chord_run(options: RunOptions = CHORD, **kwargs):
     return run_darwin(ChordSimulator("small"), CORE2, degraded_advisor(),
-                      generations=3, population=6, seed=0,
-                      input_name="small", **kwargs)
+                      options=options, seed=0, input_name="small",
+                      **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +271,7 @@ class TestRunDarwinResume:
         monkeypatch.setattr("repro.core.darwin.GeneticSearch",
                             _InterruptAfter)
         with pytest.raises(TrainingInterrupted) as exc:
-            chord_run(checkpoint=path, jobs=jobs)
+            chord_run(CHORD.with_overrides(jobs=jobs), checkpoint=path)
         assert exc.value.checkpoint_path == path
         assert f"generation {interrupt_after}" in str(exc.value)
         saved = DarwinCheckpoint.load(path)
@@ -274,7 +279,8 @@ class TestRunDarwinResume:
         assert saved.state["generation"] == interrupt_after
         monkeypatch.undo()
 
-        resumed = chord_run(checkpoint=path, resume=True, jobs=jobs)
+        resumed = chord_run(CHORD.with_overrides(jobs=jobs),
+                            checkpoint=path, resume=True)
         assert json.dumps(resumed.to_payload(),
                           sort_keys=True) == chord_baseline
         assert DarwinCheckpoint.load(path).complete
@@ -307,7 +313,7 @@ class TestRunDarwinResume:
         chord_run(checkpoint=path)
         with pytest.raises(ValueError, match="seed"):
             run_darwin(ChordSimulator("small"), CORE2,
-                       degraded_advisor(), generations=3, population=6,
+                       degraded_advisor(), options=CHORD,
                        seed=1, input_name="small",
                        checkpoint=path, resume=True)
 
@@ -315,8 +321,9 @@ class TestRunDarwinResume:
             self, tmp_path, chord_baseline):
         path = tmp_path / "budget.json"
         ticks = itertools.count(0.0, 10.0)
-        truncated = chord_run(checkpoint=path, budget_seconds=15.0,
-                              clock=lambda: next(ticks))
+        truncated = chord_run(
+            CHORD.with_overrides(darwin_budget_seconds=15.0),
+            checkpoint=path, clock=lambda: next(ticks))
         assert truncated.truncated == "budget"
         assert len(truncated.history) == 2  # stopped before generation 2
         assert truncated.report.pareto_truncated == "budget"
@@ -335,11 +342,11 @@ class TestRunDarwinResume:
     def test_budget_counts_time_before_the_interrupt(self, tmp_path):
         path = tmp_path / "budget.json"
         ticks = itertools.count(0.0, 10.0)
-        chord_run(checkpoint=path, budget_seconds=15.0,
-                  clock=lambda: next(ticks))
+        chord_run(CHORD.with_overrides(darwin_budget_seconds=15.0),
+                  checkpoint=path, clock=lambda: next(ticks))
         # 30s already on the clock: a 20s budget is spent on arrival.
-        again = chord_run(checkpoint=path, resume=True,
-                          budget_seconds=20.0)
+        again = chord_run(CHORD.with_overrides(darwin_budget_seconds=20.0),
+                          checkpoint=path, resume=True)
         assert again.truncated == "budget"
         assert len(again.history) == 2
 
@@ -355,13 +362,13 @@ class TestRunDarwinResume:
             return original(self, path)
 
         monkeypatch.setattr(DarwinCheckpoint, "save", spy)
-        chord_run(checkpoint=tmp_path / "cadence.json",
-                  checkpoint_every=2)
+        chord_run(CHORD.with_overrides(darwin_checkpoint_every=2),
+                  checkpoint=tmp_path / "cadence.json")
         assert saves == [(False, 0), (False, 2), (True, 3)]
 
     def test_checkpoint_knobs_require_a_path(self):
         with pytest.raises(ValueError, match="checkpoint path"):
-            chord_run(checkpoint_every=1)
+            chord_run(CHORD.with_overrides(darwin_checkpoint_every=1))
         with pytest.raises(ValueError, match="checkpoint path"):
             chord_run(resume=True)
 
@@ -375,7 +382,7 @@ class TestPinnedFront:
     def test_xalan_front_sha256(self):
         result = run_darwin(
             XalanStringCache("test"), CORE2, degraded_advisor(),
-            generations=3, population=6, seed=0, input_name="test")
+            options=CHORD, seed=0, input_name="test")
         payload = json.dumps(result.to_payload(), sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest() \
             == XALAN_FRONT_SHA256

@@ -55,14 +55,14 @@ class TestConstruction:
         tournament larger than the population must fail at construction
         rather than deep inside rng.choice mid-run."""
         with pytest.raises(ValueError, match="tournament"):
-            make_selector(population=6, tournament=7)
+            make_selector(population=6, ancestry=TournamentAncestry(7))
 
     def test_rejects_nonpositive_tournament(self):
         with pytest.raises(ValueError, match="tournament"):
-            make_selector(tournament=0)
+            make_selector(ancestry=TournamentAncestry(0))
 
     def test_tournament_equal_to_population_allowed(self):
-        make_selector(population=6, tournament=6)
+        make_selector(population=6, ancestry=TournamentAncestry(6))
 
 
 class TestEvolution:
@@ -90,8 +90,8 @@ class TestEvolution:
         def fitness(weights):
             return float(-np.abs(weights - 0.5).sum())
 
-        result = make_selector(mutation_rate=0.9,
-                               mutation_sigma=2.0).run(fitness)
+        result = make_selector(
+            mutation=GaussianMutation(rate=0.9, sigma=2.0)).run(fitness)
         assert (result.weights >= 0.0).all()
         assert (result.weights <= 1.0).all()
 
@@ -214,56 +214,26 @@ class TestGAResult:
 
 
 class TestStrategyShim:
-    """The legacy tuning keywords vs the strategy-object spelling."""
-
-    def test_legacy_keywords_warn_with_replacement_hint(self):
-        with pytest.warns(DeprecationWarning,
-                          match="strategy objects") as record:
-            make_selector(mutation_rate=0.5)
-        assert any("GaussianMutation" in str(w.message) for w in record)
-
-    def test_each_legacy_keyword_warns(self):
-        for kwargs in (dict(tournament=4), dict(crossover_rate=0.9),
-                       dict(mutation_rate=0.5),
-                       dict(mutation_sigma=1.0)):
-            with pytest.warns(DeprecationWarning):
-                make_selector(**kwargs)
+    """Strategy objects are the one spelling of the GA tuning knobs."""
 
     def test_strategy_objects_do_not_warn(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            make_selector(ancestry=TournamentAncestry(4),
-                          crossover=UniformCrossover(0.9),
-                          mutation=GaussianMutation(rate=0.5, sigma=1.0))
+            warnings.simplefilter("error")
+            selector = make_selector(
+                ancestry=TournamentAncestry(4),
+                crossover=UniformCrossover(0.9),
+                mutation=GaussianMutation(rate=0.5, sigma=1.0))
+        assert selector.ancestry == TournamentAncestry(4)
+        assert selector.crossover == UniformCrossover(0.9)
+        assert selector.mutation == GaussianMutation(rate=0.5, sigma=1.0)
 
     def test_both_spellings_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        """The numeric keywords are gone, alone or beside the strategy
+        object they used to tune."""
+        with pytest.raises(TypeError, match="mutation_rate"):
             make_selector(mutation_rate=0.5,
                           mutation=GaussianMutation(rate=0.5))
-        with pytest.raises(TypeError, match="not both"):
-            make_selector(tournament=4, ancestry=TournamentAncestry(4))
-        with pytest.raises(TypeError, match="not both"):
-            make_selector(crossover_rate=0.9,
-                          crossover=UniformCrossover(0.9))
-
-    def test_legacy_and_strategy_spellings_agree(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = make_selector(tournament=4, crossover_rate=0.9,
-                                   mutation_rate=0.5, mutation_sigma=1.0)
-        modern = make_selector(ancestry=TournamentAncestry(4),
-                               crossover=UniformCrossover(0.9),
-                               mutation=GaussianMutation(rate=0.5,
-                                                         sigma=1.0))
-        assert _ga_key(legacy.run(_linear_fitness)) \
-            == _ga_key(modern.run(_linear_fitness))
-
-    def test_compat_attributes_mirror_strategies(self):
-        selector = make_selector(ancestry=TournamentAncestry(5),
-                                 crossover=UniformCrossover(0.8),
-                                 mutation=GaussianMutation(rate=0.4,
-                                                           sigma=0.9))
-        assert selector.tournament == 5
-        assert selector.crossover_rate == 0.8
-        assert selector.mutation_rate == 0.4
-        assert selector.mutation_sigma == 0.9
-        assert selector.ancestry.size == 5
+        with pytest.raises(TypeError, match="tournament"):
+            make_selector(tournament=4)
+        with pytest.raises(TypeError, match="crossover_rate"):
+            make_selector(crossover_rate=0.9)

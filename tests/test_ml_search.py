@@ -11,8 +11,6 @@ Covers the api_redesign guarantees:
   search space and is byte-identical across ``jobs``.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -115,6 +113,22 @@ LEGACY_CONFIGS = [
 ]
 
 
+def _adapted_selector(config):
+    """The adapter for a LEGACY_CONFIGS entry: each numeric knob the
+    frozen loop takes becomes the strategy object it maps to; knobs the
+    entry leaves out stay at the adapter's defaults."""
+    config = dict(config)
+    if "tournament" in config:
+        config["ancestry"] = TournamentAncestry(config.pop("tournament"))
+    if "crossover_rate" in config:
+        config["crossover"] = UniformCrossover(config.pop("crossover_rate"))
+    if {"mutation_rate", "mutation_sigma"} & config.keys():
+        config["mutation"] = GaussianMutation(
+            rate=config.pop("mutation_rate", 0.15),
+            sigma=config.pop("mutation_sigma", 0.25))
+    return GeneticFeatureSelector(6, NAMES, **config)
+
+
 class TestAdapterByteIdentity:
     """The refactored adapter vs the frozen pre-refactor loop."""
 
@@ -123,11 +137,7 @@ class TestAdapterByteIdentity:
         expected = _FrozenLegacySelector(6, NAMES,
                                          **config).run(_linear_fitness)
         for jobs in (None, 2):
-            with warnings.catch_warnings():
-                # Legacy tuning keywords now emit a DeprecationWarning;
-                # identity of the result is what is under test here.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                selector = GeneticFeatureSelector(6, NAMES, **config)
+            selector = _adapted_selector(config)
             result = selector.run(_linear_fitness, jobs=jobs)
             assert _ga_key(result) == expected, (config, jobs)
 
