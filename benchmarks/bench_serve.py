@@ -1,4 +1,4 @@
-"""Serving benchmark: micro-batched dispatch × multi-worker scale-out.
+"""Serving benchmark: the dispatch loop and multi-worker scale-out.
 
 Two measurements, reported separately because they isolate different
 layers (the pSTL-Bench discipline: publish the scaling curve per layer,
@@ -6,26 +6,24 @@ don't launder one layer's overhead through another's speedup):
 
 * **dispatch_loop** — the component under test.  Closed-loop concurrent
   clients drive :meth:`AdvisorService.handle_payload` directly (no
-  sockets), interleaving baseline (``batch_window_ms=0`` — exactly the
-  PR-5 single-dispatch loop) and micro-batched runs A/B/A/B and taking
-  the median of several rounds, so host noise hits both arms equally.
-  This is where the ≥2x req/s acceptance bar is checked.
+  sockets) at several concurrencies, taking the median of several
+  rounds.  Requests that queue behind busy workers are answered in
+  batched passes; ``mean_batch`` is the mean of the service's own
+  ``serve.batch_size`` histogram.
 * **end_to_end_tcp** — the full ``repro serve`` process (fleet mode
   included) driven over real sockets by persistent NDJSON clients, for
-  every ``workers`` × ``batch_window_ms`` cell.  Includes per-request
-  TCP/JSON framing, which is identical in both arms and therefore
-  dilutes the visible ratio — the honest deployment numbers.
+  each ``--workers`` value.  Includes per-request TCP/JSON framing —
+  the honest deployment numbers.  ``mean_batch`` comes from the
+  server's telemetry artifact.
 
 Every answer in both measurements is compared byte-for-byte against a
 locally computed reference report; a cell that got faster by answering
 wrong fails the run.  The benchmark trace spans every model group
 (:func:`repro.serve.testing.make_mixed_trace` — a handful of hot
 containers across kinds, the shape real Brainy traces have), because
-the per-group forward-pass overhead is precisely what micro-batching
+the per-group forward-pass overhead is precisely what a batched pass
 amortizes.  ``cpu_count`` is recorded: multi-process scaling cannot
-beat the physical core budget, so on a single-core CI box the batching
-column, not the workers column, is where the win shows up (see
-``docs/serving.md``).
+beat the physical core budget (see ``docs/serving.md``).
 
 Writes ``BENCH_serve.json`` at the repo root (see ``--out``)::
 
@@ -52,7 +50,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.advisor import BrainyAdvisor  # noqa: E402
-from repro.runtime.options import RunOptions  # noqa: E402
+from repro.obs import load_telemetry  # noqa: E402
 from repro.serve.loop import AdvisorService  # noqa: E402
 from repro.serve.testing import (  # noqa: E402
     advise_payload,
@@ -85,11 +83,15 @@ def _stats(latencies: list[list[float]], wall: float) -> dict:
 # Part one: the dispatch loop in isolation (no sockets).
 # ---------------------------------------------------------------------------
 
-def _loop_run(suite, payload, expected: str, *, window_ms: float,
-              batch_max: int, concurrency: int,
+def _mean_batch(histograms: dict) -> float | None:
+    hist = histograms.get("serve.batch_size", {})
+    return (round(hist["total"] / hist["count"], 1)
+            if hist.get("count") else None)
+
+
+def _loop_run(suite, payload, expected: str, *, concurrency: int,
               per_client: int) -> dict:
-    options = RunOptions(batch_window_ms=window_ms, batch_max=batch_max)
-    service = AdvisorService(suite=suite, options=options, workers=2)
+    service = AdvisorService(suite=suite, workers=2)
     latencies: list[list[float]] = [[] for _ in range(concurrency)]
     bad = [0] * concurrency
     barrier = threading.Barrier(concurrency + 1)
@@ -117,17 +119,15 @@ def _loop_run(suite, payload, expected: str, *, window_ms: float,
         thread.join()
     wall = time.perf_counter() - t0
     service.drain()
-    hist = service.metrics.snapshot()["histograms"].get(
-        "serve.batch_size", {})
     result = _stats(latencies, wall)
     result["bad_answers"] = sum(bad)
-    result["mean_batch"] = (round(hist["total"] / hist["count"], 1)
-                            if hist.get("count") else None)
+    result["mean_batch"] = _mean_batch(
+        service.metrics.snapshot()["histograms"])
     return result
 
 
-def bench_dispatch_loop(*, concurrencies: list[int], window_ms: float,
-                        rounds: int, per_client: int) -> dict:
+def bench_dispatch_loop(*, concurrencies: list[int], rounds: int,
+                        per_client: int) -> dict:
     trace = make_mixed_trace(1, seed=42)
     suite = tiny_suite()
     expected = json.dumps(
@@ -137,44 +137,22 @@ def bench_dispatch_loop(*, concurrencies: list[int], window_ms: float,
 
     sections = []
     for concurrency in concurrencies:
-        baseline_runs, batched_runs = [], []
-        for _ in range(rounds):  # interleaved A/B: noise hits both
-            baseline_runs.append(_loop_run(
-                suite, payload, expected, window_ms=0, batch_max=16,
-                concurrency=concurrency, per_client=per_client))
-            batched_runs.append(_loop_run(
-                suite, payload, expected, window_ms=window_ms,
-                batch_max=concurrency, concurrency=concurrency,
-                per_client=per_client))
-        baseline = statistics.median(
-            run["req_per_s"] for run in baseline_runs)
-        batched = statistics.median(
-            run["req_per_s"] for run in batched_runs)
-        # Paired ratios: each batched run divided by the baseline run
-        # interleaved right before it, so host-speed drift cancels.
-        speedup = statistics.median(
-            bat["req_per_s"] / base["req_per_s"]
-            for base, bat in zip(baseline_runs, batched_runs))
-        best_baseline = max(baseline_runs, key=lambda r: r["req_per_s"])
-        best_batched = max(batched_runs, key=lambda r: r["req_per_s"])
+        runs = [_loop_run(suite, payload, expected,
+                          concurrency=concurrency, per_client=per_client)
+                for _ in range(rounds)]
         sections.append({
             "concurrency": concurrency,
             "rounds": rounds,
-            "baseline_req_per_s": baseline,
-            "batched_req_per_s": batched,
-            "speedup": round(speedup, 2),
-            "baseline_best": best_baseline,
-            "batched_best": best_batched,
-            "bad_answers": (sum(r["bad_answers"] for r in baseline_runs)
-                            + sum(r["bad_answers"]
-                                  for r in batched_runs)),
+            "req_per_s": statistics.median(
+                run["req_per_s"] for run in runs),
+            "mean_batch": statistics.median(
+                run["mean_batch"] for run in runs),
+            "best": max(runs, key=lambda r: r["req_per_s"]),
+            "bad_answers": sum(r["bad_answers"] for r in runs),
         })
     return {
-        "batch_window_ms": window_ms,
+        "workers": 2,
         "requests_per_client": per_client,
-        "note": ("baseline is the PR-5 single-dispatch loop "
-                 "(batch_window_ms=0); batched uses "
-                 "batch_max=concurrency"),
         "by_concurrency": sections,
     }
 
@@ -183,18 +161,19 @@ def bench_dispatch_loop(*, concurrencies: list[int], window_ms: float,
 # Part two: the full server over TCP (fleet mode included).
 # ---------------------------------------------------------------------------
 
-def spawn_server(suite_dir: Path, *, workers: int, window_ms: float,
-                 threads: int = 2) -> tuple[subprocess.Popen,
-                                            tuple[str, int]]:
+def spawn_server(suite_dir: Path, *, workers: int, threads: int = 2,
+                 telemetry: Path | None = None
+                 ) -> tuple[subprocess.Popen, tuple[str, int]]:
     """Start ``repro serve`` and wait for its address announcement."""
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    command = [sys.executable, "-m", "repro.cli", "serve",
+               "--suite-dir", str(suite_dir),
+               "--workers", str(workers), "--threads", str(threads),
+               "--port", "0"]
+    if telemetry is not None:
+        command += ["--telemetry", str(telemetry)]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--suite-dir", str(suite_dir),
-         "--workers", str(workers), "--threads", str(threads),
-         "--batch-window-ms", str(window_ms),
-         "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=env,
     )
     deadline = time.monotonic() + 120.0
@@ -259,8 +238,7 @@ def run_load(address: tuple[str, int], *, concurrency: int,
 
 
 def bench_tcp_grid(suite_dir: Path, *, workers_list: list[int],
-                   windows_ms: list[float], concurrency: int,
-                   per_client: int) -> dict:
+                   concurrency: int, per_client: int) -> dict:
     trace = make_mixed_trace(1, seed=42)
     expected = json.dumps(
         BrainyAdvisor(tiny_suite()).advise_trace(trace).to_payload(),
@@ -270,33 +248,29 @@ def bench_tcp_grid(suite_dir: Path, *, workers_list: list[int],
                     + "\n").encode()
 
     cells = []
-    baseline_rps: float | None = None
     for workers in workers_list:
-        for window_ms in windows_ms:
-            proc, address = spawn_server(suite_dir, workers=workers,
-                                         window_ms=window_ms)
-            try:
-                result = run_load(address, concurrency=concurrency,
-                                  per_client=per_client,
-                                  request_line=request_line,
-                                  expected_report=expected)
-            finally:
-                stop_server(proc)
-            cell = {"workers": workers,
-                    "batch_window_ms": window_ms, **result}
-            if workers == 1 and window_ms == 0:
-                baseline_rps = cell["req_per_s"]
-            cells.append(cell)
+        telemetry = suite_dir.parent / f"serve-{workers}.telemetry.json"
+        proc, address = spawn_server(suite_dir, workers=workers,
+                                     telemetry=telemetry)
+        try:
+            result = run_load(address, concurrency=concurrency,
+                              per_client=per_client,
+                              request_line=request_line,
+                              expected_report=expected)
+        finally:
+            stop_server(proc)
+        result["mean_batch"] = _mean_batch(
+            load_telemetry(telemetry)["metrics"]["histograms"])
+        cells.append({"workers": workers, **result})
+    single = cells[0]["req_per_s"] if cells else None
     for cell in cells:
         cell["speedup_vs_single"] = (
-            round(cell["req_per_s"] / baseline_rps, 2)
-            if baseline_rps else None)
+            round(cell["req_per_s"] / single, 2) if single else None)
     return {
         "concurrency": concurrency,
         "requests_per_client": per_client,
         "note": ("includes per-request TCP/JSON framing, identical in "
-                 "every cell; see dispatch_loop for the isolated "
-                 "loop comparison"),
+                 "every cell; see dispatch_loop for the loop alone"),
         "cells": cells,
     }
 
@@ -310,16 +284,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        loop_kwargs = dict(concurrencies=[8], window_ms=2.0,
-                           rounds=3, per_client=30)
-        tcp_kwargs = dict(workers_list=[1, 2], windows_ms=[0, 2.0],
-                          concurrency=8, per_client=15)
+        loop_kwargs = dict(concurrencies=[8], rounds=3, per_client=30)
+        tcp_kwargs = dict(workers_list=[1, 2], concurrency=8,
+                          per_client=15)
     else:
-        loop_kwargs = dict(concurrencies=[8, 16, 32], window_ms=2.0,
-                           rounds=7, per_client=60)
-        tcp_kwargs = dict(workers_list=[1, 2],
-                          windows_ms=[0, 2.0, 5.0],
-                          concurrency=8, per_client=50)
+        loop_kwargs = dict(concurrencies=[8, 16, 32], rounds=7,
+                           per_client=60)
+        tcp_kwargs = dict(workers_list=[1, 2], concurrency=8,
+                          per_client=50)
 
     dispatch_loop = bench_dispatch_loop(**loop_kwargs)
     with tempfile.TemporaryDirectory() as tmp:

@@ -9,9 +9,9 @@ Measures the two performance features of the parallel training engine:
   runner's flat numbers are interpretable.
 * **Telemetry overhead** — wall-clock for an identical Phase-I workload
   with the default null collector vs a live :class:`repro.obs.Collector`
-  (min-of-N each).  The observability layer's contract is that spans and
-  counters are coarse enough to cost ~nothing; the bench enforces an
-  overhead ceiling of 3 %.
+  (the median of interleaved live/null pair ratios).  The observability
+  layer's contract is that spans and counters are coarse enough to cost
+  ~nothing; the bench enforces an overhead ceiling of 3 %.
 * **Machine-simulator hot path** — ns/access for the optimized
   dict-as-ordered-set LRU simulator against the legacy list-based LRU
   (embedded below as the baseline), over several access patterns and
@@ -32,6 +32,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -315,7 +316,7 @@ def bench_telemetry_overhead(quick: bool) -> dict:
         kwargs = dict(per_class_target=3, max_seeds=40)
     else:
         kwargs = dict(per_class_target=5, max_seeds=120)
-    repeats = 5
+    repeats = 40
 
     def timed(options: RunOptions | None) -> float:
         start = time.perf_counter()
@@ -323,15 +324,24 @@ def bench_telemetry_overhead(quick: bool) -> dict:
         return time.perf_counter() - start
 
     timed(None)  # warm caches; neither variant pays first-run costs
-    # Interleave the variants so clock drift (turbo, thermal, noisy
-    # neighbours) hits both equally; min-of-N discards the slow tail.
+    # Interleave the variants in pairs, alternating which runs first, so
+    # clock drift (turbo, thermal, noisy neighbours) hits both equally.
+    # On a shared host single runs spread by ±10 %, and the minimum of
+    # each arm lands wherever a quiet moment fell; the median of the
+    # pair ratios does not.
     null_times, live_times = [], []
-    for _ in range(repeats):
-        null_times.append(timed(None))
-        live_times.append(timed(RunOptions(telemetry=Collector())))
-    null_s = min(null_times)
-    live_s = min(live_times)
-    overhead_pct = (live_s - null_s) / null_s * 100.0
+    for i in range(repeats):
+        if i % 2:
+            live_times.append(timed(RunOptions(telemetry=Collector())))
+            null_times.append(timed(None))
+        else:
+            null_times.append(timed(None))
+            live_times.append(timed(RunOptions(telemetry=Collector())))
+    null_s = statistics.median(null_times)
+    live_s = statistics.median(live_times)
+    overhead_pct = (statistics.median(
+        live / null for null, live in zip(null_times, live_times))
+        - 1.0) * 100.0
     print(f"  telemetry  null {null_s:6.3f}s  live {live_s:6.3f}s  "
           f"overhead {overhead_pct:+.2f}%")
     if overhead_pct > TELEMETRY_OVERHEAD_CEILING_PCT:

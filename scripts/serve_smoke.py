@@ -5,11 +5,11 @@ Trains a tiny suite, starts ``repro serve`` against it as a real
 subprocess, then exercises the serving guarantees end to end:
 
 * concurrent advise requests, all answered with structured statuses;
-* a multi-client burst — persistent connections all firing at once
-  through the micro-batching window, every answer compared
-  byte-for-byte against a locally computed reference report (this is
-  the stage that catches dispatch-ordering and batch fan-out
-  regressions);
+* a multi-client burst — persistent connections all firing at once,
+  so requests queue up and are answered in batched passes, every
+  answer compared byte-for-byte against a locally computed reference
+  report (this is the stage that catches dispatch-ordering and batch
+  fan-out regressions);
 * one request with a hopeless (1 ms) deadline — must come back as a
   structured response (``degraded`` baseline or ``ok``), never hang;
 * a hot reload mid-traffic (rewrite the suite, trigger the reload op,
@@ -98,11 +98,12 @@ def read_address(proc: subprocess.Popen, timeout: float = 60.0
 
 def burst(host: str, port: int, *, clients: int = 8,
           per_client: int = 20) -> None:
-    """Persistent multi-client burst through the batching window.
+    """Persistent multi-client burst: more clients than worker threads.
 
     Every client holds one connection and fires requests back to back,
-    so the server sees genuinely overlapping arrivals — the traffic
-    shape that exercises micro-batch coalescing and fan-out.  Every
+    so the server sees genuinely overlapping arrivals — requests queue
+    behind busy workers, and a freed worker answers them in one batched
+    pass and fans the reports back out.  Every
     ``ok`` answer must match the locally computed report byte for byte;
     a batching bug that crosses wires between requests fails here.
     """
@@ -275,7 +276,7 @@ def fleet_mode(workers: int, *, kill_worker: bool = False) -> int:
     command = [sys.executable, "-m", "repro.cli", "serve",
                "--suite-dir", str(suite_dir), "--port", "0",
                "--workers", str(workers), "--threads", "2",
-               "--batch-window-ms", "2", "--deadline", "30",
+               "--deadline", "30",
                "--telemetry", str(telemetry)]
     if kill_worker:
         command += ["--max-restarts", "2", "--restart-backoff", "0.1"]
@@ -364,7 +365,7 @@ def main() -> int:
         [sys.executable, "-m", "repro.cli", "serve",
          "--suite-dir", str(suite_dir), "--port", "0",
          "--deadline", "30", "--poll-interval", "0.1",
-         "--threads", "2", "--batch-window-ms", "2",
+         "--threads", "2",
          "--telemetry", str(telemetry)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env,
@@ -378,7 +379,7 @@ def main() -> int:
         check("id" in worker and "pid" in worker,
               f"health identifies the answering worker ({worker})")
 
-        # Persistent multi-client burst through the batching window.
+        # Persistent multi-client burst: queued requests batch up.
         burst(host, port)
 
         # Concurrent requests, one of them past-deadline; every answer

@@ -409,9 +409,8 @@ def serve(machine: str | MachineConfig = "core2",
     for ``machine``/``scale`` and serves from the cache directory.
     Serving knobs — ``deadline_seconds``, ``queue_depth``,
     ``breaker_threshold``, ``breaker_cooldown_seconds``,
-    ``drain_seconds``, the micro-batching window
-    (``batch_window_ms`` / ``batch_max``), and the registry's
-    ``shadow_*`` / ``auto_demote_failures`` / ``post_promote_window`` —
+    ``drain_seconds`` and the registry's ``shadow_*`` /
+    ``auto_demote_failures`` / ``post_promote_window`` —
     travel in ``options`` (:class:`repro.runtime.options.RunOptions`)
     and are validated up front (:class:`UsageError`, CLI exit 2).
 

@@ -104,8 +104,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_seconds=args.breaker_cooldown,
         drain_seconds=args.drain,
-        batch_window_ms=args.batch_window_ms,
-        batch_max=args.batch_max,
         shadow_queue_depth=args.shadow_queue_depth,
         shadow_min_samples=args.shadow_min_samples,
         shadow_min_agreement=args.shadow_min_agreement,
@@ -415,20 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="initial respawn delay, doubled per "
                             "consecutive restart of the same worker "
                             "slot (default 1.0)")
-    serve.add_argument("--batch-window-ms", type=float,
-                       metavar="MILLISECONDS",
-                       default=defaults.batch_window_ms,
-                       help="micro-batching window: concurrent advise "
-                            "requests arriving within it coalesce "
-                            "into one vectorized forward pass per "
-                            "model group; 0 disables coalescing "
-                            f"(default {defaults.batch_window_ms})")
-    serve.add_argument("--batch-max", type=int, metavar="N",
-                       default=defaults.batch_max,
-                       help="most requests coalesced per micro-batch; "
-                            "a full batch flushes without waiting "
-                            "out the window "
-                            f"(default {defaults.batch_max})")
     serve.add_argument("--deadline", type=float, metavar="SECONDS",
                        default=defaults.deadline_seconds,
                        help="per-request budget before answering from "
@@ -437,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-depth", type=int, metavar="N",
                        default=defaults.queue_depth,
                        help="bounded work queue; excess requests are "
-                            "shed with status=overloaded "
+                            "shed with status=overloaded, and a freed "
+                            "worker answers at most this many queued "
+                            "requests in one batched pass "
                             f"(default {defaults.queue_depth})")
     serve.add_argument("--breaker-threshold", type=int, metavar="N",
                        default=defaults.breaker_threshold,

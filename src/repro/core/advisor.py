@@ -102,6 +102,14 @@ InferFn = Callable[[str, BrainyModel, np.ndarray, np.ndarray],
                    "list[DSKind]"]
 
 
+def _count_advice(traces: list[TraceSet], reports: list[Report]) -> None:
+    obs.counter("advise.records", sum(len(trace) for trace in traces))
+    obs.counter("advise.suggestions",
+                sum(len(report.suggestions) for report in reports))
+    obs.counter("advise.degraded",
+                sum(len(report.degraded_groups) for report in reports))
+
+
 class BrainyAdvisor:
     """Suggest container replacements using a trained model suite."""
 
@@ -114,6 +122,10 @@ class BrainyAdvisor:
         #: Optional per-group inference hook (the serving runtime wraps
         #: the model call with breaker accounting here).
         self._infer = infer
+        #: Legality depends only on (group, kind, order-obliviousness),
+        #: so each distinct usage shape pays for one mask per advisor,
+        #: not one per record or per batch.
+        self._masks: dict[tuple[str, DSKind, bool], np.ndarray] = {}
 
     def _fallback_model(self):
         if self._fallback is None:
@@ -193,20 +205,18 @@ class BrainyAdvisor:
                      *, batched: bool = True) -> Report:
         """Turn a profiled run's trace into a prioritised report.
 
-        The default ``batched`` path groups records by model group and
-        runs one vectorized forward pass per group (with legality masks
-        precomputed per distinct usage shape) — the Report is identical
-        to the record-at-a-time reference path, which
-        ``batched=False`` keeps for comparison and debugging.
+        The default ``batched`` path is the single-trace view of
+        :meth:`advise_traces`: one vectorized forward pass per model
+        group (with legality masks precomputed per distinct usage
+        shape).  Its Report is identical to the record-at-a-time
+        reference path, which ``batched=False`` keeps for comparison
+        and debugging.
         """
-        with obs.span("advise", batched=batched):
-            if batched:
-                report = self._advise_batched(trace, keyed_contexts)
-            else:
-                report = self._advise_sequential(trace, keyed_contexts)
-            obs.counter("advise.records", len(trace))
-            obs.counter("advise.suggestions", len(report.suggestions))
-            obs.counter("advise.degraded", len(report.degraded_groups))
+        if batched:
+            return self.advise_traces([(trace, keyed_contexts)])[0]
+        with obs.span("advise", traces=1, batched=False):
+            report = self._advise_sequential(trace, keyed_contexts)
+            _count_advice([trace], [report])
             return report
 
     def _advise_sequential(self, trace: TraceSet,
@@ -249,29 +259,18 @@ class BrainyAdvisor:
             )
         return report
 
-    def _advise_batched(self, trace: TraceSet,
-                        keyed_contexts: frozenset[str]) -> Report:
-        """One vectorized ``predict_proba`` per model group.
-
-        Per-record work is reduced to routing and mask lookup; the
-        scaler pass, the network forward pass, and the legality-masked
-        argmax all run once per group over a stacked feature matrix.
-        Suggestions are emitted in trace order, so the Report is
-        identical to :meth:`_advise_sequential`'s.  This is the
-        single-trace view of :meth:`advise_traces`.
-        """
-        return self.advise_traces([(trace, keyed_contexts)])[0]
-
     def advise_traces(self, batch: "list[tuple[TraceSet, frozenset[str]]]"
                       ) -> list[Report]:
         """Many traces, one vectorized forward pass per model group.
 
         The multi-trace generalization of the batched advise path — the
-        serving runtime's micro-batching stage feeds whole *requests*
-        through here so that queued requests coalesced within a batch
-        window share the scaler and network passes.  Records from every
-        trace are stacked per model group, inferred together, and fanned
-        back out into per-trace Reports.
+        serving runtime's dispatcher feeds every request queued for one
+        advisor through here at once, so they share the scaler and
+        network passes.  Records from every trace are stacked per model
+        group, inferred together, and fanned back out into per-trace
+        Reports.  The ``advise`` span and the ``advise.records`` /
+        ``advise.suggestions`` / ``advise.degraded`` counters cover the
+        whole batch.
 
         The contract the serving layer leans on: each returned Report is
         **byte-identical** to calling :meth:`advise_trace` on that trace
@@ -280,6 +279,13 @@ class BrainyAdvisor:
         model) degrades *only that group*, and only in the reports of
         traces that actually touch it.
         """
+        with obs.span("advise", traces=len(batch), batched=True):
+            reports = self._advise_traces(batch)
+            _count_advice([trace for trace, _ in batch], reports)
+            return reports
+
+    def _advise_traces(self, batch: "list[tuple[TraceSet, frozenset[str]]]"
+                       ) -> list[Report]:
         reports = [Report(program_cycles=trace.program_cycles)
                    for trace, _ in batch]
         # (trace_index, record, group_name, legal, keyed) across all
@@ -323,20 +329,15 @@ class BrainyAdvisor:
             model = self.suite[group_name]
             obs.observe("advise.batch_size", len(slots),
                         group=group_name)
-            # Legality depends only on (kind, order-obliviousness), so
-            # each distinct usage shape pays for one mask, not one per
-            # record.
-            mask_cache: dict[tuple[DSKind, bool], np.ndarray] = {}
             masks = np.empty((len(slots), len(model.classes)),
                              dtype=bool)
             rows = np.empty((len(slots), len(FEATURE_NAMES)))
             for row, slot in enumerate(slots):
                 _, record, _, legal, _ = pending[slot]
-                usage = (record.kind, record.order_oblivious)
-                mask = mask_cache.get(usage)
+                usage = (group_name, record.kind, record.order_oblivious)
+                mask = self._masks.get(usage)
                 if mask is None:
-                    mask = model.legal_mask(legal)
-                    mask_cache[usage] = mask
+                    mask = self._masks[usage] = model.legal_mask(legal)
                 masks[row] = mask
                 rows[row] = np.asarray(record.features,
                                        dtype=np.float64).reshape(-1)

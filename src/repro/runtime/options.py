@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.runtime.faults import RetryPolicy
+from repro.runtime.parallel import resolve_jobs
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,9 @@ class RunOptions:
         ``degraded=deadline``, never a hang.
     queue_depth:
         Serving: bounded work-queue size; requests beyond it are shed
-        with a structured ``overloaded`` response.
+        with a structured ``overloaded`` response.  It is also the cap
+        on how many queued requests a freed worker answers in one
+        batched pass.
     breaker_threshold:
         Serving: consecutive inference failures that open a model
         group's circuit breaker.
@@ -63,16 +66,6 @@ class RunOptions:
     drain_seconds:
         Serving: budget for finishing in-flight requests on SIGTERM
         before the process exits anyway.
-    batch_window_ms:
-        Serving: micro-batching coalescing window in milliseconds.
-        Concurrent ``advise`` requests arriving within the window are
-        stacked into one vectorized forward pass per model group; ``0``
-        (the default) disables coalescing and dispatches each request
-        on its own, exactly as before the knob existed.
-    batch_max:
-        Serving: maximum requests coalesced into one micro-batch; a
-        batch flushes as soon as it fills, without waiting out the
-        window.
     shadow_queue_depth:
         Registry serving: bounded queue feeding the shadow evaluator;
         a full queue sheds the shadow sample, never the live answer.
@@ -123,8 +116,6 @@ class RunOptions:
     breaker_threshold: int = 5
     breaker_cooldown_seconds: float = 30.0
     drain_seconds: float = 5.0
-    batch_window_ms: float = 0.0
-    batch_max: int = 16
     # -- registry / shadow-evaluation knobs ------------------------------
     shadow_queue_depth: int = 16
     shadow_min_samples: int = 25
@@ -148,12 +139,18 @@ class RunOptions:
         Same contract as :meth:`validate_serving`: a ``ValueError``
         naming every offending knob, raised by the training entry points
         before any app is simulated (the API layer converts it to
-        ``UsageError``, CLI exit 2).  An unset (``None``) knob is valid.
+        ``UsageError``, CLI exit 2).  An unset (``None``) knob is valid,
+        except that an unset ``jobs`` must resolve: ``REPRO_JOBS``, when
+        set, has to be an integer >= 1.
         """
         problems = [f"{knob} must be >= 1"
-                    for knob in ("jobs", "window", "checkpoint_every")
+                    for knob in ("window", "checkpoint_every")
                     if getattr(self, knob) is not None
                     and getattr(self, knob) < 1]
+        try:
+            resolve_jobs(self.jobs)
+        except ValueError as exc:
+            problems.insert(0, str(exc))
         if (self.seed_budget_seconds is not None
                 and self.seed_budget_seconds <= 0):
             problems.append("seed_budget_seconds must be positive")
@@ -181,10 +178,6 @@ class RunOptions:
             problems.append("breaker_cooldown_seconds must be >= 0")
         if self.drain_seconds < 0:
             problems.append("drain_seconds must be >= 0")
-        if self.batch_window_ms < 0:
-            problems.append("batch_window_ms must be >= 0")
-        if self.batch_max < 1:
-            problems.append("batch_max must be >= 1")
         if self.shadow_queue_depth < 1:
             problems.append("shadow_queue_depth must be >= 1")
         if self.shadow_min_samples < 1:

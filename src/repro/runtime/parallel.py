@@ -53,6 +53,7 @@ DEFAULT_WINDOW_PER_JOB = 4
 def resolve_jobs(jobs: int | None) -> int:
     """Resolve a ``jobs`` setting: explicit value, else ``REPRO_JOBS``,
     else serial."""
+    source = "jobs"
     if jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
         if not env:
@@ -63,8 +64,9 @@ def resolve_jobs(jobs: int | None) -> int:
             raise ValueError(
                 f"REPRO_JOBS={env!r} is not an integer"
             ) from None
+        source = "REPRO_JOBS"
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise ValueError(f"{source} must be >= 1, got {jobs}")
     return jobs
 
 

@@ -23,7 +23,7 @@ See ``docs/serving.md`` for the operator guide.
 
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.fleet import FleetSpec, run_fleet
-from repro.serve.loop import AdvisorService, Dispatcher, MicroBatcher
+from repro.serve.loop import AdvisorService, Dispatcher
 from repro.serve.protocol import (
     STATUS_DEGRADED,
     STATUS_ERROR,
@@ -55,7 +55,6 @@ __all__ = [
     "Dispatcher",
     "FleetSpec",
     "HALF_OPEN",
-    "MicroBatcher",
     "OPEN",
     "ProtocolError",
     "RegistryRouter",

@@ -24,12 +24,10 @@ behind the four serving guarantees:
   advisor only on success; a corrupt new artifact leaves the
   last-known-good suite serving.
 
-* **Micro-batching** — with ``RunOptions.batch_window_ms`` > 0,
-  concurrent advise requests coalesce per advisor inside
-  :class:`MicroBatcher` and run as one vectorized
-  :meth:`~repro.core.advisor.BrainyAdvisor.advise_traces` pass,
-  fanning back out into byte-identical per-request reports; deadlines,
-  shedding and breakers all keep their per-request semantics.
+There is one dispatch path: :class:`Dispatcher` answers whatever is
+queued for one advisor with one vectorized
+:meth:`~repro.core.advisor.BrainyAdvisor.advise_traces` pass, whose
+reports are byte-identical to answering each request alone.
 
 All service metrics go directly to the service's own collector
 (``serve.requests{status=…}``, ``serve.shed``, ``serve.deadline``,
@@ -41,9 +39,9 @@ All service metrics go directly to the service's own collector
 from __future__ import annotations
 
 import os
-import queue
 import threading
 import time
+from collections import deque
 from pathlib import Path
 from typing import Callable
 
@@ -95,28 +93,33 @@ def _direct_inference(group_name: str, model: BrainyModel,
 
 
 class _Task:
-    """One queued inference; the submitter waits with its own timeout."""
+    """One queued advise request; the submitter waits with its own
+    timeout and sets ``cancelled`` when it gives up."""
 
-    __slots__ = ("fn", "result", "error", "done", "cancelled")
+    __slots__ = ("advisor", "trace", "keyed_contexts", "result", "error",
+                 "done", "cancelled")
 
-    def __init__(self, fn: Callable[[], object]) -> None:
-        self.fn = fn
+    def __init__(self, advisor, trace, keyed_contexts) -> None:
+        self.advisor = advisor
+        self.trace = trace
+        self.keyed_contexts = keyed_contexts
         self.result: object | None = None
-        self.error: BaseException | None = None
+        self.error: Exception | None = None
         self.done = threading.Event()
         self.cancelled = False
 
-    def run(self) -> None:
-        try:
-            self.result = self.fn()
-        except BaseException as exc:
-            self.error = exc
-        finally:
-            self.done.set()
-
 
 class Dispatcher:
-    """Fixed worker pool over a bounded queue.
+    """Fixed worker pool over a bounded queue of advise requests.
+
+    A worker that comes free takes the oldest queued request plus every
+    other queued request for the *same advisor object* (so registry
+    tags and hot-reload generations never share a pass), skips those
+    whose submitter already gave up, and answers the rest with one
+    :meth:`~repro.core.advisor.BrainyAdvisor.advise_traces` pass.  A
+    request that finds a worker idle runs alone, with no scan and no
+    timer; under load the backlog batches itself, bounded by
+    ``queue_depth``.
 
     Workers are daemon threads: a model call that never returns cannot
     block process exit (the drain budget, not thread join, bounds
@@ -124,21 +127,21 @@ class Dispatcher:
     ``None``, which is the load-shedding signal.
     """
 
-    def __init__(self, workers: int, queue_depth: int) -> None:
+    def __init__(self, workers: int, queue_depth: int, *,
+                 metrics: obs.MetricsRegistry | None = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        self._queue: queue.Queue[_Task] = queue.Queue(maxsize=queue_depth)
+        self._queue: deque[_Task] = deque()
         self._lock = threading.Lock()
+        self._ready = threading.Condition(self._lock)
         self._settled = threading.Condition(self._lock)
         self._active = 0
+        self._metrics = (metrics if metrics is not None
+                         else obs.NULL_COLLECTOR.metrics)
         self.workers = workers
         self.queue_depth = queue_depth
-        #: Called (outside the dispatcher lock) each time a worker
-        #: finishes a task and finds the queue empty — the micro-
-        #: batcher's cue to flush what coalesced during the task.
-        self.on_idle: Callable[[], None] | None = None
         for i in range(workers):
             thread = threading.Thread(
                 target=self._run, name=f"repro-serve-worker-{i}",
@@ -148,234 +151,82 @@ class Dispatcher:
 
     @property
     def queued(self) -> int:
-        return self._queue.qsize()
+        return len(self._queue)
 
     @property
     def active(self) -> int:
         with self._lock:
             return self._active
 
-    def try_submit(self, fn: Callable[[], object]) -> _Task | None:
-        task = _Task(fn)
-        try:
-            self._queue.put_nowait(task)
-        except queue.Full:
-            return None
+    def try_submit(self, advisor: BrainyAdvisor, trace,
+                   keyed_contexts: frozenset[str] = frozenset()
+                   ) -> _Task | None:
+        task = _Task(advisor, trace, keyed_contexts)
+        with self._lock:
+            if len(self._queue) >= self.queue_depth:
+                return None
+            self._queue.append(task)
+            self._ready.notify()
         return task
+
+    def _take_locked(self) -> list[_Task]:
+        """The oldest request plus every queued one for its advisor."""
+        first = self._queue.popleft()
+        if not self._queue:
+            return [first]
+        batch, rest = [first], deque()
+        for task in self._queue:
+            (batch if task.advisor is first.advisor else rest).append(task)
+        self._queue = rest
+        return batch
 
     def _run(self) -> None:
         while True:
-            task = self._queue.get()
-            if task.cancelled:
-                # The submitter gave up while the task still sat in the
-                # queue; don't burn a worker on a dead request.
-                task.done.set()
-                with self._settled:
-                    self._settled.notify_all()
-                continue
             with self._lock:
+                while not self._queue:
+                    self._ready.wait()
+                batch = self._take_locked()
                 self._active += 1
             try:
-                task.run()
+                # A submitter that gave up has already answered from
+                # the baseline; don't spend model time on it.
+                live = [task for task in batch if not task.cancelled]
+                if live:
+                    self._metrics.observe("serve.batch_size", len(live))
+                    self._answer(live)
             finally:
                 with self._lock:
                     self._active -= 1
                     self._settled.notify_all()
-                hook = self.on_idle
-                if hook is not None and not self._queue.qsize():
-                    try:
-                        hook()
-                    except Exception:  # pragma: no cover - safety
-                        pass
+
+    def _answer(self, batch: list[_Task]) -> None:
+        """One pass for ``batch``; a pass that raises is retried one
+        request at a time, so a bad trace fails only its own request."""
+        error: Exception | None = None
+        try:
+            reports = batch[0].advisor.advise_traces(
+                [(task.trace, task.keyed_contexts) for task in batch])
+        except Exception as exc:
+            if len(batch) > 1:
+                for task in batch:
+                    self._answer([task])
+                return
+            reports, error = [None], exc
+        for task, report in zip(batch, reports):
+            task.result, task.error = report, error
+            task.done.set()
 
     def quiesce(self, timeout: float,
                 clock: Callable[[], float] = time.monotonic) -> bool:
         """Wait until no work is queued or running; False on timeout."""
         deadline = clock() + timeout
         with self._settled:
-            while self._queue.qsize() or self._active:
+            while self._queue or self._active:
                 remaining = deadline - clock()
                 if remaining <= 0:
                     return False
                 self._settled.wait(min(remaining, 0.05))
             return True
-
-
-class _BatchEntry:
-    """One request waiting inside a micro-batch.
-
-    Same waiting surface as :class:`_Task` (``result`` / ``error`` /
-    ``done`` / ``cancelled``) so the submit tail handles both paths with
-    one piece of code: a deadline timeout sets ``cancelled`` and answers
-    from the baseline, a flush-time shed sets ``cancelled`` *and*
-    ``done`` so the submitter answers ``overloaded``.
-    """
-
-    __slots__ = ("trace", "keyed_contexts", "result", "error", "done",
-                 "cancelled")
-
-    def __init__(self, trace, keyed_contexts) -> None:
-        self.trace = trace
-        self.keyed_contexts = keyed_contexts
-        self.result: object | None = None
-        self.error: BaseException | None = None
-        self.done = threading.Event()
-        self.cancelled = False
-
-
-class _Bucket:
-    """Entries coalescing for one advisor, plus their window timer."""
-
-    __slots__ = ("advisor", "entries", "timer")
-
-    def __init__(self, advisor: BrainyAdvisor) -> None:
-        self.advisor = advisor
-        self.entries: list[_BatchEntry] = []
-        self.timer: threading.Timer | None = None
-
-
-class MicroBatcher:
-    """Coalesces concurrent advise requests into multi-trace batches.
-
-    Requests land in per-advisor buckets (keyed by the advisor object
-    itself, so registry tags and hot-reload generations never mix inside
-    one forward pass).  A bucket flushes when it reaches ``batch_max``
-    or when the ``batch_window_ms`` timer expires, whichever comes
-    first; the flush submits **one** dispatcher task running
-    :meth:`repro.core.advisor.BrainyAdvisor.advise_traces`, whose
-    reports fan back out to the waiting submitters — byte-identical to
-    what each request would have gotten alone.
-
-    The serving guarantees survive coalescing:
-
-    * deadlines stay per-request — every submitter waits on its own
-      entry with its own budget, and an entry whose submitter already
-      gave up is dropped from the batch at flush time;
-    * load shedding stays bounded by ``queue_depth`` — admission counts
-      both queued dispatcher work and not-yet-flushed entries, and a
-      formed batch that meets a full dispatcher queue sheds all of its
-      entries with ``overloaded``;
-    * breakers keep working per group inside the batched pass (the
-      advisor's ``infer`` seam is per model group either way).
-    """
-
-    def __init__(self, dispatcher: Dispatcher, *, window_seconds: float,
-                 batch_max: int, metrics) -> None:
-        self._dispatcher = dispatcher
-        self._window = max(float(window_seconds), 0.0)
-        self._batch_max = max(int(batch_max), 1)
-        self._metrics = metrics
-        self._lock = threading.Lock()
-        self._buckets: dict[int, _Bucket] = {}
-        self._pending = 0
-        # A worker finishing with an empty queue flushes what coalesced
-        # during its pass — back-to-back batches under load, with the
-        # window timer only as the upper bound on waiting.
-        dispatcher.on_idle = self.flush_pending
-
-    @property
-    def pending(self) -> int:
-        """Entries admitted but not yet flushed into the dispatcher."""
-        with self._lock:
-            return self._pending
-
-    def try_submit(self, advisor: BrainyAdvisor, trace,
-                   keyed_contexts) -> _BatchEntry | None:
-        """Admit one request into its advisor's open bucket.
-
-        Returns ``None`` (the shed signal, same as
-        :meth:`Dispatcher.try_submit`) when admission would exceed the
-        ``queue_depth`` bound counting both dispatcher backlog and
-        coalescing entries — batching must never add hidden queueing.
-        """
-        entry = _BatchEntry(trace, keyed_contexts)
-        ready: _Bucket | None = None
-        with self._lock:
-            if (self._pending + self._dispatcher.queued
-                    >= self._dispatcher.queue_depth):
-                return None
-            key = id(advisor)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = _Bucket(advisor)
-                self._buckets[key] = bucket
-            bucket.entries.append(entry)
-            self._pending += 1
-            if len(bucket.entries) >= self._batch_max:
-                ready = self._detach_locked(key)
-            elif bucket.timer is None:
-                timer = threading.Timer(self._window,
-                                        self._flush_key, args=(key,))
-                timer.daemon = True
-                bucket.timer = timer
-                timer.start()
-        if ready is not None:
-            self._dispatch(ready)
-        return entry
-
-    def _detach_locked(self, key: int) -> _Bucket | None:
-        bucket = self._buckets.pop(key, None)
-        if bucket is None:
-            return None
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-        self._pending -= len(bucket.entries)
-        return bucket
-
-    def _flush_key(self, key: int) -> None:
-        with self._lock:
-            bucket = self._detach_locked(key)
-        if bucket is not None:
-            self._dispatch(bucket)
-
-    def flush_pending(self) -> None:
-        """Flush every open bucket right now.
-
-        Called on drain (nobody should wait out a window while the
-        drain clock runs) and by the dispatcher's idle hook (a freed
-        worker takes the accumulated batch immediately).
-        """
-        with self._lock:
-            if not self._buckets:
-                return
-            buckets = [self._detach_locked(key)
-                       for key in list(self._buckets)]
-        for bucket in buckets:
-            if bucket is not None:
-                self._dispatch(bucket)
-
-    def _dispatch(self, bucket: _Bucket) -> None:
-        live = []
-        for entry in bucket.entries:
-            if entry.cancelled:
-                # The submitter's deadline expired inside the window;
-                # it already answered from the baseline — don't spend
-                # model time on it.
-                entry.done.set()
-            else:
-                live.append(entry)
-        if not live:
-            return
-        self._metrics.observe("serve.batch_size", len(live))
-        batch = [(entry.trace, entry.keyed_contexts) for entry in live]
-        advisor = bucket.advisor
-
-        def run() -> None:
-            try:
-                reports = advisor.advise_traces(batch)
-            except BaseException as exc:
-                for entry in live:
-                    entry.error = exc
-                    entry.done.set()
-            else:
-                for entry, report in zip(live, reports):
-                    entry.result = report
-                    entry.done.set()
-
-        if self._dispatcher.try_submit(run) is None:
-            for entry in live:
-                entry.cancelled = True
-                entry.done.set()
 
 
 class AdvisorService:
@@ -475,16 +326,8 @@ class AdvisorService:
             elif self._reloader is not None:
                 self._reloader.load_initial()
             self._advisor = self._make_advisor(suite)
-        self._dispatcher = Dispatcher(workers,
-                                      self.options.queue_depth)
-        self._batcher: MicroBatcher | None = None
-        if self.options.batch_window_ms > 0:
-            self._batcher = MicroBatcher(
-                self._dispatcher,
-                window_seconds=self.options.batch_window_ms / 1000.0,
-                batch_max=self.options.batch_max,
-                metrics=self.metrics,
-            )
+        self._dispatcher = Dispatcher(workers, self.options.queue_depth,
+                                      metrics=self.metrics)
         self.worker_id = worker_id
         self.worker_restarts = worker_restarts
         self._draining = threading.Event()
@@ -558,7 +401,8 @@ class AdvisorService:
     def submit(self, request: AdviseRequest) -> ServeResponse:
         """One advise request, end to end — always answers, never hangs.
 
-        Admission (shed when the queue is full) → dispatch → bounded
+        Admission (shed when the queue is full) → dispatch (batched
+        with whatever else is queued for the same advisor) → bounded
         wait (deadline) → structured response.
         """
         if self._draining.is_set():
@@ -594,23 +438,10 @@ class AdvisorService:
         else:
             advisor = self._advisor  # one suite generation per request
         start = self._clock()
-        if self._batcher is not None and request.batched:
-            # Micro-batched path: coalesce with concurrent requests for
-            # the same advisor; one vectorized pass per flushed batch.
-            task = self._batcher.try_submit(
-                advisor, request.trace, request.keyed_contexts)
-        else:
-            task = self._dispatcher.try_submit(
-                lambda: advisor.advise_trace(
-                    request.trace, request.keyed_contexts,
-                    batched=request.batched,
-                )
-            )
-        self.metrics.gauge(
-            "serve.queue_depth",
-            float(self._dispatcher.queued
-                  + (self._batcher.pending
-                     if self._batcher is not None else 0)))
+        task = self._dispatcher.try_submit(advisor, request.trace,
+                                           request.keyed_contexts)
+        self.metrics.gauge("serve.queue_depth",
+                           float(self._dispatcher.queued))
         if task is None:
             self.metrics.count("serve.shed")
             self.metrics.count("serve.requests",
@@ -628,7 +459,8 @@ class AdvisorService:
                     else self.options.deadline_seconds)
         if not task.done.wait(deadline):
             # Deadline missed: abandon the task (a queued one is
-            # skipped outright; a running one finishes into the void)
+            # left out of its batch; a running one finishes into the
+            # void)
             # and answer from the baseline right now.
             task.cancelled = True
             self.metrics.count("serve.deadline")
@@ -637,15 +469,6 @@ class AdvisorService:
                 reason=DEGRADED_DEADLINE,
             )
             response = response_for_report(report, request.request_id)
-        elif task.cancelled:
-            # Skipped in the queue by a previous abandonment sweep;
-            # treat as shed (it never ran).
-            self.metrics.count("serve.shed")
-            response = ServeResponse(
-                status=STATUS_OVERLOADED,
-                request_id=request.request_id,
-                error="request abandoned before it ran; retry later",
-            )
         elif task.error is not None:
             self.metrics.count("serve.errors")
             response = ServeResponse(
@@ -795,10 +618,6 @@ class AdvisorService:
         ``serve.drained`` records the outcome for the telemetry
         artifact."""
         self.begin_drain()
-        if self._batcher is not None:
-            # Don't make in-flight requests wait out a coalescing
-            # window while the drain clock runs.
-            self._batcher.flush_pending()
         budget = (drain_seconds if drain_seconds is not None
                   else self.options.drain_seconds)
         drained = self._dispatcher.quiesce(budget)

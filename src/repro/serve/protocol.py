@@ -78,7 +78,6 @@ class AdviseRequest:
     #: Per-request deadline override; ``None`` uses the service default
     #: (``RunOptions.deadline_seconds``).
     deadline_seconds: float | None = None
-    batched: bool = True
     #: Registry-mode routing tag (``machine/corpus`` key or a unique
     #: machine preset name); empty routes to the default key.
     tag: str = ""
@@ -101,7 +100,6 @@ class AdviseRequest:
             keyed_contexts=frozenset(payload.get("keyed_contexts", ())),
             request_id=str(payload.get("id", "")),
             deadline_seconds=deadline,
-            batched=bool(payload.get("batched", True)),
             tag=str(payload.get("tag", "")),
         )
 
@@ -113,8 +111,6 @@ class AdviseRequest:
             payload["id"] = self.request_id
         if self.deadline_seconds is not None:
             payload["deadline_seconds"] = self.deadline_seconds
-        if not self.batched:
-            payload["batched"] = False
         if self.tag:
             payload["tag"] = self.tag
         return payload

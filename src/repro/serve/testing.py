@@ -69,7 +69,7 @@ def make_mixed_trace(per_group: int = 1, *, seed: int = 0,
 
     ``per_group`` records for each (kind, order-obliviousness)
     combination — the shape that exercises one vectorized forward pass
-    per group, which is what the serving micro-batcher amortizes across
+    per group, which is what a batched serving pass amortizes across
     requests.  Mirrors real Brainy traces: a handful of hot containers
     spread over several kinds, not many records of one kind.
     """
@@ -93,11 +93,11 @@ def make_mixed_trace(per_group: int = 1, *, seed: int = 0,
 
 def advise_payload(trace: TraceSet, *, request_id: str = "r1",
                    deadline_seconds: float | None = None,
-                   batched: bool = True, tag: str = "") -> dict:
+                   tag: str = "") -> dict:
     """An ``advise`` request payload ready for the wire or
     :meth:`~repro.serve.loop.AdvisorService.handle_payload`."""
     payload: dict = {"op": "advise", "id": request_id,
-                     "trace": trace.to_payload(), "batched": batched}
+                     "trace": trace.to_payload()}
     if deadline_seconds is not None:
         payload["deadline_seconds"] = deadline_seconds
     if tag:

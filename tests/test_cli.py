@@ -115,6 +115,12 @@ class TestErrorPaths:
         assert main(["train", "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_repro_jobs_env_exits_2(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        assert main(["train", "--scale", "tiny"]) == 2
+        assert "REPRO_JOBS" in capsys.readouterr().err
+
     def test_missing_telemetry_file_exits_2(self, tmp_path, capsys):
         assert main(["telemetry", str(tmp_path / "nope.json")]) == 2
         assert "no telemetry file" in capsys.readouterr().err

@@ -160,7 +160,10 @@ class TestRaceTelemetry:
     def test_each_run_is_recorded_once(self, monkeypatch):
         """Finishing a dropped run records it once, whole: ``sim.runs``
         is the number of machines built and ``sim.l1_accesses`` the
-        lines they simulated."""
+        lines they simulated.  The seam only sees machines built in this
+        process, so the run is pinned to one job whatever
+        ``REPRO_JOBS`` says; the property is per run, not per
+        executor."""
         built = []
 
         class CountingMachine(generator_mod.Machine):
@@ -172,7 +175,8 @@ class TestRaceTelemetry:
         collector = obs.Collector()
         with obs.use_collector(collector):
             run_phase1(TestFamilyPhase1.GROUPS, CONFIG, CORE2,
-                       **TestFamilyPhase1.KWARGS, features={})
+                       **TestFamilyPhase1.KWARGS, features={},
+                       options=RunOptions(jobs=1))
         metrics = collector.metrics
         assert sum(metrics.find("phase1.finished{kind=").values()) > 0
         assert metrics.counter_value("sim.runs") == len(built)

@@ -140,6 +140,19 @@ class TestCircuitBreaker:
         assert gauge() == 0.0
 
 
+class _Squares:
+    """A stand-in advisor: answers each "trace" (an int) with its
+    square, after ``gate`` opens."""
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.gate.set()
+
+    def advise_traces(self, batch):
+        self.gate.wait()
+        return [trace * trace for trace, _ in batch]
+
+
 class TestDispatcher:
     def test_validates_knobs(self):
         with pytest.raises(ValueError, match="workers"):
@@ -149,8 +162,8 @@ class TestDispatcher:
 
     def test_runs_work_and_quiesces(self):
         dispatcher = Dispatcher(2, 4)
-        tasks = [dispatcher.try_submit(lambda i=i: i * i)
-                 for i in range(4)]
+        advisor = _Squares()
+        tasks = [dispatcher.try_submit(advisor, i) for i in range(4)]
         assert all(t is not None for t in tasks)
         for i, task in enumerate(tasks):
             assert task.done.wait(5.0)
@@ -158,18 +171,19 @@ class TestDispatcher:
         assert dispatcher.quiesce(5.0)
 
     def test_full_queue_returns_none(self):
-        block = threading.Event()
+        advisor = _Squares()
+        advisor.gate.clear()
         dispatcher = Dispatcher(1, 1)
-        running = dispatcher.try_submit(block.wait)
+        running = dispatcher.try_submit(advisor, 0)
         # Give the worker time to pick the first task up, then fill the
         # single queue slot; the next submit must shed.
         deadline_task = None
         for _ in range(100):
-            deadline_task = dispatcher.try_submit(lambda: None)
+            deadline_task = dispatcher.try_submit(advisor, 1)
             if deadline_task is not None and dispatcher.queued == 1:
                 break
-        assert dispatcher.try_submit(lambda: None) is None
-        block.set()
+        assert dispatcher.try_submit(advisor, 2) is None
+        advisor.gate.set()
         assert running.done.wait(5.0)
 
 
@@ -188,6 +202,16 @@ class TestProtocol:
         assert again.deadline_seconds == 1.5
         assert again.request_id == "abc"
         assert again.trace.to_payload() == req.trace.to_payload()
+
+    def test_old_batched_field_changes_no_answer_byte(self, suite):
+        """Clients written against the removed ``batched`` wire field
+        still get the same bytes: the field is ignored."""
+        service = AdvisorService(suite=suite, workers=1)
+        payload = advise_payload(make_trace(3, seed=4))
+        answers = [encode(service.handle_payload({**payload, **extra}))
+                   for extra in ({}, {"batched": False},
+                                 {"batched": True})]
+        assert answers[0] == answers[1] == answers[2]
 
     def test_advise_request_validates_deadline(self):
         with pytest.raises(ProtocolError, match="positive"):
@@ -288,7 +312,8 @@ class TestLoadShedding:
             )
             background.start()
             assert injector.started.wait(10.0)
-            assert service._dispatcher.try_submit(lambda: None) is not None
+            assert service._dispatcher.try_submit(
+                service.advisor, make_trace()) is not None
             # Queue full: the next request is shed immediately with a
             # structured response (no hang — finishes well inside the
             # 30s deadline because it never waits at all).

@@ -52,7 +52,6 @@ def _spawn_fleet(suite_dir, telemetry, *, force_fallback=False,
         [sys.executable, "-m", "repro.cli", "serve",
          "--suite-dir", str(suite_dir), "--port", "0",
          "--workers", "2", "--threads", "2",
-         "--batch-window-ms", "2",
          "--telemetry", str(telemetry), *extra],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, env=env,
