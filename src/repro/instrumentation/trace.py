@@ -20,6 +20,18 @@ from repro.instrumentation.features import FEATURE_NAMES
 from repro.instrumentation.profiler import ProfiledContainer
 
 
+def _decode_features(values) -> np.ndarray:
+    """One record's feature vector: a flat list of one number per
+    feature.  A vector of the wrong length would otherwise pass decoding
+    and only fail inside the advisor's batched forward pass."""
+    features = np.asarray(values)
+    if (features.shape != (len(FEATURE_NAMES),)
+            or features.dtype.kind not in "iuf"):
+        raise ValueError(f"features must be a list of "
+                         f"{len(FEATURE_NAMES)} numbers")
+    return features.astype(np.float64, copy=False)
+
+
 @dataclass
 class TraceRecord:
     """One profiled container instance's summary."""
@@ -117,7 +129,7 @@ class TraceSet:
                 context=r["context"],
                 kind=DSKind(r["kind"]),
                 order_oblivious=r["order_oblivious"],
-                features=np.asarray(r["features"], dtype=np.float64),
+                features=_decode_features(r["features"]),
                 cycles=r["cycles"],
                 total_calls=r["total_calls"],
                 keyed=r["keyed"],

@@ -19,7 +19,7 @@ from repro.machine.tlb import TLB
 
 
 class Machine:
-    """Trace-driven microarchitecture simulator: every event walks the
+    """Trace-driven microarchitecture simulator: every event updates the
     cache/TLB/predictor hierarchy as it is issued.
 
     Cycle accounting is split into two accumulators: ``_cycles_int``
@@ -41,7 +41,7 @@ class Machine:
         "_l1_sets", "_l1_mask", "_l1_assoc",
         "_l2_sets", "_l2_mask", "_l2_assoc",
         "_tlb_pages", "_tlb_entries",
-        "_last_page",
+        "_last_page", "_rep_first", "_rep_last",
         "prefetcher",
     )
 
@@ -88,6 +88,9 @@ class Machine:
         self._tlb_entries = self.tlb.entries
         # Last translated page: a zero-cost micro-TLB fast path.
         self._last_page = -1
+        # Line span of the last multi-line access, while nothing else
+        # has touched L1 or the TLB since (see ``_repeat``).
+        self._rep_first = self._rep_last = None
         # Optional explicit prefetcher (see repro.machine.prefetch).
         self.prefetcher = None
 
@@ -115,10 +118,11 @@ class Machine:
         # presence, streamed latencies, counter deltas) are hoisted out
         # of the line loop.
         if first == last:
-            # Single-line accesses (field reads, node touches) dominate
-            # the trace; they need none of the multi-line stream
-            # bookkeeping below.  All their cycle costs are integer
-            # latencies, so only the exact accumulator is touched.
+            # Single-line accesses (field reads, node touches) need none
+            # of the multi-line stream bookkeeping below.  All their
+            # cycle costs are integer latencies, so only the exact
+            # accumulator is touched.
+            self._rep_last = None
             cycles = self._cycles_int + self._l1_lat
             page = first >> self._page_delta
             if page != self._last_page:
@@ -182,6 +186,12 @@ class Machine:
                     cycles += self._mem_lat
             self._cycles_int = cycles
             return
+        if (first == self._rep_first and last == self._rep_last
+                and self.prefetcher is None):
+            self._repeat(first, last)
+            return
+        self._rep_first = first
+        self._rep_last = last
         cycles_int = self._cycles_int
         cycles = self._cycles
         l1 = self.l1
@@ -298,6 +308,84 @@ class Machine:
         self._cycles = cycles
         self._cycles_int = cycles_int
 
+    def _repeat(self, first: int, last: int) -> None:
+        """Re-access lines ``first..last`` right after the same range.
+
+        A walk over consecutive lines leaves each L1 set with its range
+        lines at the MRU end, in line order, so walking them again hits
+        every line of a set holding ``c <= assoc`` of them and misses
+        every line of one holding more (cyclic LRU); both leave the set
+        as it was.  The TLB obeys the same argument over the range's
+        pages, and a one-page range never reaches it (``_last_page``).
+        So L1 and the TLB need only counters; L2 is walked in line order
+        for the lines of overflowing sets.  Streamed costs are added one
+        line at a time, as the walk adds them, so ``_cycles`` is exact.
+        """
+        n = last - first + 1
+        l1_mask = self._l1_mask
+        l1_assoc = self._l1_assoc
+        q, r = divmod(n, l1_mask + 1)
+        self.l1.accesses += n
+        cycles_int = self._cycles_int + self._l1_lat
+        pages = (last >> self._page_delta) - (first >> self._page_delta) + 1
+        if pages > 1:
+            self.tlb.accesses += pages
+            if pages > self._tlb_entries:
+                self.tlb.misses += pages
+                cycles_int += pages * self._tlb_penalty
+        cycles = self._cycles
+        stream = self._stream
+        l1_cost_streamed = self._l1_lat * stream
+        if q + (r > 0) <= l1_assoc:
+            # No set overflows: every line hits.
+            for _ in range(n - 1):
+                cycles += l1_cost_streamed
+        else:
+            # Every set overflows, or only the r sets holding q + 1
+            # lines: those of lines ``first + k`` with ``k % nsets < r``.
+            all_miss = q > l1_assoc
+            l2 = self.l2
+            l2_sets = self._l2_sets
+            l2_mask = self._l2_mask
+            l2_assoc = self._l2_assoc
+            l2_lat = self._l2_lat
+            mem_lat = self._mem_lat
+            l2_cost_streamed = l2_lat * stream
+            mem_cost_streamed = mem_lat * stream
+            l1_misses = l2_misses = 0
+            streamed = False
+            for line in range(first, last + 1):
+                if streamed:
+                    cycles += l1_cost_streamed
+                if all_miss or (line - first) & l1_mask < r:
+                    l1_misses += 1
+                    ways2 = l2_sets[line & l2_mask]
+                    if line in ways2:
+                        del ways2[line]
+                        ways2[line] = None
+                        if streamed:
+                            cycles += l2_cost_streamed
+                        else:
+                            cycles_int += l2_lat
+                    else:
+                        l2_misses += 1
+                        ways2[line] = None
+                        if len(ways2) > l2_assoc:
+                            for victim in ways2:
+                                break
+                            del ways2[victim]
+                        if streamed:
+                            cycles += l2_cost_streamed
+                            cycles += mem_cost_streamed
+                        else:
+                            cycles_int += l2_lat + mem_lat
+                streamed = True
+            self.l1.misses += l1_misses
+            l2.accesses += l1_misses
+            l2.misses += l2_misses
+        self._cycles = cycles
+        self._cycles_int = cycles_int
+
     read = access
     write = access
 
@@ -372,6 +460,7 @@ class Machine:
         """Enable an explicit prefetcher (e.g.
         :class:`~repro.machine.prefetch.NextLinePrefetcher`)."""
         self.prefetcher = prefetcher
+        self._rep_last = None
 
     def counters(self) -> PerfCounters:
         """Snapshot all event counters (the PAPI-read analogue)."""
@@ -426,6 +515,7 @@ class Machine:
         self._cycles_int = 0
         self.instructions = 0
         self._last_page = -1
+        self._rep_last = None
         self.predictor.reset()
         alloc = self.allocator
         alloc.allocations = 0

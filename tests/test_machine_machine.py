@@ -286,6 +286,70 @@ def drive_random_stream(machine, seed, events=4000, with_reset=False):
     return machine
 
 
+def repeat_range_lines(config: MachineConfig) -> tuple[int, ...]:
+    """Range sizes, in lines, that reach every regime of a repeated
+    range on ``config``: inside L1, between L1 capacity and
+    ``nsets * (assoc + 1)`` lines (some sets overflow, some do not),
+    beyond the ATOM L2, and beyond the TLB's reach."""
+    line = config.line_bytes
+    nsets = config.l1_size // (config.l1_assoc * line)
+    l1_lines = config.l1_lines
+    tlb_lines = config.tlb_entries * (config.page_bytes // line)
+    overflow = nsets * (config.l1_assoc + 1)
+    return (2, 3, 5, l1_lines // 2, l1_lines, l1_lines + nsets // 2,
+            overflow - 1, overflow + 3, ATOM.l2_size // line + 40,
+            tlb_lines + 3 * config.page_bytes // line)
+
+
+def drive_repeat_stream(machine, seed, events=300):
+    """A seeded stream whose multi-line ranges are re-issued one to
+    three times, sometimes through a different ``(addr, nbytes)`` over
+    the same lines, with instructions, branches, heap calls, single-line
+    touches and resets interleaved between a range and its repeats.
+
+    Returns the trail of ``snapshot_tuple``, TLB accesses and
+    ``repr(seconds)`` observed after every range and its repeats, so a
+    later reset cannot hide an earlier divergence."""
+    rng = random.Random(seed)
+    trail = []
+    line = machine.config.line_bytes
+    sizes = repeat_range_lines(machine.config)
+    weights = (6, 6, 6, 4, 4, 3, 3, 3, 2, 1)
+    addrs = []
+    for _ in range(events):
+        lines = rng.choices(sizes, weights)[0]
+        addr = rng.randrange(1 << 23)
+        nbytes = (lines - 1) * line + 1 + rng.randrange(line)
+        machine.access(addr, nbytes)
+        for _ in range(rng.randrange(1, 4)):
+            r = rng.random()
+            if r < 0.15:
+                machine.instr(rng.randrange(1, 100))
+            elif r < 0.25:
+                machine.branch(rng.randrange(4096), rng.random() < 0.6)
+            elif r < 0.30:
+                addrs.append(machine.malloc(rng.randrange(1, 256)))
+            elif r < 0.35 and addrs:
+                machine.free(addrs.pop(rng.randrange(len(addrs))))
+            elif r < 0.40:
+                machine.access(rng.randrange(1 << 23), 8)
+            elif r < 0.43:
+                machine.reset()
+            if rng.random() < 0.2:
+                # Same lines, different bytes: trim into the first line
+                # and stop short of the end of the last one.
+                first = addr - addr % line
+                last_end = (addr + nbytes - 1) // line * line + line
+                lo = first + rng.randrange(line)
+                hi = last_end - rng.randrange(line)
+                machine.access(lo, hi - lo)
+            else:
+                machine.access(addr, nbytes)
+        trail.append([list(machine.snapshot_tuple()), machine.tlb.accesses,
+                      repr(machine.seconds)])
+    return trail
+
+
 #: Digests of :func:`state_digest` over seeds 0-2 of
 #: :func:`drive_random_stream`, keyed by prefetcher and config.  Any
 #: change to a counter, to ``snapshot_tuple`` or to the bits of
@@ -328,6 +392,24 @@ LINE_DIGESTS = {
         "dcbc9ba6daec4d4d407c68de390f82937fef5be33548b358418772bcdbd75c15",
 }
 
+#: Digests of the :func:`drive_repeat_stream` trails over seeds 0-2,
+#: recorded with the line-by-line walk before repeated ranges had a
+#: closed form, so they pin that form to the walk's exact output.
+REPEAT_DIGESTS = {
+    "nopf-core2":
+        "8b4b4b94625c5e5d1f782e8f5aab21eec0c66835fd00ba8963984ce1187cac68",
+    "nopf-atom":
+        "494a0f74d6b333e8924407d6d32dce8dbdeb0ae4db688d05b325eab858a3e2f8",
+    "nopf-core2-full":
+        "ea3ad285bf264c66fbc9dc052e7bead1f167ea53129bab9966ed3023f8caa2a3",
+    "pf-core2":
+        "e434eb04e7c19f9e41c6b527ae656db9c33b465f16ff1d1003e88cd7879a3a44",
+    "pf-atom":
+        "4343d03440938a808a7494527ff2ff67a11fc173bcc20fe2b0c9f8e01c658785",
+    "pf-core2-full":
+        "678ce701830f32d6cf72c2f2d2e6e2aa7cdb0871409749b53b1b405139cce761",
+}
+
 #: SHA-256 of the saved ``vector_oo`` Phase I artifact (small
 #: generator config, core2, 2 records per class, at most 12 seeds).
 PHASE1_ARTIFACT_SHA256 = \
@@ -348,6 +430,21 @@ class TestPinnedStreams:
             machines.append(drive_random_stream(machine, seed))
         key = f"{'pf' if prefetch else 'nopf'}-{config.name}"
         assert state_digest(*machines) == STREAM_DIGESTS[key]
+
+    @pytest.mark.parametrize("config", (CORE2, ATOM, CORE2_FULL),
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("prefetch", (False, True),
+                             ids=("nopf", "pf"))
+    def test_repeated_ranges(self, config, prefetch):
+        trails = []
+        for seed in range(3):
+            machine = Machine(config)
+            if prefetch:
+                machine.attach_prefetcher(NextLinePrefetcher())
+            trails.append(drive_repeat_stream(machine, seed))
+        digest = hashlib.sha256(json.dumps(trails).encode()).hexdigest()
+        key = f"{'pf' if prefetch else 'nopf'}-{config.name}"
+        assert digest == REPEAT_DIGESTS[key]
 
     @pytest.mark.parametrize("config", (CORE2, CORE2_FULL),
                              ids=lambda c: c.name)

@@ -213,6 +213,30 @@ class TestProtocol:
                                  {"batched": True})]
         assert answers[0] == answers[1] == answers[2]
 
+    def test_wrong_length_features_rejected_before_queueing(
+            self, suite, monkeypatch):
+        """A record whose feature vector has the wrong length is a
+        decode error: it never reaches (or fails) an inference pass."""
+        service = AdvisorService(suite=suite, workers=1)
+        passes = []
+        advise_traces = service.advisor.advise_traces
+
+        def counting(batch):
+            passes.append(batch)
+            return advise_traces(batch)
+
+        monkeypatch.setattr(service.advisor, "advise_traces", counting)
+        payload = advise_payload(make_trace(), request_id="short")
+        payload["trace"]["records"][0]["features"] = [0.0, 1.0]
+        answer = service.handle_payload(payload)
+        assert answer["status"] == "error"
+        assert answer["id"] == "short"
+        assert answer["error"].startswith("bad trace payload: ")
+        assert passes == []
+        assert service.handle_payload(
+            advise_payload(make_trace()))["status"] == "ok"
+        assert len(passes) == 1
+
     def test_advise_request_validates_deadline(self):
         with pytest.raises(ProtocolError, match="positive"):
             AdviseRequest.from_payload(

@@ -44,6 +44,25 @@ class TestTraceFiles:
         with pytest.raises(ValueError):
             TraceSet.load(path)
 
+    @pytest.mark.parametrize("features", (
+        [0.0, 1.0],
+        [[0.0] * num_features()],
+        [0.0] * (num_features() + 1),
+        ["0.5"] * num_features(),
+        [True] * num_features(),
+        {"a": 1.0},
+    ), ids=("short", "nested", "long", "strings", "bools", "dict"))
+    def test_from_payload_rejects_malformed_features(self, features):
+        payload = TraceSet(program_cycles=10, records=[TraceRecord(
+            context="app:site", kind=DSKind.VECTOR, order_oblivious=True,
+            features=np.zeros(num_features()), cycles=10, total_calls=1,
+        )]).to_payload()
+        assert TraceSet.from_payload(payload).records[0].features.shape \
+            == (num_features(),)
+        payload["records"][0]["features"] = features
+        with pytest.raises(ValueError, match="features must be a list"):
+            TraceSet.from_payload(payload)
+
     def test_loaded_trace_drives_the_advisor(self, tmp_path):
         from tests.test_core_advisor import synthetic_suite
         from repro.core.advisor import BrainyAdvisor
