@@ -7,6 +7,11 @@ cache access per element.  After insert/erase churn the allocator's free
 lists scramble node addresses relative to logical order, which is what
 makes long list traversals miss in cache (the paper's L1-miss feature for
 the list models).
+
+The list keeps its values and their node addresses in two parallel
+Python lists in logical order.  A find or an iteration hands the
+addresses of the nodes it walks to :meth:`Machine.access_each` in one
+call, which touches them one by one exactly as per-node accesses would.
 """
 
 from __future__ import annotations
@@ -19,14 +24,6 @@ _PC_ITER = 0x22
 _POINTER_BYTES = 16  # prev + next
 _INSTR_PER_STEP = 3
 _INSTR_LINK = 4
-
-
-class _Node:
-    __slots__ = ("value", "addr")
-
-    def __init__(self, value: int, addr: int) -> None:
-        self.value = value
-        self.addr = addr
 
 
 class DoublyLinkedList(Container):
@@ -42,30 +39,23 @@ class DoublyLinkedList(Container):
     def __init__(self, machine, elem_size: int = 8,
                  payload_size: int = 0) -> None:
         super().__init__(machine, elem_size, payload_size)
-        # Nodes kept in logical order; each owns a simulated heap address.
-        self._nodes: list[_Node] = []
-
-    @property
-    def _node_bytes(self) -> int:
-        return _POINTER_BYTES + self.element_bytes
-
-    def _touch(self, node: _Node) -> None:
-        self.machine.access(node.addr, self._node_bytes)
+        self._node_bytes = _POINTER_BYTES + self.element_bytes
+        # Node values and simulated heap addresses, in logical order.
+        self._values: list[int] = []
+        self._addrs: list[int] = []
 
     def _scan(self, value: int) -> tuple[int, int]:
         """Walk from the head comparing values; (index or -1, touched)."""
-        machine = self.machine
-        nb = self._node_bytes
-        access = machine.access
-        touched = 0
-        found = -1
-        for idx, node in enumerate(self._nodes):
-            access(node.addr, nb)
-            touched += 1
-            if node.value == value:
-                found = idx
-                break
+        values = self._values
+        try:
+            found = values.index(value)
+            touched = found + 1
+        except ValueError:
+            found = -1
+            touched = len(values)
         if touched:
+            machine = self.machine
+            machine.access_each(self._addrs[:touched], self._node_bytes)
             machine.instr(touched * (self._cmp_instr + 1))
             machine.loop_branches(_PC_SCAN, touched)
         return found, touched
@@ -75,25 +65,26 @@ class DoublyLinkedList(Container):
     def insert(self, value: int, hint: int | None = None) -> int:
         self._dispatch()
         machine = self.machine
-        nodes = self._nodes
-        size = len(nodes)
+        addrs = self._addrs
+        nb = self._node_bytes
+        size = len(addrs)
         idx = size if hint is None else max(0, min(hint, size))
-        addr = machine.malloc(self._node_bytes)
-        node = _Node(value, addr)
-        machine.access(addr, self._node_bytes)  # write the new node
+        addr = machine.malloc(nb)
+        machine.access(addr, nb)  # write the new node
         # Relink neighbours.
         if idx > 0:
-            self._touch(nodes[idx - 1])
+            machine.access(addrs[idx - 1], nb)
         if idx < size:
-            self._touch(nodes[idx])
+            machine.access(addrs[idx], nb)
         machine.instr(_INSTR_LINK)
-        nodes.insert(idx, node)
+        self._values.insert(idx, value)
+        addrs.insert(idx, addr)
         self.stats.inserts += 1
-        self.stats.note_size(len(nodes))
+        self.stats.note_size(size + 1)
         return 0
 
     def push_back(self, value: int) -> int:
-        cost = self.insert(value, hint=len(self._nodes))
+        cost = self.insert(value, hint=len(self._values))
         self.stats.push_backs += 1
         return cost
 
@@ -106,15 +97,16 @@ class DoublyLinkedList(Container):
         self._dispatch()
         idx, touched = self._scan(value)
         if idx >= 0:
-            nodes = self._nodes
-            node = nodes[idx]
+            machine = self.machine
+            addrs = self._addrs
+            nb = self._node_bytes
             if idx > 0:
-                self._touch(nodes[idx - 1])
-            if idx + 1 < len(nodes):
-                self._touch(nodes[idx + 1])
-            self.machine.instr(_INSTR_LINK)
-            self.machine.free(node.addr)
-            del nodes[idx]
+                machine.access(addrs[idx - 1], nb)
+            if idx + 1 < len(addrs):
+                machine.access(addrs[idx + 1], nb)
+            machine.instr(_INSTR_LINK)
+            machine.free(addrs.pop(idx))
+            del self._values[idx]
         self.stats.erases += 1
         self.stats.erase_cost += touched
         return touched
@@ -128,16 +120,10 @@ class DoublyLinkedList(Container):
 
     def iterate(self, steps: int) -> int:
         self._dispatch()
-        machine = self.machine
-        nb = self._node_bytes
-        access = machine.access
-        visited = 0
-        for node in self._nodes:
-            if visited >= steps:
-                break
-            access(node.addr, nb)
-            visited += 1
+        visited = max(0, min(steps, len(self._addrs)))
         if visited:
+            machine = self.machine
+            machine.access_each(self._addrs[:visited], self._node_bytes)
             machine.instr(visited * _INSTR_PER_STEP)
             machine.loop_branches(_PC_ITER, visited)
         self.stats.iterates += 1
@@ -145,12 +131,13 @@ class DoublyLinkedList(Container):
         return visited
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._values)
 
     def to_list(self) -> list[int]:
-        return [node.value for node in self._nodes]
+        return list(self._values)
 
     def clear(self) -> None:
-        for node in self._nodes:
-            self.machine.free(node.addr)
-        self._nodes.clear()
+        for addr in self._addrs:
+            self.machine.free(addr)
+        self._values.clear()
+        self._addrs.clear()

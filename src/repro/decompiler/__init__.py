@@ -22,7 +22,6 @@ from repro.decompiler.analysis import (
 )
 from repro.decompiler.expressions import fold_block_expressions
 from repro.decompiler.optimize import optimize_cfg
-from repro.decompiler.simplify import simplify_cfg
 from repro.decompiler.structure import recover_structure
 from repro.decompiler.emit import emit_c
 
@@ -40,5 +39,4 @@ __all__ = [
     "optimize_cfg",
     "parse_assembly",
     "recover_structure",
-    "simplify_cfg",
 ]

@@ -10,6 +10,7 @@ JSON persistence standing in for the paper's on-disk trace files.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,16 @@ def _decode_features(values) -> np.ndarray:
         raise ValueError(f"features must be a list of "
                          f"{len(FEATURE_NAMES)} numbers")
     return features.astype(np.float64, copy=False)
+
+
+def _decode_number(payload: dict, name: str):
+    """A numeric field of a trace payload, checked at decode like
+    ``features``: a string or a ``bool`` would pass decoding and only
+    fail inside the advisor's batched pass."""
+    value = payload[name]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return value
 
 
 @dataclass
@@ -130,14 +141,14 @@ class TraceSet:
                 kind=DSKind(r["kind"]),
                 order_oblivious=r["order_oblivious"],
                 features=_decode_features(r["features"]),
-                cycles=r["cycles"],
-                total_calls=r["total_calls"],
+                cycles=_decode_number(r, "cycles"),
+                total_calls=_decode_number(r, "total_calls"),
                 keyed=r["keyed"],
-                allocated_bytes=r["allocated_bytes"],
+                allocated_bytes=_decode_number(r, "allocated_bytes"),
             )
             for r in payload["records"]
         ]
-        return cls(program_cycles=payload["program_cycles"],
+        return cls(program_cycles=_decode_number(payload, "program_cycles"),
                    records=records)
 
     def save(self, path: str | Path) -> None:

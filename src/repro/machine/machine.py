@@ -308,6 +308,144 @@ class Machine:
         self._cycles = cycles
         self._cycles_int = cycles_int
 
+    def access_each(self, addrs, nbytes: int) -> None:
+        """Access ``nbytes`` at each address of ``addrs``, in order.
+
+        Exactly ``for addr in addrs: self.access(addr, nbytes)``: the
+        same counters, L1/L2/TLB LRU orders, ``_last_page``, repeat span
+        and float ``_cycles`` adds in the same order.  A pointer-chasing
+        walk touches many small nodes, so loading the hot state into
+        locals once per walk, not once per node, is what it saves.
+        Every node goes through one line loop; its first line pays the
+        integer latencies, later lines the streamed ones, as in
+        :meth:`access`.
+        """
+        if nbytes <= 0:
+            raise ValueError(f"access: size must be positive: {nbytes}")
+        shift = self._line_shift
+        span = nbytes - 1
+        cycles_int = self._cycles_int
+        cycles = self._cycles
+        l1_sets = self._l1_sets
+        l1_mask = self._l1_mask
+        l1_assoc = self._l1_assoc
+        l2_sets = self._l2_sets
+        l2_mask = self._l2_mask
+        l2_assoc = self._l2_assoc
+        tlb_pages = self._tlb_pages
+        tlb_entries = self._tlb_entries
+        page_delta = self._page_delta
+        last_page = self._last_page
+        rep_first = self._rep_first
+        rep_last = self._rep_last
+        tlb_penalty = self._tlb_penalty
+        prefetcher = self.prefetcher
+        l1_lat = self._l1_lat
+        l2_lat = self._l2_lat
+        mem_lat = self._mem_lat
+        stream = self._stream
+        l1_cost_streamed = l1_lat * stream
+        l2_cost_streamed = l2_lat * stream
+        mem_cost_streamed = mem_lat * stream
+        l1_accesses = 0
+        l1_misses = 0
+        l2_misses = 0
+        tlb_accesses = 0
+        tlb_misses = 0
+        for addr in addrs:
+            first = addr >> shift
+            last = (addr + span) >> shift
+            if first == last:
+                rep_last = None
+            elif (first == rep_first and last == rep_last
+                    and prefetcher is None):
+                self._cycles = cycles
+                self._cycles_int = cycles_int
+                self._repeat(first, last)
+                cycles = self._cycles
+                cycles_int = self._cycles_int
+                continue
+            else:
+                rep_first = first
+                rep_last = last
+            l1_accesses += last - first + 1
+            streamed = False
+            for line in range(first, last + 1):
+                page = line >> page_delta
+                if page != last_page:
+                    last_page = page
+                    tlb_accesses += 1
+                    if page in tlb_pages:
+                        del tlb_pages[page]
+                        tlb_pages[page] = None
+                    else:
+                        tlb_misses += 1
+                        tlb_pages[page] = None
+                        if len(tlb_pages) > tlb_entries:
+                            for victim in tlb_pages:
+                                break
+                            del tlb_pages[victim]
+                        cycles_int += tlb_penalty
+                if streamed:
+                    cycles += l1_cost_streamed
+                else:
+                    cycles_int += l1_lat
+                ways = l1_sets[line & l1_mask]
+                if line in ways:
+                    del ways[line]
+                    ways[line] = None
+                    if prefetcher is not None:
+                        prefetcher.on_hit(line)
+                else:
+                    l1_misses += 1
+                    ways[line] = None
+                    if len(ways) > l1_assoc:
+                        for victim in ways:
+                            break
+                        del ways[victim]
+                    if prefetcher is not None:
+                        for target in prefetcher.on_miss(line):
+                            target_ways = l1_sets[target & l1_mask]
+                            if target not in target_ways:
+                                target_ways[target] = None
+                                if len(target_ways) > l1_assoc:
+                                    for victim in target_ways:
+                                        break
+                                    del target_ways[victim]
+                    ways2 = l2_sets[line & l2_mask]
+                    if line in ways2:
+                        del ways2[line]
+                        ways2[line] = None
+                        if streamed:
+                            cycles += l2_cost_streamed
+                        else:
+                            cycles_int += l2_lat
+                    else:
+                        l2_misses += 1
+                        ways2[line] = None
+                        if len(ways2) > l2_assoc:
+                            for victim in ways2:
+                                break
+                            del ways2[victim]
+                        if streamed:
+                            cycles += l2_cost_streamed
+                            cycles += mem_cost_streamed
+                        else:
+                            cycles_int += l2_lat
+                            cycles_int += mem_lat
+                streamed = True
+        self.tlb.accesses += tlb_accesses
+        self.tlb.misses += tlb_misses
+        self.l1.accesses += l1_accesses
+        self.l1.misses += l1_misses
+        self.l2.accesses += l1_misses
+        self.l2.misses += l2_misses
+        self._last_page = last_page
+        self._rep_first = rep_first
+        self._rep_last = rep_last
+        self._cycles = cycles
+        self._cycles_int = cycles_int
+
     def _repeat(self, first: int, last: int) -> None:
         """Re-access lines ``first..last`` right after the same range.
 

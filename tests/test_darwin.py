@@ -9,11 +9,13 @@ wire extension, and the up-front ``darwin_*`` knob validation.
 
 The advisor used here wraps an *empty* suite, which degrades to the
 Perflint baseline — deliberately: no training, fast tests, and a greedy
-assignment the evolved front can strictly beat.
+assignment the evolved front can strictly beat.  The enumeration oracle
+runs ``api.darwin`` itself, on the session's trained suite.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -23,12 +25,15 @@ import pytest
 
 import repro.api as api
 from repro.apps.chord import ChordSimulator
+from repro.apps.raytrace import Raytracer
+from repro.apps.tape import Tape
 from repro.apps.xalan import XalanStringCache
 from repro.core.advisor import BrainyAdvisor
 from repro.core.darwin import (
     OBJECTIVES,
     AssignmentPoint,
     DarwinResult,
+    run_assignment,
     run_darwin,
     site_candidates,
 )
@@ -36,6 +41,7 @@ from repro.core.report import Report
 from repro.machine import Machine
 from repro.machine.configs import CORE2
 from repro.models import BrainySuite
+from repro.models import cache as cache_mod
 from repro.runtime.options import RunOptions
 
 #: The search size most tests use: small enough to run in seconds.
@@ -278,6 +284,48 @@ class TestReportParetoFront:
         assert xalan_result.report.pareto_front \
             == [p.to_payload() for p in xalan_result.front]
         assert "Pareto front" in xalan_result.report.format()
+
+
+def enumerated_front(app, arch) -> dict[tuple, tuple[int, int]]:
+    """Every non-dominated assignment of ``app``, found by replaying
+    all of them off one recorded tape: kinds -> (cycles, footprint)."""
+    tape, _ = Tape.record(app, arch)
+    names, candidates = site_candidates(app)
+    points = {}
+    for combo in itertools.product(*candidates):
+        run = run_assignment(app, arch, dict(zip(names, combo)), tape)
+        kinds = tuple((f"{app.name}:{name}", kind.value)
+                      for name, kind in zip(names, combo))
+        points[kinds] = (run.cycles, run.footprint_bytes)
+    values = set(points.values())
+    return {
+        kinds: (c, f) for kinds, (c, f) in points.items()
+        if not any(oc <= c and of <= f and (oc, of) != (c, f)
+                   for oc, of in values)
+    }
+
+
+class TestFrontEqualsEnumeration:
+    """The GA's front is exact on the small spaces: ``api.darwin``
+    returns precisely the non-dominated set of the whole space."""
+
+    @pytest.mark.parametrize("app,input_name", [
+        (Raytracer, "small"),       # 81 assignments
+        (ChordSimulator, "small"),  # 6
+    ], ids=("raytrace", "chord"))
+    def test_front_is_the_enumerated_front(self, app, input_name, tmp_path,
+                                           monkeypatch, install_suite):
+        monkeypatch.setattr(cache_mod, "CACHE_DIR", tmp_path)
+        monkeypatch.setitem(cache_mod.SCALES, "enum", cache_mod.ScaleParams(
+            "enum", per_class_target=3, max_seeds=60, validation_apps=5,
+            hidden=(8,)))
+        install_suite(tmp_path, "enum")
+        expected = enumerated_front(app(input_name), CORE2)
+        for seed in range(3):
+            result = api.darwin(app.name, input_name, scale="enum",
+                                jobs=1, seed=seed)
+            assert {p.kinds: (p.cycles, p.footprint_bytes)
+                    for p in result.front} == expected, seed
 
 
 class TestAssignmentPoint:

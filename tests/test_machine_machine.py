@@ -1,6 +1,8 @@
 """Unit tests for the Machine: cycle accounting and counter attribution,
 plus pinned SHA-256 oracles of every observable measurement on
-randomized event streams and of a Phase I artifact."""
+randomized event streams (issued access by access, and with runs of
+same-sized accesses walked by ``access_each``) and of a Phase I
+artifact."""
 
 import hashlib
 import json
@@ -350,6 +352,55 @@ def drive_repeat_stream(machine, seed, events=300):
     return trail
 
 
+class WalkRoute:
+    """A machine whose same-sized access runs go to ``access_each``.
+
+    The stream drivers issue through it as through a machine.  ``access``
+    calls queue up while their size stays the same; a run ends at a
+    seeded random length (1 to 40), at a size change, or before any
+    other use of the machine, and goes to ``access_each`` in one call,
+    sometimes after an empty walk.  Its randomness is its own, so the
+    driver's stream, and with it every pinned digest, is unchanged.
+    """
+
+    def __init__(self, machine: Machine, seed: int) -> None:
+        self._machine = machine
+        self._rng = random.Random(1000 + seed)
+        self._run: list[int] = []
+        self._nbytes = 8
+        self._limit = 1
+
+    def access(self, addr: int, nbytes: int = 8) -> None:
+        if nbytes != self._nbytes:
+            self._walk()
+            self._nbytes = nbytes
+        self._run.append(addr)
+        if len(self._run) >= self._limit:
+            self._walk()
+
+    def _walk(self) -> None:
+        rng = self._rng
+        if rng.random() < 0.1:
+            self._machine.access_each([], self._nbytes)
+        if self._run:
+            self._machine.access_each(self._run, self._nbytes)
+            self._run = []
+        self._limit = rng.choice((1, 1, 2, 2, 3, 5, 8, 13, 40))
+
+    def __getattr__(self, name: str):
+        self._walk()
+        return getattr(self._machine, name)
+
+
+def routed(machine: Machine, route: str, seed: int = 0):
+    """``machine`` itself, or wrapped so runs go to ``access_each``."""
+    return machine if route == "access" else WalkRoute(machine, seed)
+
+
+#: Both ways of issuing a stream: one ``access`` call per access, and
+#: runs of same-sized accesses walked by ``access_each``.
+ROUTES = ("access", "walk")
+
 #: Digests of :func:`state_digest` over seeds 0-2 of
 #: :func:`drive_random_stream`, keyed by prefetcher and config.  Any
 #: change to a counter, to ``snapshot_tuple`` or to the bits of
@@ -416,35 +467,65 @@ PHASE1_ARTIFACT_SHA256 = \
     "bfbf3ec37f9963bed1668b423c06ef1eb64c833edeae59ab30026ec26ef5a18e"
 
 
-class TestPinnedStreams:
-    @pytest.mark.parametrize("config", (CORE2, ATOM, CORE2_FULL, ATOM_FULL),
-                             ids=lambda c: c.name)
-    @pytest.mark.parametrize("prefetch", (False, True),
-                             ids=("nopf", "pf"))
-    def test_randomized_streams(self, config, prefetch):
-        machines = []
-        for seed in range(3):
-            machine = Machine(config)
-            if prefetch:
-                machine.attach_prefetcher(NextLinePrefetcher())
-            machines.append(drive_random_stream(machine, seed))
-        key = f"{'pf' if prefetch else 'nopf'}-{config.name}"
-        assert state_digest(*machines) == STREAM_DIGESTS[key]
+def stream_digest(config: MachineConfig, prefetch: bool, route: str) -> str:
+    """:func:`state_digest` of seeds 0-2 of :func:`drive_random_stream`."""
+    machines = []
+    for seed in range(3):
+        machine = Machine(config)
+        if prefetch:
+            machine.attach_prefetcher(NextLinePrefetcher())
+        machines.append(
+            drive_random_stream(routed(machine, route, seed), seed))
+    return state_digest(*machines)
 
-    @pytest.mark.parametrize("config", (CORE2, ATOM, CORE2_FULL),
-                             ids=lambda c: c.name)
-    @pytest.mark.parametrize("prefetch", (False, True),
-                             ids=("nopf", "pf"))
+
+def repeat_digest(config: MachineConfig, prefetch: bool, route: str) -> str:
+    """SHA-256 of the :func:`drive_repeat_stream` trails of seeds 0-2."""
+    trails = []
+    for seed in range(3):
+        machine = Machine(config)
+        if prefetch:
+            machine.attach_prefetcher(NextLinePrefetcher())
+        trails.append(drive_repeat_stream(routed(machine, route, seed), seed))
+    return hashlib.sha256(json.dumps(trails).encode()).hexdigest()
+
+
+def line_digest(mask: int, nbytes: int, route: str) -> str:
+    """:func:`state_digest` after 4000 same-sized accesses on core2-full."""
+    machine = routed(Machine(CORE2_FULL), route)
+    rng = random.Random(5)
+    for addr in [rng.randrange(1 << 21) & mask for _ in range(4000)]:
+        machine.access(addr, nbytes)
+    return state_digest(machine)
+
+
+def pf_key(prefetch: bool, config: MachineConfig) -> str:
+    return f"{'pf' if prefetch else 'nopf'}-{config.name}"
+
+
+STREAM_CONFIGS = pytest.mark.parametrize(
+    "config", (CORE2, ATOM, CORE2_FULL, ATOM_FULL), ids=lambda c: c.name)
+REPEAT_CONFIGS = pytest.mark.parametrize(
+    "config", (CORE2, ATOM, CORE2_FULL), ids=lambda c: c.name)
+PREFETCH = pytest.mark.parametrize("prefetch", (False, True),
+                                   ids=("nopf", "pf"))
+LINE_RUNS = pytest.mark.parametrize(
+    "mask,nbytes", list(LINE_DIGESTS),
+    ids=("aligned-8", "unaligned-8", "unaligned-60"))
+
+
+class TestPinnedStreams:
+    @STREAM_CONFIGS
+    @PREFETCH
+    def test_randomized_streams(self, config, prefetch):
+        assert stream_digest(config, prefetch, "access") \
+            == STREAM_DIGESTS[pf_key(prefetch, config)]
+
+    @REPEAT_CONFIGS
+    @PREFETCH
     def test_repeated_ranges(self, config, prefetch):
-        trails = []
-        for seed in range(3):
-            machine = Machine(config)
-            if prefetch:
-                machine.attach_prefetcher(NextLinePrefetcher())
-            trails.append(drive_repeat_stream(machine, seed))
-        digest = hashlib.sha256(json.dumps(trails).encode()).hexdigest()
-        key = f"{'pf' if prefetch else 'nopf'}-{config.name}"
-        assert digest == REPEAT_DIGESTS[key]
+        assert repeat_digest(config, prefetch, "access") \
+            == REPEAT_DIGESTS[pf_key(prefetch, config)]
 
     @pytest.mark.parametrize("config", (CORE2, CORE2_FULL),
                              ids=lambda c: c.name)
@@ -452,15 +533,32 @@ class TestPinnedStreams:
         machine = drive_random_stream(Machine(config), 11, with_reset=True)
         assert state_digest(machine) == RESET_DIGESTS[config.name]
 
-    @pytest.mark.parametrize("mask,nbytes", list(LINE_DIGESTS),
-                             ids=("aligned-8", "unaligned-8",
-                                  "unaligned-60"))
+    @LINE_RUNS
     def test_line_crossing_and_aligned_runs(self, mask, nbytes):
-        machine = Machine(CORE2_FULL)
-        rng = random.Random(5)
-        for addr in [rng.randrange(1 << 21) & mask for _ in range(4000)]:
-            machine.access(addr, nbytes)
-        assert state_digest(machine) == LINE_DIGESTS[(mask, nbytes)]
+        assert line_digest(mask, nbytes, "access") \
+            == LINE_DIGESTS[(mask, nbytes)]
+
+
+class TestPinnedStreamsWalked:
+    """The same pinned streams, with runs of same-sized accesses sent
+    through ``access_each``: the digests must not move."""
+
+    @STREAM_CONFIGS
+    @PREFETCH
+    def test_randomized_streams(self, config, prefetch):
+        assert stream_digest(config, prefetch, "walk") \
+            == STREAM_DIGESTS[pf_key(prefetch, config)]
+
+    @REPEAT_CONFIGS
+    @PREFETCH
+    def test_repeated_ranges(self, config, prefetch):
+        assert repeat_digest(config, prefetch, "walk") \
+            == REPEAT_DIGESTS[pf_key(prefetch, config)]
+
+    @LINE_RUNS
+    def test_line_crossing_and_aligned_runs(self, mask, nbytes):
+        assert line_digest(mask, nbytes, "walk") \
+            == LINE_DIGESTS[(mask, nbytes)]
 
 
 class TestPinnedPhase1Artifact:
@@ -475,6 +573,42 @@ class TestPinnedPhase1Artifact:
         assert digest == PHASE1_ARTIFACT_SHA256
 
 
+def hidden_state(machine: Machine) -> tuple:
+    """State the digests cannot see: every L1/L2 set's and the TLB's LRU
+    order, the repeat span, and the prefetcher's stream statistics."""
+    pf = machine.prefetcher
+    return (
+        [list(ways) for ways in machine.l1._sets],
+        [list(ways) for ways in machine.l2._sets],
+        list(machine.tlb._pages), machine._last_page,
+        machine._rep_first, machine._rep_last,
+        None if pf is None else (pf.issued, pf.useful,
+                                 list(pf._recent_misses),
+                                 sorted(pf._outstanding)),
+    )
+
+
+class TestWalkMatchesAccessLoop:
+    """``access_each`` leaves exactly the state of one ``access`` per
+    address, including the state no counter exposes."""
+
+    @pytest.mark.parametrize("config", (CORE2, ATOM), ids=lambda c: c.name)
+    @pytest.mark.parametrize("prefetch", (False, True),
+                             ids=("nopf", "pf"))
+    def test_random_streams(self, config, prefetch):
+        machines = []
+        for route in ROUTES:
+            machine = Machine(config)
+            if prefetch:
+                machine.attach_prefetcher(NextLinePrefetcher())
+            drive_random_stream(routed(machine, route), 4)
+            drive_repeat_stream(routed(machine, route), 4, events=100)
+            machines.append(machine)
+        per_access, walked = machines
+        assert hidden_state(walked) == hidden_state(per_access)
+        assert machine_state(walked) == machine_state(per_access)
+
+
 class TestAccessValidation:
     @pytest.mark.parametrize("nbytes", (0, -1, -64))
     def test_nonpositive_size_rejected(self, nbytes):
@@ -484,6 +618,19 @@ class TestAccessValidation:
                            match=rf"access: size must be positive: "
                                  rf"{nbytes}"):
             machine.access(128, nbytes)
+
+    @pytest.mark.parametrize("nbytes", (0, -1, -64))
+    @pytest.mark.parametrize("addrs", ([], [128, 256]),
+                             ids=("empty", "two"))
+    def test_walk_rejects_nonpositive_size(self, nbytes, addrs):
+        rejected, clean = Machine(CORE2), Machine(CORE2)
+        for machine in (rejected, clean):
+            machine.access(64, 8)
+        with pytest.raises(ValueError,
+                           match=rf"access: size must be positive: "
+                                 rf"{nbytes}"):
+            rejected.access_each(addrs, nbytes)
+        assert machine_state(rejected) == machine_state(clean)
 
     def test_rejection_leaves_state_unchanged(self):
         rejected, clean = Machine(CORE2), Machine(CORE2)

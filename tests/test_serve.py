@@ -237,6 +237,28 @@ class TestProtocol:
             advise_payload(make_trace()))["status"] == "ok"
         assert len(passes) == 1
 
+    def test_non_numeric_cycles_rejected_before_queueing(
+            self, suite, monkeypatch):
+        """A record whose ``cycles`` is not a number is a decode error,
+        like a malformed feature vector: no inference pass sees it."""
+        service = AdvisorService(suite=suite, workers=1)
+        passes = []
+        advise_traces = service.advisor.advise_traces
+
+        def counting(batch):
+            passes.append(batch)
+            return advise_traces(batch)
+
+        monkeypatch.setattr(service.advisor, "advise_traces", counting)
+        payload = advise_payload(make_trace(), request_id="cyc")
+        payload["trace"]["records"][0]["cycles"] = "x"
+        answer = service.handle_payload(payload)
+        assert answer["status"] == "error"
+        assert answer["id"] == "cyc"
+        assert answer["error"] == ("bad trace payload: cycles must be a "
+                                   "number, not 'x'")
+        assert passes == []
+
     def test_advise_request_validates_deadline(self):
         with pytest.raises(ProtocolError, match="positive"):
             AdviseRequest.from_payload(

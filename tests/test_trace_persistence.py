@@ -63,6 +63,24 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="features must be a list"):
             TraceSet.from_payload(payload)
 
+    @pytest.mark.parametrize("field", (
+        "cycles", "total_calls", "allocated_bytes", "program_cycles"))
+    @pytest.mark.parametrize("value", ("x", "12", True, None, [1]),
+                             ids=("string", "digits", "bool", "null",
+                                  "list"))
+    def test_from_payload_rejects_non_numeric_counts(self, field, value):
+        payload = TraceSet(program_cycles=10, records=[TraceRecord(
+            context="app:site", kind=DSKind.VECTOR, order_oblivious=True,
+            features=np.zeros(num_features()), cycles=10, total_calls=1,
+        )]).to_payload()
+        target = payload if field == "program_cycles" \
+            else payload["records"][0]
+        target[field] = 2.5
+        assert TraceSet.from_payload(payload) is not None
+        target[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            TraceSet.from_payload(payload)
+
     def test_loaded_trace_drives_the_advisor(self, tmp_path):
         from tests.test_core_advisor import synthetic_suite
         from repro.core.advisor import BrainyAdvisor
