@@ -137,14 +137,17 @@ def run_case_study(app: CaseStudyApp,
     """
     machine, containers, chosen = build_containers(app, machine_config,
                                                    kinds)
-    handles: dict[str, Container | ProfiledContainer] = dict(containers)
-    profiled: dict[str, ProfiledContainer] = {}
-    if instrument:
-        for name, container in containers.items():
-            profiled[name] = handles[name] = ProfiledContainer(
-                container, context=f"{app.name}:{name}")
-    output = app.execute(machine, handles)
+    profiled = profile_containers(app, containers) if instrument else {}
+    output = app.execute(machine, {**containers, **profiled})
     return finish_run(app, machine, containers, chosen, output, profiled)
+
+
+def profile_containers(app: CaseStudyApp,
+                       containers: dict[str, Container]
+                       ) -> dict[str, ProfiledContainer]:
+    """Each site's container wrapped for profiling, in site order."""
+    return {name: ProfiledContainer(container, context=f"{app.name}:{name}")
+            for name, container in containers.items()}
 
 
 def build_containers(app: CaseStudyApp,

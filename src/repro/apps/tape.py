@@ -40,6 +40,7 @@ from repro.apps.base import (
     CaseStudyApp,
     build_containers,
     finish_run,
+    profile_containers,
 )
 from repro.containers.registry import DSKind
 from repro.machine.configs import MachineConfig
@@ -188,24 +189,30 @@ class Tape:
 
     @classmethod
     def record(cls, app: CaseStudyApp, machine_config: MachineConfig,
-               kinds: dict[str, DSKind] | None = None
+               kinds: dict[str, DSKind] | None = None, *,
+               instrument: bool = False
                ) -> tuple["Tape | None", AppResult]:
         """Run ``app`` for real once, taping it.
 
         Returns ``(tape, result)``: ``result`` is exactly
-        :func:`~repro.apps.base.run_case_study`'s for ``kinds`` (the
-        recording adds no machine events), and ``tape`` is ``None``
-        when the app steps outside what a tape can replay (or returns
-        an output that cannot be pickled).
+        :func:`~repro.apps.base.run_case_study`'s for ``kinds`` and
+        ``instrument`` (neither the recording nor the profiling adds a
+        machine event), and ``tape`` is ``None`` when the app steps
+        outside what a tape can replay (or returns an output that
+        cannot be pickled).  The tape records the app's calls, so it
+        replays on plain containers either way.
         """
         machine, containers, chosen = build_containers(
             app, machine_config, kinds)
+        profiled = profile_containers(app, containers) if instrument else {}
         recorder = _Recorder()
-        handles = {name: _RecordingContainer(container, site, recorder)
+        handles = {name: _RecordingContainer(profiled.get(name, container),
+                                             site, recorder)
                    for site, (name, container)
                    in enumerate(containers.items())}
         output = app.execute(_RecordingMachine(machine, recorder), handles)
-        result = finish_run(app, machine, containers, chosen, output)
+        result = finish_run(app, machine, containers, chosen, output,
+                            profiled)
         if not recorder.tapeable:
             return None, result
         try:

@@ -440,33 +440,6 @@ def run_darwin(app: CaseStudyApp,
         kinds.index(site.default_kind)
         for site, kinds in zip(app.sites(), candidates)
     )
-    seeds = [default_chromosome]
-
-    greedy_report: Report | None = None
-    greedy_chromosome: tuple[int, ...] | None = None
-    if advisor is not None:
-        greedy_report = advisor.advise_app(app, machine_config)
-        suggested = {s.context: s.suggested for s in greedy_report}
-        greedy_chromosome = tuple(
-            kinds.index(choice) if (choice := suggested.get(
-                f"{app.name}:{name}")) in kinds
-            else default_chromosome[i]
-            for i, (name, kinds) in enumerate(zip(site_names, candidates))
-        )
-        if greedy_chromosome != default_chromosome:
-            seeds.append(greedy_chromosome)
-
-    search = GeneticSearch(
-        len(site_names),
-        population=population,
-        generations=generations,
-        ancestry=TournamentAncestry(min(3, population)),
-        crossover=UniformCrossover(0.7),
-        mutation=GeneChoiceMutation(choices, rate=0.25),
-        init=SeededChoiceInit(choices, seeds=tuple(seeds)),
-        elitism=0,
-        seed=seed,
-    )
 
     start = clock()
 
@@ -508,13 +481,42 @@ def run_darwin(app: CaseStudyApp,
 
     try:
         # One real run of the defaults records the tape every later
-        # evaluation replays, and is the default point itself.
+        # evaluation replays, and is the default point itself.  With an
+        # advisor it is instrumented, and its profile is what the greedy
+        # per-instance report is built from.
         tape, default_run = Tape.record(
-            app, machine_config, fitness.kinds_for(default_chromosome))
+            app, machine_config, fitness.kinds_for(default_chromosome),
+            instrument=advisor is not None)
         default_point = point(default_chromosome, default_run.cycles,
                               default_run.footprint_bytes)
         fitness = replace(fitness, tape=tape,
                           recorded=(default_chromosome, default_point))
+        seeds = [default_chromosome]
+        greedy_report: Report | None = None
+        greedy_chromosome: tuple[int, ...] | None = None
+        if advisor is not None:
+            greedy_report = advisor.advise_result(app, default_run)
+            suggested = {s.context: s.suggested for s in greedy_report}
+            greedy_chromosome = tuple(
+                kinds.index(choice) if (choice := suggested.get(
+                    f"{app.name}:{name}")) in kinds
+                else default_chromosome[i]
+                for i, (name, kinds)
+                in enumerate(zip(site_names, candidates))
+            )
+            if greedy_chromosome != default_chromosome:
+                seeds.append(greedy_chromosome)
+        search = GeneticSearch(
+            len(site_names),
+            population=population,
+            generations=generations,
+            ancestry=TournamentAncestry(min(3, population)),
+            crossover=UniformCrossover(0.7),
+            mutation=GeneChoiceMutation(choices, rate=0.25),
+            init=SeededChoiceInit(choices, seeds=tuple(seeds)),
+            elitism=0,
+            seed=seed,
+        )
         result: ParetoResult = search.pareto(
             fitness, objectives, jobs=options.jobs, window=options.window,
             executor=executor, resume_state=resume_state,

@@ -84,6 +84,9 @@ class ProfiledContainer:
     def __len__(self) -> int:
         return len(self.inner)
 
+    def __contains__(self, value: int) -> bool:
+        return value in self.inner
+
     def to_list(self) -> list[int]:
         return self.inner.to_list()
 

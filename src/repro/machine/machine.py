@@ -37,7 +37,7 @@ class Machine:
         "_line_shift", "_page_shift", "_page_delta", "_cpi",
         "_l1_lat", "_l2_lat",
         "_mem_lat", "_mispredict_penalty", "_tlb_penalty", "_div_latency",
-        "_stream",
+        "_l1_streamed", "_l2_streamed", "_mem_streamed",
         "_l1_sets", "_l1_mask", "_l1_assoc",
         "_l2_sets", "_l2_mask", "_l2_assoc",
         "_tlb_pages", "_tlb_entries",
@@ -70,7 +70,12 @@ class Machine:
         self._mispredict_penalty = config.mispredict_penalty
         self._tlb_penalty = config.tlb_miss_penalty
         self._div_latency = config.div_latency
-        self._stream = config.stream_factor
+        # The latencies of the lines after an access's first, discounted
+        # by the stream factor (see ``access``).
+        stream = config.stream_factor
+        self._l1_streamed = config.l1_latency * stream
+        self._l2_streamed = config.l2_latency * stream
+        self._mem_streamed = config.mem_latency * stream
         # Direct references into the cache/TLB tag stores.  ``access``
         # is called hundreds of thousands of times per simulated app;
         # resolving ``self.l1._sets`` etc. through two attribute loads
@@ -110,21 +115,95 @@ class Machine:
         shift = self._line_shift
         first = addr >> shift
         last = (addr + nbytes - 1) >> shift
+        if first == last:
+            self._rep_last = None
+        elif (first == self._rep_first and last == self._rep_last
+                and self.prefetcher is None):
+            self._repeat(first, last)
+            return
+        else:
+            self._rep_first = first
+            self._rep_last = last
         # The cache/TLB lookups are inlined here (rather than calling
-        # Cache.access per line) because this is by far the hottest loop
+        # Cache.access per line) because this is by far the hottest code
         # in the whole simulator.  Each set/page store is an
         # insertion-ordered dict (last key = MRU, first key = victim),
-        # so every LRU touch is O(1); per-access invariants (prefetcher
-        # presence, streamed latencies, counter deltas) are hoisted out
-        # of the line loop.
+        # so every LRU touch is O(1).  The first line of every access
+        # pays the full latencies, all integers, so only the exact
+        # accumulator is touched.
+        cycles = self._cycles_int + self._l1_lat
+        page = first >> self._page_delta
+        if page != self._last_page:
+            self._last_page = page
+            tlb = self.tlb
+            tlb.accesses += 1
+            pages = self._tlb_pages
+            if page in pages:
+                del pages[page]
+                pages[page] = None
+            else:
+                tlb.misses += 1
+                pages[page] = None
+                if len(pages) > self._tlb_entries:
+                    for victim in pages:
+                        break
+                    del pages[victim]
+                cycles += self._tlb_penalty
+        l1 = self.l1
+        l1.accesses += 1
+        ways = self._l1_sets[first & self._l1_mask]
+        prefetcher = self.prefetcher
+        if first in ways:
+            del ways[first]
+            ways[first] = None
+            if prefetcher is not None:
+                prefetcher.on_hit(first)
+        else:
+            l1.misses += 1
+            l1_assoc = self._l1_assoc
+            ways[first] = None
+            if len(ways) > l1_assoc:
+                for victim in ways:
+                    break
+                del ways[victim]
+            if prefetcher is not None:
+                l1_sets = self._l1_sets
+                l1_mask = self._l1_mask
+                for target in prefetcher.on_miss(first):
+                    target_ways = l1_sets[target & l1_mask]
+                    if target not in target_ways:
+                        target_ways[target] = None
+                        if len(target_ways) > l1_assoc:
+                            for victim in target_ways:
+                                break
+                            del target_ways[victim]
+            cycles += self._l2_lat
+            l2 = self.l2
+            l2.accesses += 1
+            ways2 = self._l2_sets[first & self._l2_mask]
+            if first in ways2:
+                del ways2[first]
+                ways2[first] = None
+            else:
+                l2.misses += 1
+                ways2[first] = None
+                if len(ways2) > self._l2_assoc:
+                    for victim in ways2:
+                        break
+                    del ways2[victim]
+                cycles += self._mem_lat
+        self._cycles_int = cycles
         if first == last:
-            # Single-line accesses (field reads, node touches) need none
-            # of the multi-line stream bookkeeping below.  All their
-            # cycle costs are integer latencies, so only the exact
-            # accumulator is touched.
-            self._rep_last = None
-            cycles = self._cycles_int + self._l1_lat
-            page = first >> self._page_delta
+            return
+        # Lines after the first in a contiguous access stream are
+        # overlapped by the pipeline/prefetcher: they pay the
+        # pre-multiplied streamed (fractional) latencies into
+        # ``_cycles``, in order, L1 then L2 then memory.  TLB refills
+        # are never streamed.
+        if last == first + 1 and prefetcher is None:
+            # A node straddling two lines: the tail is one line, so it
+            # is inlined rather than paying the loop's set-up.
+            page = last >> self._page_delta
             if page != self._last_page:
                 self._last_page = page
                 tlb = self.tlb
@@ -140,63 +219,39 @@ class Machine:
                         for victim in pages:
                             break
                         del pages[victim]
-                    cycles += self._tlb_penalty
-            l1 = self.l1
+                    self._cycles_int += self._tlb_penalty
+            cycles = self._cycles + self._l1_streamed
             l1.accesses += 1
-            ways = self._l1_sets[first & self._l1_mask]
-            prefetcher = self.prefetcher
-            if first in ways:
-                del ways[first]
-                ways[first] = None
-                if prefetcher is not None:
-                    prefetcher.on_hit(first)
+            ways = self._l1_sets[last & self._l1_mask]
+            if last in ways:
+                del ways[last]
+                ways[last] = None
             else:
                 l1.misses += 1
-                l1_assoc = self._l1_assoc
-                ways[first] = None
-                if len(ways) > l1_assoc:
+                ways[last] = None
+                if len(ways) > self._l1_assoc:
                     for victim in ways:
                         break
                     del ways[victim]
-                if prefetcher is not None:
-                    l1_sets = self._l1_sets
-                    l1_mask = self._l1_mask
-                    for target in prefetcher.on_miss(first):
-                        target_ways = l1_sets[target & l1_mask]
-                        if target not in target_ways:
-                            target_ways[target] = None
-                            if len(target_ways) > l1_assoc:
-                                for victim in target_ways:
-                                    break
-                                del target_ways[victim]
-                cycles += self._l2_lat
+                cycles += self._l2_streamed
                 l2 = self.l2
                 l2.accesses += 1
-                ways2 = self._l2_sets[first & self._l2_mask]
-                if first in ways2:
-                    del ways2[first]
-                    ways2[first] = None
+                ways2 = self._l2_sets[last & self._l2_mask]
+                if last in ways2:
+                    del ways2[last]
+                    ways2[last] = None
                 else:
                     l2.misses += 1
-                    ways2[first] = None
+                    ways2[last] = None
                     if len(ways2) > self._l2_assoc:
                         for victim in ways2:
                             break
                         del ways2[victim]
-                    cycles += self._mem_lat
-            self._cycles_int = cycles
+                    cycles += self._mem_streamed
+            self._cycles = cycles
             return
-        if (first == self._rep_first and last == self._rep_last
-                and self.prefetcher is None):
-            self._repeat(first, last)
-            return
-        self._rep_first = first
-        self._rep_last = last
         cycles_int = self._cycles_int
         cycles = self._cycles
-        l1 = self.l1
-        l2 = self.l2
-        tlb = self.tlb
         l1_sets = self._l1_sets
         l1_mask = self._l1_mask
         l1_assoc = self._l1_assoc
@@ -208,28 +263,15 @@ class Machine:
         page_delta = self._page_delta
         last_page = self._last_page
         tlb_penalty = self._tlb_penalty
-        prefetcher = self.prefetcher
+        l1_streamed = self._l1_streamed
+        l2_streamed = self._l2_streamed
+        mem_streamed = self._mem_streamed
         l1_misses = 0
-        l2_accesses = 0
         l2_misses = 0
         tlb_accesses = 0
         tlb_misses = 0
-        l1.accesses += last - first + 1
-        # Lines after the first in a contiguous access stream are
-        # overlapped by the pipeline/prefetcher: their latencies are
-        # discounted by the architecture's stream factor.  The first
-        # line pays the full (integer) latencies into the exact
-        # accumulator; later lines pay the pre-multiplied streamed
-        # (fractional) ones in order.  TLB refills are never streamed.
-        l1_cost = self._l1_lat
-        l2_cost = self._l2_lat
-        mem_cost = self._mem_lat
-        stream = self._stream
-        l1_cost_streamed = l1_cost * stream
-        l2_cost_streamed = l2_cost * stream
-        mem_cost_streamed = mem_cost * stream
-        streamed = False
-        for line in range(first, last + 1):
+        l1.accesses += last - first
+        for line in range(first + 1, last + 1):
             page = line >> page_delta
             if page != last_page:
                 last_page = page
@@ -245,10 +287,7 @@ class Machine:
                             break
                         del tlb_pages[victim]
                     cycles_int += tlb_penalty
-            if streamed:
-                cycles += l1_cost
-            else:
-                cycles_int += l1_cost
+            cycles += l1_streamed
             ways = l1_sets[line & l1_mask]
             if line in ways:
                 del ways[line]
@@ -271,15 +310,11 @@ class Machine:
                                 for victim in target_ways:
                                     break
                                 del target_ways[victim]
-                l2_accesses += 1
+                cycles += l2_streamed
                 ways2 = l2_sets[line & l2_mask]
                 if line in ways2:
                     del ways2[line]
                     ways2[line] = None
-                    if streamed:
-                        cycles += l2_cost
-                    else:
-                        cycles_int += l2_cost
                 else:
                     l2_misses += 1
                     ways2[line] = None
@@ -287,23 +322,14 @@ class Machine:
                         for victim in ways2:
                             break
                         del ways2[victim]
-                    if streamed:
-                        cycles += l2_cost
-                        cycles += mem_cost
-                    else:
-                        cycles_int += l2_cost
-                        cycles_int += mem_cost
-            l1_cost = l1_cost_streamed
-            l2_cost = l2_cost_streamed
-            mem_cost = mem_cost_streamed
-            streamed = True
+                    cycles += mem_streamed
         if tlb_accesses:
-            tlb.accesses += tlb_accesses
-            tlb.misses += tlb_misses
+            self.tlb.accesses += tlb_accesses
+            self.tlb.misses += tlb_misses
         if l1_misses:
             l1.misses += l1_misses
-            l2.accesses += l2_accesses
-            l2.misses += l2_misses
+            self.l2.accesses += l1_misses
+            self.l2.misses += l2_misses
         self._last_page = last_page
         self._cycles = cycles
         self._cycles_int = cycles_int
@@ -316,9 +342,8 @@ class Machine:
         and float ``_cycles`` adds in the same order.  A pointer-chasing
         walk touches many small nodes, so loading the hot state into
         locals once per walk, not once per node, is what it saves.
-        Every node goes through one line loop; its first line pays the
-        integer latencies, later lines the streamed ones, as in
-        :meth:`access`.
+        Each node's first line pays the integer latencies and its later
+        lines the streamed ones, as in :meth:`access`.
         """
         if nbytes <= 0:
             raise ValueError(f"access: size must be positive: {nbytes}")
@@ -343,10 +368,9 @@ class Machine:
         l1_lat = self._l1_lat
         l2_lat = self._l2_lat
         mem_lat = self._mem_lat
-        stream = self._stream
-        l1_cost_streamed = l1_lat * stream
-        l2_cost_streamed = l2_lat * stream
-        mem_cost_streamed = mem_lat * stream
+        l1_streamed = self._l1_streamed
+        l2_streamed = self._l2_streamed
+        mem_streamed = self._mem_streamed
         l1_accesses = 0
         l1_misses = 0
         l2_misses = 0
@@ -369,8 +393,60 @@ class Machine:
                 rep_first = first
                 rep_last = last
             l1_accesses += last - first + 1
-            streamed = False
-            for line in range(first, last + 1):
+            page = first >> page_delta
+            if page != last_page:
+                last_page = page
+                tlb_accesses += 1
+                if page in tlb_pages:
+                    del tlb_pages[page]
+                    tlb_pages[page] = None
+                else:
+                    tlb_misses += 1
+                    tlb_pages[page] = None
+                    if len(tlb_pages) > tlb_entries:
+                        for victim in tlb_pages:
+                            break
+                        del tlb_pages[victim]
+                    cycles_int += tlb_penalty
+            cycles_int += l1_lat
+            ways = l1_sets[first & l1_mask]
+            if first in ways:
+                del ways[first]
+                ways[first] = None
+                if prefetcher is not None:
+                    prefetcher.on_hit(first)
+            else:
+                l1_misses += 1
+                ways[first] = None
+                if len(ways) > l1_assoc:
+                    for victim in ways:
+                        break
+                    del ways[victim]
+                if prefetcher is not None:
+                    for target in prefetcher.on_miss(first):
+                        target_ways = l1_sets[target & l1_mask]
+                        if target not in target_ways:
+                            target_ways[target] = None
+                            if len(target_ways) > l1_assoc:
+                                for victim in target_ways:
+                                    break
+                                del target_ways[victim]
+                cycles_int += l2_lat
+                ways2 = l2_sets[first & l2_mask]
+                if first in ways2:
+                    del ways2[first]
+                    ways2[first] = None
+                else:
+                    l2_misses += 1
+                    ways2[first] = None
+                    if len(ways2) > l2_assoc:
+                        for victim in ways2:
+                            break
+                        del ways2[victim]
+                    cycles_int += mem_lat
+            if first == last:
+                continue
+            for line in range(first + 1, last + 1):
                 page = line >> page_delta
                 if page != last_page:
                     last_page = page
@@ -386,10 +462,7 @@ class Machine:
                                 break
                             del tlb_pages[victim]
                         cycles_int += tlb_penalty
-                if streamed:
-                    cycles += l1_cost_streamed
-                else:
-                    cycles_int += l1_lat
+                cycles += l1_streamed
                 ways = l1_sets[line & l1_mask]
                 if line in ways:
                     del ways[line]
@@ -412,14 +485,11 @@ class Machine:
                                     for victim in target_ways:
                                         break
                                     del target_ways[victim]
+                    cycles += l2_streamed
                     ways2 = l2_sets[line & l2_mask]
                     if line in ways2:
                         del ways2[line]
                         ways2[line] = None
-                        if streamed:
-                            cycles += l2_cost_streamed
-                        else:
-                            cycles_int += l2_lat
                     else:
                         l2_misses += 1
                         ways2[line] = None
@@ -427,13 +497,7 @@ class Machine:
                             for victim in ways2:
                                 break
                             del ways2[victim]
-                        if streamed:
-                            cycles += l2_cost_streamed
-                            cycles += mem_cost_streamed
-                        else:
-                            cycles_int += l2_lat
-                            cycles_int += mem_lat
-                streamed = True
+                        cycles += mem_streamed
         self.tlb.accesses += tlb_accesses
         self.tlb.misses += tlb_misses
         self.l1.accesses += l1_accesses
@@ -472,8 +536,7 @@ class Machine:
                 self.tlb.misses += pages
                 cycles_int += pages * self._tlb_penalty
         cycles = self._cycles
-        stream = self._stream
-        l1_cost_streamed = self._l1_lat * stream
+        l1_cost_streamed = self._l1_streamed
         if q + (r > 0) <= l1_assoc:
             # No set overflows: every line hits.
             for _ in range(n - 1):
@@ -488,8 +551,8 @@ class Machine:
             l2_assoc = self._l2_assoc
             l2_lat = self._l2_lat
             mem_lat = self._mem_lat
-            l2_cost_streamed = l2_lat * stream
-            mem_cost_streamed = mem_lat * stream
+            l2_cost_streamed = self._l2_streamed
+            mem_cost_streamed = self._mem_streamed
             l1_misses = l2_misses = 0
             streamed = False
             for line in range(first, last + 1):

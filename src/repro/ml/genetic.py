@@ -14,7 +14,7 @@ unit-interval weight per feature and defaults the strategy objects
 (:mod:`repro.ml.strategies`) to the paper's configuration.  The adapted
 loop is byte-identical to the historical hard-wired implementation —
 same RNG draw order, same chromosomes, same history — a property the
-test suite pins against a frozen copy of the pre-refactor code.
+test suite pins against digests of the pre-refactor code's output.
 
 Strategies are swappable: pass ``ancestry=`` / ``crossover=`` /
 ``mutation=`` objects; each one left out defaults to the paper's

@@ -3,8 +3,9 @@
 One parent process supervises ``N`` **shared-nothing** worker
 processes, each running the full single-process serving stack
 (:class:`~repro.serve.loop.AdvisorService` behind
-:func:`~repro.serve.server.run_server`): its own dispatcher threads,
-micro-batcher, circuit breakers, hot-reload watcher and — in registry
+:func:`~repro.serve.server.run_server`): its own dispatcher threads
+(a freed one answers whatever is queued for its advisor in one batched
+inference pass), circuit breakers, hot-reload watcher and — in registry
 mode — its own :class:`~repro.serve.reload.RegistryRouter`.  Nothing is
 shared between workers, so one worker's stuck model call, tripped
 breaker or corrupt reload cannot affect another's answers.

@@ -24,6 +24,7 @@ import sys
 import pytest
 
 import repro.api as api
+from repro.apps.base import run_case_study
 from repro.apps.chord import ChordSimulator
 from repro.apps.raytrace import Raytracer
 from repro.apps.tape import Tape
@@ -180,6 +181,43 @@ class TestRunDarwin:
         for kinds in candidates:
             space *= len(kinds)
         assert chord_result.evaluations <= space
+
+
+class TestOneRealRun:
+    """A search runs its app for real once: the tape's recording run is
+    instrumented, so it also profiles the greedy report."""
+
+    @pytest.mark.parametrize("app", (
+        ChordSimulator("small"), Raytracer("small"), XalanStringCache("test"),
+    ), ids=("chord", "raytrace", "xalan"))
+    def test_instrumented_recording_profiles_like_a_plain_run(self, app):
+        tape, recorded = Tape.record(app, CORE2, instrument=True)
+        plain = run_case_study(app, CORE2, instrument=True)
+        assert tape is not None
+        assert recorded.cycles == plain.cycles
+        assert recorded.trace().to_payload() == plain.trace().to_payload()
+        assert tape.replay().cycles == plain.cycles
+
+    def test_greedy_report_from_the_recording_run(self, trained_suite,
+                                                  monkeypatch):
+        advisor = BrainyAdvisor(BrainySuite.load(trained_suite[0].path))
+        app = ChordSimulator("small")
+        expected = advisor.advise_app(app, CORE2)
+        machines = []
+        construct = Machine.__init__
+
+        def counted(machine, config):
+            machines.append(config.name)
+            construct(machine, config)
+
+        monkeypatch.setattr(Machine, "__init__", counted)
+        result = run_darwin(app, CORE2, advisor, seed=0)
+        # One recording run plus one replay per other assignment.
+        assert result.evaluations == 6
+        assert len(machines) == 6
+        expected.pareto_front = result.report.pareto_front
+        expected.pareto_truncated = result.report.pareto_truncated
+        assert result.report.to_payload() == expected.to_payload()
 
 
 _HASHSEED_SCRIPT = """

@@ -352,6 +352,62 @@ def drive_repeat_stream(machine, seed, events=300):
     return trail
 
 
+def drive_straddle_stream(machine, seed, events=600):
+    """A seeded stream of node-sized accesses (24-72 bytes, a tree or
+    hash node's ``24 + elem``) placed just before line and page ends,
+    so most span two lines and some a third; the first of every stream
+    is a two-line access whose second line opens a new page.  Nodes
+    come in same-sized runs, as a descent touches them, are re-touched
+    from a small pool (hits and exact repeats), and are interleaved
+    with instructions, branches and heap calls.
+
+    Returns the trail observed after every run, ending with the state
+    no counter exposes (:func:`hidden_state`)."""
+    rng = random.Random(seed)
+    config = machine.config
+    line = config.line_bytes
+    page = config.page_bytes
+    region = 1 << 20
+    trail = []
+    pool = []
+    heap = []
+    first = True
+    for _ in range(events):
+        nbytes = rng.choice((24, 32, 40, 48, 56, 72))
+        for _ in range(rng.randrange(1, 7)):
+            r = rng.random()
+            if first or r < 0.25:
+                # The second line opens the next page.
+                addr = (rng.randrange(1, region // page) * page
+                        - rng.randrange(max(1, nbytes - line), nbytes))
+                first = False
+            elif r < 0.6:
+                addr = (rng.randrange(1, region // line) * line
+                        - rng.randrange(1, nbytes))
+            elif r < 0.85 and pool:
+                addr = rng.choice(pool)
+            else:
+                addr = rng.randrange(region)
+            pool.append(addr)
+            machine.access(addr, nbytes)
+            if rng.random() < 0.15:
+                machine.access(addr, nbytes)
+        del pool[:-48]
+        r = rng.random()
+        if r < 0.3:
+            machine.instr(rng.randrange(1, 60))
+        elif r < 0.55:
+            machine.branch(rng.randrange(4096), rng.random() < 0.6)
+        elif r < 0.7:
+            heap.append(machine.malloc(rng.choice((24, 40, 56, 72))))
+        elif r < 0.8 and heap:
+            machine.free(heap.pop(rng.randrange(len(heap))))
+        trail.append([list(machine.snapshot_tuple()), machine.tlb.accesses,
+                      repr(machine.seconds)])
+    trail.append(hidden_state(machine))
+    return trail
+
+
 class WalkRoute:
     """A machine whose same-sized access runs go to ``access_each``.
 
@@ -461,6 +517,24 @@ REPEAT_DIGESTS = {
         "678ce701830f32d6cf72c2f2d2e6e2aa7cdb0871409749b53b1b405139cce761",
 }
 
+#: Digests of the :func:`drive_straddle_stream` trails over seeds 0-2,
+#: recorded with the line-by-line multi-line walk (one loop paying the
+#: first line's integer latencies and the tail's streamed ones).
+STRADDLE_DIGESTS = {
+    "nopf-core2":
+        "cccf7466d0b9d945168afa7020e7066cd5c882890604d76c37832c2b45b8a6e3",
+    "nopf-atom":
+        "4a33c1ae5c766545be5e9730032229838d4ba63790f8168fb7eb6589008fa930",
+    "nopf-core2-full":
+        "ca24b13f004e82ca68011edba7ce6363bc5b8395034b1dfb05c63041b0507ae4",
+    "pf-core2":
+        "5161f6eada74871560d38d30fe594738c752de29dfb014b295fe042b0d09b847",
+    "pf-atom":
+        "04cf720f3c018b9b7ea2fc55874c3a02d0ffad107797471db660b3d40d1b349f",
+    "pf-core2-full":
+        "8d0b3a2a27292681b927dfe59fb827db70cd50acbcb0db0f346602bda3b8928d",
+}
+
 #: SHA-256 of the saved ``vector_oo`` Phase I artifact (small
 #: generator config, core2, 2 records per class, at most 12 seeds).
 PHASE1_ARTIFACT_SHA256 = \
@@ -499,6 +573,20 @@ def line_digest(mask: int, nbytes: int, route: str) -> str:
     return state_digest(machine)
 
 
+def straddle_digest(config: MachineConfig, prefetch: bool, route: str
+                    ) -> str:
+    """SHA-256 of the :func:`drive_straddle_stream` trails of seeds
+    0-2."""
+    trails = []
+    for seed in range(3):
+        machine = Machine(config)
+        if prefetch:
+            machine.attach_prefetcher(NextLinePrefetcher())
+        trails.append(
+            drive_straddle_stream(routed(machine, route, seed), seed))
+    return hashlib.sha256(json.dumps(trails).encode()).hexdigest()
+
+
 def pf_key(prefetch: bool, config: MachineConfig) -> str:
     return f"{'pf' if prefetch else 'nopf'}-{config.name}"
 
@@ -506,6 +594,8 @@ def pf_key(prefetch: bool, config: MachineConfig) -> str:
 STREAM_CONFIGS = pytest.mark.parametrize(
     "config", (CORE2, ATOM, CORE2_FULL, ATOM_FULL), ids=lambda c: c.name)
 REPEAT_CONFIGS = pytest.mark.parametrize(
+    "config", (CORE2, ATOM, CORE2_FULL), ids=lambda c: c.name)
+STRADDLE_CONFIGS = pytest.mark.parametrize(
     "config", (CORE2, ATOM, CORE2_FULL), ids=lambda c: c.name)
 PREFETCH = pytest.mark.parametrize("prefetch", (False, True),
                                    ids=("nopf", "pf"))
@@ -559,6 +649,19 @@ class TestPinnedStreamsWalked:
     def test_line_crossing_and_aligned_runs(self, mask, nbytes):
         assert line_digest(mask, nbytes, "walk") \
             == LINE_DIGESTS[(mask, nbytes)]
+
+
+class TestPinnedStraddles:
+    """Node-sized accesses straddling line and page ends, issued access
+    by access and walked, must keep the digests the line-by-line walk
+    gave before the first line and the streamed tail were split."""
+
+    @STRADDLE_CONFIGS
+    @PREFETCH
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_straddling_nodes(self, config, prefetch, route):
+        assert straddle_digest(config, prefetch, route) \
+            == STRADDLE_DIGESTS[pf_key(prefetch, config)]
 
 
 class TestPinnedPhase1Artifact:

@@ -2,14 +2,16 @@
 
 Covers the api_redesign guarantees:
 
-* the adapted :class:`GeneticFeatureSelector` stays byte-identical to a
-  frozen copy of the pre-refactor hard-wired implementation, for any
-  strategy-relevant configuration and any ``jobs`` value;
+* the adapted :class:`GeneticFeatureSelector` stays byte-identical to
+  the pre-refactor hard-wired implementation (pinned output digests),
+  for any strategy-relevant configuration and any ``jobs`` value;
 * NSGA-II helpers (non-dominated sort, crowding distance) against
   hand-checked cases and a brute-force oracle;
 * :meth:`GeneticSearch.pareto` finds the true front of an enumerable
   search space and is byte-identical across ``jobs``.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -34,71 +36,16 @@ from repro.runtime.parallel import SerialExecutor
 NAMES = ("a", "b", "c", "d", "e", "f")
 
 
-# ---------------------------------------------------------------------------
-# A frozen copy of the pre-refactor GeneticFeatureSelector loop (PR 3
-# vintage).  The adapter must reproduce its RNG draw order exactly; this
-# reference is the proof anchor and must never be "improved".
-# ---------------------------------------------------------------------------
-
-
-class _FrozenLegacySelector:
-    def __init__(self, n_features, feature_names, population=16,
-                 generations=12, tournament=3, crossover_rate=0.7,
-                 mutation_rate=0.15, mutation_sigma=0.25, elitism=2,
-                 seed=0):
-        self.n_features = n_features
-        self.feature_names = tuple(feature_names)
-        self.population_size = population
-        self.generations = generations
-        self.tournament = tournament
-        self.crossover_rate = crossover_rate
-        self.mutation_rate = mutation_rate
-        self.mutation_sigma = mutation_sigma
-        self.elitism = elitism
-        self.rng = np.random.default_rng(seed)
-
-    def _tournament_pick(self, fitnesses):
-        contenders = self.rng.choice(len(fitnesses), size=self.tournament,
-                                     replace=False)
-        return int(contenders[np.argmax(fitnesses[contenders])])
-
-    def _crossover(self, a, b):
-        if self.rng.random() >= self.crossover_rate:
-            return a.copy()
-        mask = self.rng.random(self.n_features) < 0.5
-        return np.where(mask, a, b)
-
-    def _mutate(self, chromosome):
-        mask = self.rng.random(self.n_features) < self.mutation_rate
-        noise = self.rng.normal(0.0, self.mutation_sigma, self.n_features)
-        return np.clip(chromosome + mask * noise, 0.0, 1.0)
-
-    def run(self, fitness_fn):
-        pop = self.rng.random((self.population_size, self.n_features))
-        pop[0] = 1.0
-        fitnesses = np.array([fitness_fn(ch) for ch in pop])
-        history = [float(fitnesses.max())]
-        for _ in range(self.generations):
-            order = np.argsort(-fitnesses)
-            next_pop = [pop[i].copy() for i in order[:self.elitism]]
-            while len(next_pop) < self.population_size:
-                a = pop[self._tournament_pick(fitnesses)]
-                b = pop[self._tournament_pick(fitnesses)]
-                next_pop.append(self._mutate(self._crossover(a, b)))
-            pop = np.asarray(next_pop)
-            fitnesses = np.array([fitness_fn(ch) for ch in pop])
-            history.append(float(fitnesses.max()))
-        best = int(np.argmax(fitnesses))
-        return (pop[best].tobytes(), float(fitnesses[best]), tuple(history))
-
-
 def _linear_fitness(weights):
     return float(2.0 * weights[0] + weights[1] - 0.3 * weights[2:].sum())
 
 
-def _ga_key(result):
-    return (result.weights.tobytes(), result.fitness,
-            tuple(result.history))
+def _ga_digest(result) -> str:
+    """SHA-256 of a run's best weights (raw bytes), fitness and
+    per-generation history (by ``repr``)."""
+    return hashlib.sha256(result.weights.tobytes() + repr(
+        (float(result.fitness), tuple(float(h) for h in result.history))
+    ).encode()).hexdigest()
 
 
 LEGACY_CONFIGS = [
@@ -112,10 +59,33 @@ LEGACY_CONFIGS = [
     dict(population=4, generations=0, seed=42),
 ]
 
+# Digests of the pre-refactor hard-wired GA loop's output, taken from
+# a frozen copy of that loop before it was deleted: the adapter must
+# reproduce its RNG draw order exactly.
+# ``LEGACY_DIGESTS[i]`` is for ``LEGACY_CONFIGS[i]``.
+LEGACY_DIGESTS = [
+    "93f9bb80b8c816993b9278f02e46fdb04d0919fb58b768d92e1bf6ee05d97e00",
+    "d49150eeed02b65232db67271267248cc850af25c300af9e5b018742cdd7ac04",
+    "ffc8a90384e387d11b85050957034af684ce7cf1d36c88abae9f0b365f9d9d49",
+    "4f2f723140dc07a1ce382b83a99d0aa279f7f03d22281ee19e107f37ab9f1c14",
+    "dfaae1822e30d6318c2e507869717ad332c52d36f7dbc77ff00aa5e8c65d3050",
+]
+#: population=8, generations=4, seed=9 (default strategies).
+EXPLICIT_DIGEST = \
+    "86bd14d1273621f99eca8e6475c63d1c708883f05744c1ba1bc2d5fbc20f96f2"
+#: population=8, generations=4, seed=1.
+EXECUTOR_DIGEST = \
+    "6519d285418f9a0be4ed555f01ca28b37c29f2c8b286c9b1c4e477b9f66a03db"
+#: Two runs of one selector (population=6, generations=3, seed=2).
+REUSE_DIGESTS = (
+    "9ce6c18d9c8592977de7f488e9aeb524094818bf48fbebdf7d7b50ec2eff001a",
+    "14bc552fdd38cb777a16fadbce5edfa876f4f2c41f2b7eb33d524a5efa4cda10",
+)
+
 
 def _adapted_selector(config):
     """The adapter for a LEGACY_CONFIGS entry: each numeric knob the
-    frozen loop takes becomes the strategy object it maps to; knobs the
+    legacy loop took becomes the strategy object it maps to; knobs the
     entry leaves out stay at the adapter's defaults."""
     config = dict(config)
     if "tournament" in config:
@@ -130,50 +100,40 @@ def _adapted_selector(config):
 
 
 class TestAdapterByteIdentity:
-    """The refactored adapter vs the frozen pre-refactor loop."""
+    """The refactored adapter vs the pinned pre-refactor outputs."""
 
-    @pytest.mark.parametrize("config", LEGACY_CONFIGS)
-    def test_matches_frozen_legacy_for_any_jobs(self, config):
-        expected = _FrozenLegacySelector(6, NAMES,
-                                         **config).run(_linear_fitness)
+    @pytest.mark.parametrize(
+        "config,digest", list(zip(LEGACY_CONFIGS, LEGACY_DIGESTS)),
+        ids=[f"config{i}" for i in range(len(LEGACY_CONFIGS))])
+    def test_matches_frozen_legacy_for_any_jobs(self, config, digest):
         for jobs in (None, 2):
             selector = _adapted_selector(config)
             result = selector.run(_linear_fitness, jobs=jobs)
-            assert _ga_key(result) == expected, (config, jobs)
+            assert _ga_digest(result) == digest, (config, jobs)
 
     def test_matches_with_explicit_strategies(self):
         """Passing the default strategies as objects changes nothing."""
-        expected = _FrozenLegacySelector(
-            6, NAMES, population=8, generations=4,
-            seed=9).run(_linear_fitness)
         selector = GeneticFeatureSelector(
             6, NAMES, population=8, generations=4, seed=9,
             ancestry=TournamentAncestry(3),
             crossover=UniformCrossover(0.7),
             mutation=GaussianMutation(rate=0.15, sigma=0.25),
         )
-        assert _ga_key(selector.run(_linear_fitness)) == expected
+        assert _ga_digest(selector.run(_linear_fitness)) == EXPLICIT_DIGEST
 
     def test_matches_under_in_process_executor(self):
-        expected = _FrozenLegacySelector(
-            6, NAMES, population=8, generations=4,
-            seed=1).run(_linear_fitness)
         selector = GeneticFeatureSelector(6, NAMES, population=8,
                                           generations=4, seed=1)
         result = selector.run(_linear_fitness, jobs=4,
                               executor=SerialExecutor())
-        assert _ga_key(result) == expected
+        assert _ga_digest(result) == EXECUTOR_DIGEST
 
     def test_rng_reuse_across_runs_matches(self):
         """Callers that run the same selector twice reuse its stream."""
-        legacy = _FrozenLegacySelector(6, NAMES, population=6,
-                                       generations=3, seed=2)
-        first, second = (legacy.run(_linear_fitness),
-                         legacy.run(_linear_fitness))
         adapted = GeneticFeatureSelector(6, NAMES, population=6,
                                          generations=3, seed=2)
-        assert _ga_key(adapted.run(_linear_fitness)) == first
-        assert _ga_key(adapted.run(_linear_fitness)) == second
+        assert _ga_digest(adapted.run(_linear_fitness)) == REUSE_DIGESTS[0]
+        assert _ga_digest(adapted.run(_linear_fitness)) == REUSE_DIGESTS[1]
 
 
 class TestSearchValidation:
