@@ -75,7 +75,7 @@ def test_ablation_phase1_margin(benchmark, gen_config, report):
             phase1 = run_phase1(group, gen_config, CORE2,
                                 per_class_target=20, max_seeds=200,
                                 margin=margin, seed_base=10_000)
-            training_set = run_phase2(phase1, gen_config, CORE2)
+            training_set = run_phase2(phase1)
             model = BrainyModel.train(training_set, seed=4)
             accuracies[margin] = (_unseen_accuracy(model, gen_config),
                                   len(training_set))
@@ -103,7 +103,7 @@ def test_ablation_training_set_size(benchmark, gen_config, report):
             phase1 = run_phase1(group, gen_config, CORE2,
                                 per_class_target=target,
                                 max_seeds=max_seeds, seed_base=20_000)
-            training_set = run_phase2(phase1, gen_config, CORE2)
+            training_set = run_phase2(phase1)
             model = BrainyModel.train(training_set, seed=5)
             accuracy, n_val = _unseen_accuracy(model, gen_config)
             results[len(training_set)] = accuracy

@@ -4,9 +4,9 @@
 This walks the paper's whole pipeline at toy scale (about a minute):
 
 1. Phase I  — generate seeded synthetic apps, time every candidate
-   container on the simulated Core2, record each app's best.
-2. Phase II — replay each app on its original container with the
-   profiling library and collect the feature vectors.
+   container on the simulated Core2, record each app's best together
+   with the feature vector of its run on the original container.
+2. Phase II — join the records into labelled feature vectors.
 3. Train the per-model artificial neural network.
 4. Predict the best container for applications the model never saw,
    and compare against the empirical oracle.
@@ -39,8 +39,8 @@ def main() -> None:
     print(f"  {len(phase1)} labelled apps from {phase1.seeds_tried} seeds; "
           f"winners: {counts}")
 
-    print("\nPhase II: replaying with the instrumented library ...")
-    training_set = run_phase2(phase1, config, CORE2)
+    print("\nPhase II: joining records and original-kind features ...")
+    training_set = run_phase2(phase1)
     print(f"  {len(training_set)} feature vectors of "
           f"{training_set.X.shape[1]} features each")
 

@@ -1,4 +1,5 @@
-"""Phase-I/II measurement helpers over synthetic applications."""
+"""Phase-I measurement helpers over synthetic applications: the
+candidate race and the original-kind feature vector."""
 
 from __future__ import annotations
 
@@ -196,9 +197,10 @@ def best_candidate(runtimes: dict[DSKind, int],
 
 def collect_features(app: SyntheticApp,
                      machine_config: MachineConfig = CORE2) -> np.ndarray:
-    """Phase II: replay the app on its *original* kind.
+    """The feature vector of the app's run on its *original* kind.
 
     Brainy models how the original data structure behaves (§7), so the
-    feature vector always comes from the original-kind run.
+    feature vector always comes from the original-kind run; Phase I
+    records carry the same vector for their seeds.
     """
     return app.run(app.group.original, machine_config).features()

@@ -6,7 +6,7 @@ whose operations can be replayed identically against any candidate
 implementation.  Sequence containers additionally honour a positional
 ``hint`` on insert, which ordered/hashed containers ignore — this keeps
 the random stream a generated application draws identical across
-implementations, a prerequisite for the Phase-I/Phase-II replay scheme.
+implementations, a prerequisite for Phase I's candidate race.
 
 Every mutating/observing operation returns its *software cost*, the number
 of data elements touched to carry it out (the paper's ``find_cost``,

@@ -302,29 +302,24 @@ def _train_groups(group_names: tuple[str, ...],
     A pure function of its (picklable) arguments, which is what lets
     :meth:`BrainySuite.train` overlap independent tasks across a worker
     pool while staying byte-identical to the serial loop.  Each
-    candidate set's Phase I checkpoints to ``<its first group>.phase1.json``
-    and each group's Phase II to ``<group>.phase2.json``, so concurrent
-    tasks never touch the same path.  Phase II simulates each
-    ``(seed, original kind)`` at most once per task: it reuses the
-    race's runs (Phase I finishes the stopped ones its records need)
-    and the runs of earlier groups.  ``options`` carries no telemetry
-    collector: a live one never crosses the process boundary.
+    candidate set's Phase I checkpoints to ``<its first group>.phase1.json``,
+    so concurrent tasks never touch the same path.  Phase I's records
+    carry every group's original-kind features, so Phase II simulates
+    nothing.  ``options`` carries no telemetry collector: a live one
+    never crosses the process boundary.
     """
-    def checkpoint(name: str, phase: str) -> tuple[Path | None,
-                                                   Path | None]:
+    def checkpoint(name: str) -> tuple[Path | None, Path | None]:
         if checkpoint_dir is None:
             return None, None
-        path = Path(checkpoint_dir) / f"{name}.{phase}.json"
+        path = Path(checkpoint_dir) / f"{name}.phase1.json"
         return path, (path if resume and path.exists() else None)
 
     groups = [MODEL_GROUPS[name] for name in group_names]
-    features: dict = {}
     models = []
     for index, group in enumerate(groups):
         with obs.span("train.group", group=group.name):
             if index == 0:
-                paths = {name: checkpoint(name, "phase1")
-                         for name in group_names}
+                paths = {name: checkpoint(name) for name in group_names}
                 phase1 = run_phase1(
                     groups, config, machine_config,
                     per_class_target=per_class_target,
@@ -333,18 +328,12 @@ def _train_groups(group_names: tuple[str, ...],
                                  for name, (_, resume) in paths.items()},
                     checkpoint_path={name: path
                                      for name, (path, _) in paths.items()},
-                    options=options, features=features,
+                    options=options,
                 )
             else:
                 obs.counter("phase1.shared", group=group.name)
-            p2_path, p2_resume = checkpoint(group.name, "phase2")
-            training_set = run_phase2(
-                phase1[index], config, machine_config,
-                resume_from=p2_resume, checkpoint_path=p2_path,
-                options=options, features=features,
-            )
-            models.append(BrainyModel.train(training_set, hidden=hidden,
-                                            seed=seed))
+            models.append(BrainyModel.train(run_phase2(phase1[index]),
+                                            hidden=hidden, seed=seed))
     return models
 
 
@@ -400,12 +389,11 @@ class BrainySuite:
         Groups of one app family (:func:`phase1_tasks`) run one Phase I
         seed loop, as one task.  With ``checkpoint_dir`` set, each
         candidate set's Phase I writes periodic checkpoints there
-        (``<its first group>.phase1.json``) and so does each group's
-        Phase II (``<group>.phase2.json``); with ``resume=True`` an
-        interrupted run picks up from those files.
-        Completed phases leave ``complete=True`` checkpoints, so resume
-        skips finished work.  Checkpoints are removed once the whole
-        suite trains successfully.
+        (``<its first group>.phase1.json``); with ``resume=True`` an
+        interrupted run picks up from those files.  A completed Phase I
+        leaves a ``complete=True`` checkpoint, so resume skips finished
+        work.  Checkpoints are removed once the whole suite trains
+        successfully.
 
         Cross-cutting run knobs (``jobs``, ``window``,
         ``checkpoint_every``, fault tuning, ``telemetry``) arrive via
@@ -493,10 +481,8 @@ class BrainySuite:
                                 for group in groups})
             if checkpoint_dir is not None:
                 for group in groups:
-                    for phase in ("phase1", "phase2"):
-                        (checkpoint_dir
-                         / f"{group.name}.{phase}.json"
-                         ).unlink(missing_ok=True)
+                    (checkpoint_dir / f"{group.name}.phase1.json"
+                     ).unlink(missing_ok=True)
             return suite
 
     # -- persistence ---------------------------------------------------------

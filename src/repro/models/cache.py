@@ -147,8 +147,7 @@ def get_or_build_dataset(group_name: str,
     phase1 = run_phase1(group, config, machine_config,
                         per_class_target=scale.per_class_target,
                         max_seeds=scale.max_seeds, options=options)
-    training_set = run_phase2(phase1, config, machine_config,
-                              options=options)
+    training_set = run_phase2(phase1)
     training_set.save(path)
     return training_set
 

@@ -186,8 +186,7 @@ def format_telemetry(payload: dict, top: int = 5) -> str:
                      f"({sim_events / wall:,.0f}/s over the run)")
 
     plain = {k: v for k, v in counters.items()
-             if not k.startswith(("phase1.quarantined",
-                                  "phase2.quarantined"))}
+             if not k.startswith("phase1.quarantined")}
     if plain:
         lines.append("")
         lines.append("counters:")
@@ -209,8 +208,7 @@ def format_telemetry(payload: dict, top: int = 5) -> str:
             )
 
     faults = {k: v for k, v in counters.items()
-              if k.startswith(("phase1.quarantined",
-                               "phase2.quarantined"))}
+              if k.startswith("phase1.quarantined")}
     lines.append("")
     if faults:
         lines.append("fault taxonomy:")

@@ -18,7 +18,6 @@ from repro.runtime.artifacts import (
 )
 from repro.runtime.checkpoint import (
     Phase1Checkpoint,
-    Phase2Checkpoint,
     TrainingInterrupted,
 )
 from repro.runtime.faults import (
@@ -66,7 +65,6 @@ __all__ = [
     "read_artifact",
     "write_artifact",
     "Phase1Checkpoint",
-    "Phase2Checkpoint",
     "TrainingInterrupted",
     "DeadlineExceeded",
     "DeterministicFault",

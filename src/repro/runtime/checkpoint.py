@@ -1,10 +1,12 @@
-"""Checkpoint/resume state for the training phases and darwin search.
+"""Checkpoint/resume state for Phase I and darwin search.
 
 Checkpoints are ordinary artifacts (atomic, versioned, checksummed).
 Phase I processes seed offsets strictly in order and each offset's
 outcome is a pure function of the seed, so a checkpoint taken after the
 last fully-applied seed makes resume deterministic: an interrupted run,
 resumed, produces a byte-identical dataset to an uninterrupted one.
+Phase II simulates nothing (its rows are the features Phase I records
+carry), so it has no checkpoint of its own.
 :class:`DarwinCheckpoint` extends the same contract to the Darwinian
 whole-program search (``repro darwin``): generation-granular state on
 the same envelope, byte-identical resume for any ``--jobs``.
@@ -23,12 +25,11 @@ from repro.runtime.artifacts import read_artifact, write_artifact
 from repro.runtime.faults import QuarantineRecord
 
 PHASE1_CHECKPOINT_KIND = "phase1-checkpoint"
-PHASE2_CHECKPOINT_KIND = "phase2-checkpoint"
 DARWIN_CHECKPOINT_KIND = "darwin-checkpoint"
 CHECKPOINT_SCHEMA_VERSION = 1
 #: Phase I records list only the candidates that completed the
-#: cycle-ordered race.
-PHASE1_CHECKPOINT_SCHEMA_VERSION = 3
+#: cycle-ordered race (3) and carry their original-kind features (4).
+PHASE1_CHECKPOINT_SCHEMA_VERSION = 4
 
 
 class TrainingInterrupted(RuntimeError):
@@ -88,49 +89,6 @@ class Phase1Checkpoint:
             records=list(payload["records"]),
             quarantined=[QuarantineRecord.from_payload(q)
                          for q in payload["quarantined"]],
-            complete=payload["complete"],
-        )
-
-
-@dataclass
-class Phase2Checkpoint:
-    """Phase-II replay state: rows emitted for records ``< next_index``."""
-
-    group_name: str
-    machine_name: str
-    next_index: int
-    total_records: int
-    X: list[list[float]] = field(default_factory=list)
-    y: list[int] = field(default_factory=list)
-    seeds: list[int] = field(default_factory=list)
-    complete: bool = False
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "group_name": self.group_name,
-            "machine_name": self.machine_name,
-            "next_index": self.next_index,
-            "total_records": self.total_records,
-            "X": self.X,
-            "y": self.y,
-            "seeds": self.seeds,
-            "complete": self.complete,
-        }
-        write_artifact(path, payload, kind=PHASE2_CHECKPOINT_KIND,
-                       schema_version=CHECKPOINT_SCHEMA_VERSION)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Phase2Checkpoint":
-        payload = read_artifact(Path(path), kind=PHASE2_CHECKPOINT_KIND,
-                                schema_version=CHECKPOINT_SCHEMA_VERSION)
-        return cls(
-            group_name=payload["group_name"],
-            machine_name=payload["machine_name"],
-            next_index=payload["next_index"],
-            total_records=payload["total_records"],
-            X=list(payload["X"]),
-            y=list(payload["y"]),
-            seeds=list(payload["seeds"]),
             complete=payload["complete"],
         )
 

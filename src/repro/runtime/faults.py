@@ -95,7 +95,7 @@ class QuarantineRecord:
     """One seed the run gave up on, and why."""
 
     seed: int
-    stage: str  # "generate" | "measure" | "replay"
+    stage: str  # "generate" | "measure" | "finish" | "worker"
     category: str  # transient | deterministic | budget
     error: str
     attempts: int

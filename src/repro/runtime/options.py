@@ -1,7 +1,6 @@
 """Unified run-knob plumbing: one frozen :class:`RunOptions` per run.
 
 The training entry points (:func:`repro.training.phase1.run_phase1`,
-:func:`repro.training.phase2.run_phase2`,
 :meth:`repro.models.brainy.BrainySuite.train`, the suite cache in
 :mod:`repro.models.cache`) and the Darwinian search
 (:func:`repro.core.darwin.run_darwin`) take their cross-cutting knobs —

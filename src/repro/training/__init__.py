@@ -2,11 +2,12 @@
 
 Phase I generates seeded application sets, times every candidate container,
 and records ``(seed, best DS)`` pairs — keeping a winner only when it beats
-every alternative by the configured margin.  Phase II regenerates each
-recorded application from its seed, replays it on the *original* container
-with the instrumented library, and emits ``(features, best DS)`` training
-rows.  Regeneration-by-seed is what lets the framework scale to millions
-of training applications "without an explosion in disk space".
+every alternative by the configured margin.  Each record also carries
+the feature vector of the application's run on the *original* container,
+which Phase I ran anyway.  Phase II joins them into ``(features, best
+DS)`` training rows.  The paper instead regenerates each recorded
+application from its seed and replays it, to keep disk use constant;
+here a record stores 20 floats per original kind.
 """
 
 from repro.training.dataset import TrainingSet

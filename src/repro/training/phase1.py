@@ -36,7 +36,7 @@ checkpoint, exactly as if it ran alone.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -75,7 +75,8 @@ from repro.runtime.parallel import (
 )
 
 PHASE1_ARTIFACT_KIND = "phase1-result"
-PHASE1_SCHEMA_VERSION = 4
+#: 5: records carry the features of their groups' original-kind runs.
+PHASE1_SCHEMA_VERSION = 5
 
 #: How many seeds back a seed's finish decision reads its candidate
 #: sets' full classes (see :func:`evaluate_seed`).  The seed loop keeps
@@ -103,17 +104,22 @@ class SeedRecord:
     cycle order (:func:`~repro.appgen.workload.race_candidates`), so
     candidates that could no longer win or place second were abandoned
     and are absent; ``best`` is always present and is the minimum.
+    ``features`` holds the feature vector of the app's whole run on each
+    original kind of the groups the record serves: Phase II's row.
     """
 
     seed: int
     best: DSKind
     runtimes: dict[DSKind, int]
+    features: dict[DSKind, np.ndarray]
 
     def to_payload(self) -> dict:
         return {
             "seed": self.seed,
             "best": self.best.value,
             "runtimes": {k.value: v for k, v in self.runtimes.items()},
+            "features": {k.value: v.tolist()
+                         for k, v in self.features.items()},
         }
 
     @classmethod
@@ -123,6 +129,8 @@ class SeedRecord:
             best=DSKind(payload["best"]),
             runtimes={DSKind(k): v
                       for k, v in payload["runtimes"].items()},
+            features={DSKind(k): np.asarray(v, dtype=np.float64)
+                      for k, v in payload["features"].items()},
         )
 
 
@@ -148,26 +156,35 @@ class Phase1Result:
         return len(self.records)
 
     def for_group(self, group: ModelGroup) -> "Phase1Result":
-        """This result under a sibling group's name.
+        """This result for ``group``, its records' features projected
+        down to the group's original kind.
 
         Groups with one :func:`phase1_key` and one candidate set
         generate identical apps and race identical candidates, so their
-        Phase I results are equal record for record.
+        Phase I results are equal record for record, and a result whose
+        records carry a sibling's original kind serves that sibling.
         """
         if (phase1_key(group) != phase1_key(self.group)
                 or set(group.classes) != set(self.group.classes)):
             raise ValueError(
                 f"group {group.name!r} does not share Phase I with "
                 f"{self.group.name!r}")
+        kind = group.original
+        if any(kind not in r.features for r in self.records):
+            raise ValueError(
+                f"the records of {self.group.name!r} carry no "
+                f"{kind.value} features for group {group.name!r}")
         return Phase1Result(
             group=group, machine_name=self.machine_name,
-            records=list(self.records), seeds_tried=self.seeds_tried,
-            no_winner=self.no_winner, quarantined=list(self.quarantined))
+            records=[replace(r, features={kind: r.features[kind]})
+                     for r in self.records],
+            seeds_tried=self.seeds_tried, no_winner=self.no_winner,
+            quarantined=list(self.quarantined))
 
     # -- persistence (the paper's ``seed_ds_pairs``) ----------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the seed/DS pairs; Phase II can resume from this file."""
+        """Write the seed/DS pairs; Phase II can run from this file."""
         payload = {
             "group_name": self.group.name,
             "machine_name": self.machine_name,
@@ -210,8 +227,8 @@ class SeedOutcome:
     #: Each raced candidate set's runtimes, by the set's index.
     runtimes: dict[int, dict[DSKind, int]] | None = None
     quarantine: QuarantineRecord | None = None
-    #: Feature vectors of the kinds asked for, from the race's
-    #: completed runs and the stopped runs finished for them.
+    #: The features of every kept kind of the sets that may record the
+    #: seed, by kind.
     features: dict[DSKind, np.ndarray] = field(default_factory=dict)
 
 
@@ -225,7 +242,7 @@ def evaluate_seed(seed: int,
                   seed_budget_seconds: float | None,
                   generate_fn: Callable,
                   measure_fn: Callable,
-                  keep: Sequence[frozenset[DSKind]],
+                  keep: Sequence[tuple[DSKind, ...]],
                   margin: float,
                   filled: Sequence[Mapping[DSKind, int | None]]
                   ) -> SeedOutcome:
@@ -240,22 +257,20 @@ def evaluate_seed(seed: int,
     still name sets that stopped since; racing those changes no other
     set's runtimes.
 
-    ``keep[i]`` names the kinds whose features set ``i``'s Phase II
-    needs (its groups' original kinds).  The outcome carries the
-    features of every completed race run of a kept kind, and when set
-    ``i`` raced and has a winner at ``margin``, the race's stopped runs
-    of ``keep[i]`` are finished for theirs: the seed may then become a
-    record, whose Phase II row needs exactly that run.  It cannot when
-    the winner's class is full, and ``filled[i][kind]`` is the seed
-    that filled it (None while it is not full); the merge loop updates
-    it like ``first_seeds``.  The decision reads only fills at least
-    :data:`FINISH_LAG` seeds back, which every executor has applied
-    by the time it evaluates the seed, so it is the same for any
-    ``jobs``, except on a stale set above: a pool worker may then
-    finish runs for a set a serial run does not race, which adds work
-    but changes no outcome.  A finish that raises only loses its
-    features (Phase II then runs the record afresh); it never changes
-    the seed's outcome.
+    ``keep[i]`` names set ``i``'s groups' original kinds.  When set
+    ``i`` raced and has a winner at ``margin``, the seed may become one
+    of its records, which carry the features of the app's whole run on
+    each kept kind (stage ``"finish"``): a completed race run's, else
+    the race's stopped run finished, else a fresh run (only an injected
+    ``measure_fn`` leaves a kind out of the race).  The seed cannot
+    become a record when the winner's class is full, and
+    ``filled[i][kind]`` is the seed that filled it (None while it is not
+    full); the merge loop updates it like ``first_seeds``.  The decision
+    reads only fills at least :data:`FINISH_LAG` seeds back, which every
+    executor has applied by the time it evaluates the seed, so it is the
+    same for any ``jobs``, except on a stale set above: a pool worker
+    may then finish runs for a set a serial run does not race, which
+    adds work, and quarantines the seed if such a finish fails.
 
     Otherwise a pure function of its arguments, and used by both the
     serial path and pool workers, which is what guarantees the two
@@ -281,28 +296,36 @@ def evaluate_seed(seed: int,
                     seed=seed, stage="measure", policy=retry_policy,
                     budget=budget,
                 )
+            runtimes = dict(zip(raced, race.runtimes))
+            wanted = dict.fromkeys(
+                kind for i in raced
+                if _may_record(best_candidate(runtimes[i], margin=margin),
+                               filled[i], seed)
+                for kind in keep[i])
+            try:
+                features = {kind: run_guarded(
+                    lambda: _whole_run(app, kind, race, machine_config
+                                       ).features(),
+                    seed=seed, stage="finish", policy=retry_policy,
+                    budget=budget) for kind in wanted}
+            finally:
+                race.release()
         except SeedQuarantined as quarantine:
             return SeedOutcome(seed=seed, quarantine=quarantine.record)
-        runtimes = dict(zip(raced, race.runtimes))
-        kept = frozenset().union(*keep)
-        features = {kind: run.features()
-                    for kind, run in race.runs.items() if kind in kept}
-        wanted = frozenset().union(*(
-            keep[i] for i in raced
-            if _may_record(best_candidate(runtimes[i], margin=margin),
-                           filled[i], seed)))
-        for kind, run in race.stopped.items():
-            if kind not in wanted:
-                continue
-            try:
-                with obs.span("finish", kind=kind.value):
-                    features[kind] = app.run(kind, machine_config,
-                                             resume=run).features()
-            except Exception:
-                continue
-            obs.counter("phase1.finished", kind=kind.value)
-        race.release()
     return SeedOutcome(seed=seed, runtimes=runtimes, features=features)
+
+
+def _whole_run(app, kind: DSKind, race: Race, machine_config):
+    """The race's completed run of ``kind``, else its stopped run
+    finished, else a fresh run.  A stopped run is taken out of the race
+    first, so a retry after a failed finish starts afresh."""
+    if kind in race.runs:
+        return race.runs[kind]
+    with obs.span("finish", kind=kind.value):
+        run = app.run(kind, machine_config,
+                      resume=race.stopped.pop(kind, None))
+    obs.counter("phase1.finished", kind=kind.value)
+    return run
 
 
 def _may_record(best: DSKind | None,
@@ -369,6 +392,7 @@ def _restore_checkpoint(checkpoint: Phase1Checkpoint | str | Path,
                         group: ModelGroup,
                         machine_config: MachineConfig,
                         seed_base: int,
+                        keep: tuple[DSKind, ...],
                         ) -> tuple[Phase1Result, dict[DSKind, int], int,
                                    bool]:
     if not isinstance(checkpoint, Phase1Checkpoint):
@@ -395,6 +419,11 @@ def _restore_checkpoint(checkpoint: Phase1Checkpoint | str | Path,
         no_winner=checkpoint.no_winner,
         quarantined=list(checkpoint.quarantined),
     )
+    if any(kind not in r.features
+           for r in result.records for kind in keep):
+        raise ValueError(
+            "checkpoint records lack the features of "
+            + ", ".join(kind.value for kind in keep))
     counts = {kind: 0 for kind in group.classes}
     for name, count in checkpoint.counts.items():
         counts[DSKind(name)] = count
@@ -406,6 +435,9 @@ class _SetLoop:
     """One candidate set's Algorithm 1 bookkeeping in a seed loop."""
 
     result: Phase1Result
+    #: The original kinds of the set's groups, whose features every
+    #: record carries.
+    keep: tuple[DSKind, ...]
     counts: dict[DSKind, int]
     start: int
     checkpoint_path: str | Path | None
@@ -440,7 +472,6 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
                options: RunOptions | None = None,
                generate_fn: Callable | None = None,
                measure_fn: Callable | None = None,
-               features: dict[tuple[int, DSKind], np.ndarray] | None = None,
                executor=None,
                ) -> Phase1Result | list[Phase1Result]:
     """Algorithm 1: collect ``(seed, best DS)`` pairs for one model group.
@@ -455,7 +486,9 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
         candidate sets still collecting.  Each candidate set keeps its
         own counts, stop rule and checkpoint, and the call returns a
         list with one result per group, each equal to what the group
-        gets alone.  Every set must lie inside the widest one.
+        gets alone.  Every set must lie inside the widest one.  Each
+        record carries the features of the app's run on its group's
+        original kind (:class:`SeedRecord`), Phase II's row.
     per_class_target:
         ``need_more_sets`` threshold: stop once every class has this many
         winning applications (the paper uses e.g. ten thousand).
@@ -474,7 +507,8 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
         run leaves a ``complete=True`` checkpoint behind so resuming a
         finished phase is instant.  For a sequence of groups,
         ``resume_from`` and ``checkpoint_path`` map group names to the
-        above; each candidate set uses the entry of its first group.
+        above; each candidate set uses the entry of its first group,
+        whose records carry the features of all the set's groups.
     options:
         The cross-cutting run knobs as one frozen
         :class:`~repro.runtime.options.RunOptions` (``jobs``, ``window``,
@@ -491,14 +525,6 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
         :func:`~repro.appgen.workload.race_candidates`; for a sequence
         it is ``measure_fn(app, machine_config, sets)`` and returns a
         :class:`~repro.appgen.workload.Race`.
-    features:
-        When given, the feature vectors of the groups' original kinds
-        are added to it by ``(seed, kind)``, for
-        :func:`~repro.training.phase2.run_phase2` to reuse: those of the
-        race's completed runs, and, for every seed that may become a
-        record, those of the original-kind runs the race stopped, which
-        are finished for it (see :func:`evaluate_seed`).  Phase II then
-        simulates nothing that this loop recorded.
     executor:
         Overrides the worker pool entirely (tests pass an in-process
         :class:`~repro.runtime.parallel.SerialExecutor` so stateful
@@ -526,10 +552,13 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
     if len({phase1_key(g) for g in groups}) != 1:
         raise ValueError("run_phase1 takes one group, or groups of one "
                          "app family")
-    # One loop per candidate set, named after its first group.
+    # One loop per candidate set, named after its first group, keeping
+    # its groups' original kinds.
     leaders: dict[frozenset[DSKind], ModelGroup] = {}
+    keeps: dict[frozenset[DSKind], dict[DSKind, None]] = {}
     for g in groups:
         leaders.setdefault(frozenset(g.classes), g)
+        keeps.setdefault(frozenset(g.classes), {})[g.original] = None
     widest = max(leaders.values(), key=lambda g: len(g.classes))
     if not all(kinds <= set(widest.classes) for kinds in leaders):
         raise ValueError("every group's candidates must lie inside the "
@@ -543,11 +572,12 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
     with telemetry_scope, obs.span("phase1", group=groups[0].name,
                                    machine=machine_config.name):
         loops = []
-        for leader in leaders.values():
+        for kinds, leader in leaders.items():
+            keep = tuple(keeps[kinds])
             if resumes.get(leader.name) is not None:
                 result, counts, start, done = _restore_checkpoint(
-                    resumes[leader.name], leader, machine_config, seed_base
-                )
+                    resumes[leader.name], leader, machine_config, seed_base,
+                    keep)
             else:
                 result = Phase1Result(group=leader,
                                       machine_name=machine_config.name)
@@ -558,7 +588,7 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
             filled = {kind: (seed_base + start - 1
                              if count >= per_class_target else None)
                       for kind, count in counts.items()}
-            loops.append(_SetLoop(result, counts, start,
+            loops.append(_SetLoop(result, keep, counts, start,
                                   checkpoint_paths.get(leader.name), done,
                                   filled))
         first_seeds = [None if loop.done else seed_base + loop.start
@@ -572,23 +602,18 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
             retry_policy=options.retry_policy,
             seed_budget_seconds=options.seed_budget_seconds,
             generate_fn=generate_fn, measure_fn=measure_fn,
-            keep=[frozenset(g.original for g in groups
-                            if features is not None
-                            and frozenset(g.classes) == kinds)
-                  for kinds in leaders],
+            keep=[loop.keep for loop in loops],
             margin=margin,
             filled=[loop.filled for loop in loops],
         )
         if executor is None:
             jobs = usable_jobs(worker, jobs, "the Phase-I seed worker")
         _seed_loop(loops, first_seeds, worker, per_class_target, max_seeds,
-                   margin, seed_base, progress, features, options, jobs,
-                   executor)
+                   margin, seed_base, progress, options, jobs, executor)
         by_set = {frozenset(loop.result.group.classes): loop.result
                   for loop in loops}
-        results = [by_set[frozenset(g.classes)] for g in groups]
-        results = [result if result.group is g else result.for_group(g)
-                   for g, result in zip(groups, results)]
+        results = [by_set[frozenset(g.classes)].for_group(g)
+                   for g in groups]
         return results[0] if isinstance(group, ModelGroup) else results
 
 
@@ -600,7 +625,6 @@ def _seed_loop(loops: list[_SetLoop],
                margin: float,
                seed_base: int,
                progress: Callable[[int, Phase1Result], None] | None,
-               features: dict | None,
                options: RunOptions,
                jobs: int,
                executor) -> None:
@@ -659,9 +683,6 @@ def _seed_loop(loops: list[_SetLoop],
             if isinstance(outcome, TaskFailure):
                 obs.counter("phase1.worker_crashes")
                 outcome = _recover_worker_crash(outcome, worker)
-            if features is not None:
-                for kind, vector in outcome.features.items():
-                    features.setdefault((seed, kind), vector)
             for i in active:
                 if _apply(loops[i], i, outcome, margin, per_class_target,
                           progress) and checkpoint_every is not None \
@@ -696,14 +717,15 @@ def _apply(loop: _SetLoop, index: int, outcome: SeedOutcome,
         obs.counter("phase1.no_winner")
     elif loop.counts[best] >= per_class_target:
         # Phase I's early filter (§4.3): extra applications for an
-        # already-full class are not handed to the expensive Phase II.
+        # already-full class do not become records.
         pass
     else:
         loop.counts[best] += 1
         if loop.counts[best] == per_class_target:
             loop.filled[best] = outcome.seed
-        result.records.append(
-            SeedRecord(seed=outcome.seed, best=best, runtimes=runtimes))
+        result.records.append(SeedRecord(
+            seed=outcome.seed, best=best, runtimes=runtimes,
+            features={kind: outcome.features[kind] for kind in loop.keep}))
         obs.counter("phase1.records", best=best.value)
         if progress is not None:
             progress(outcome.seed, result)

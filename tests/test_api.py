@@ -10,7 +10,7 @@ import repro
 from repro import api
 from repro.appgen.config import GeneratorConfig
 from repro.appgen.generator import generate_app
-from repro.containers.registry import DSKind, MODEL_GROUPS
+from repro.containers.registry import MODEL_GROUPS
 from repro.core.report import Report
 from repro.machine.configs import CORE2
 from repro.models import cache as cache_mod
@@ -18,8 +18,7 @@ from repro.models.brainy import BrainySuite
 from repro.models.validation import ValidationResult
 from repro.runtime.checkpoint import TrainingInterrupted
 from repro.runtime.options import RunOptions
-from repro.training.phase1 import Phase1Result, SeedRecord, run_phase1
-from repro.training.phase2 import run_phase2
+from repro.training.phase1 import run_phase1
 from tests.conftest import UNIT_SCALE as TINY
 
 
@@ -235,18 +234,6 @@ class TestTrainingKnobValidation:
                        per_class_target=2, max_seeds=4,
                        checkpoint_path=tmp_path / "p1.json",
                        options=RunOptions(checkpoint_every=0),
-                       generate_fn=self.recording_generate(generated))
-        assert generated == []
-
-    def test_phase2_rejects_zero_window(self):
-        phase1 = Phase1Result(
-            group=MODEL_GROUPS["set"], machine_name=CORE2.name,
-            records=[SeedRecord(seed=1, best=DSKind.SET,
-                                runtimes={DSKind.SET: 10})])
-        generated = []
-        with pytest.raises(ValueError, match="window"):
-            run_phase2(phase1, GeneratorConfig.small(), CORE2,
-                       options=RunOptions(window=0),
                        generate_fn=self.recording_generate(generated))
         assert generated == []
 

@@ -36,7 +36,7 @@ def trained_model(config):
     group = MODEL_GROUPS["vector_oo"]
     phase1 = run_phase1(group, config, CORE2, per_class_target=12,
                         max_seeds=120)
-    training_set = run_phase2(phase1, config, CORE2)
+    training_set = run_phase2(phase1)
     return BrainyModel.train(training_set, seed=1)
 
 

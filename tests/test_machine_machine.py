@@ -24,7 +24,13 @@ from repro.machine.configs import (
 )
 from repro.machine.machine import Machine
 from repro.machine.prefetch import NextLinePrefetcher
-from repro.training.phase1 import run_phase1
+from repro.runtime.artifacts import canonical_json, read_artifact
+from repro.training.phase1 import (
+    PHASE1_ARTIFACT_KIND,
+    PHASE1_SCHEMA_VERSION,
+    run_phase1,
+)
+from repro.training.phase2 import run_phase2
 
 
 class TestBasics:
@@ -535,10 +541,17 @@ STRADDLE_DIGESTS = {
         "8d0b3a2a27292681b927dfe59fb827db70cd50acbcb0db0f346602bda3b8928d",
 }
 
-#: SHA-256 of the saved ``vector_oo`` Phase I artifact (small
-#: generator config, core2, 2 records per class, at most 12 seeds).
-PHASE1_ARTIFACT_SHA256 = \
-    "bfbf3ec37f9963bed1668b423c06ef1eb64c833edeae59ab30026ec26ef5a18e"
+#: SHA-256 of the canonical payload of the saved ``vector_oo`` Phase I
+#: artifact (small generator config, core2, 2 records per class, at most
+#: 12 seeds) with each record's ``features`` removed: the records as they
+#: were before they carried features.
+PHASE1_PAYLOAD_SHA256 = \
+    "596f3e703b3d4bd3d0a1d6bb2cab53394576674c408d71897be5e85d637eee29"
+#: SHA-256 of that result's Phase II training set (``X`` bytes, ``y``
+#: bytes, seeds as JSON), pinned when Phase II still replayed every
+#: record on the original kind: the oracle for the records' features.
+PHASE2_SET_SHA256 = \
+    "448f82f7ff08ab3ab13d4438dfe2b89d510e12a25c987f50f5686af7ad614cd2"
 
 
 def stream_digest(config: MachineConfig, prefetch: bool, route: str) -> str:
@@ -665,15 +678,31 @@ class TestPinnedStraddles:
 
 
 class TestPinnedPhase1Artifact:
-    def test_artifact_sha256(self, tmp_path):
-        result = run_phase1(
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_phase1(
             MODEL_GROUPS["vector_oo"], GeneratorConfig.small(), CORE2,
             per_class_target=2, max_seeds=12,
         )
+
+    def test_artifact_sha256(self, result, tmp_path):
         path = tmp_path / "phase1.json"
         result.save(path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == PHASE1_ARTIFACT_SHA256
+        payload = read_artifact(path, kind=PHASE1_ARTIFACT_KIND,
+                                schema_version=PHASE1_SCHEMA_VERSION)
+        for record in payload["records"]:
+            del record["features"]
+        digest = hashlib.sha256(
+            canonical_json(payload).encode("utf-8")).hexdigest()
+        assert digest == PHASE1_PAYLOAD_SHA256
+
+    def test_phase2_set_sha256(self, result):
+        training_set = run_phase2(result)
+        digest = hashlib.sha256()
+        digest.update(training_set.X.tobytes())
+        digest.update(training_set.y.tobytes())
+        digest.update(json.dumps(training_set.seeds).encode("utf-8"))
+        assert digest.hexdigest() == PHASE2_SET_SHA256
 
 
 def hidden_state(machine: Machine) -> tuple:

@@ -45,6 +45,7 @@ from repro.training.phase1 import (
     Phase1Result,
     run_phase1,
 )
+from repro.training.phase2 import run_phase2
 from tests.test_ml_parallel import FlakyExecutor, suite_bytes
 
 CONFIG = GeneratorConfig.small()
@@ -175,7 +176,7 @@ class TestRaceTelemetry:
         collector = obs.Collector()
         with obs.use_collector(collector):
             run_phase1(TestFamilyPhase1.GROUPS, CONFIG, CORE2,
-                       **TestFamilyPhase1.KWARGS, features={},
+                       **TestFamilyPhase1.KWARGS,
                        options=RunOptions(jobs=1))
         metrics = collector.metrics
         assert sum(metrics.find("phase1.finished{kind=").values()) > 0
@@ -193,8 +194,8 @@ class TestSchemaBump:
 
     def test_previous_phase1_artifact_is_refused(self, tmp_path):
         # Schema 3 records came from the classes-order race, 4 from the
-        # cycle-ordered one.
-        assert PHASE1_SCHEMA_VERSION == 4
+        # cycle-ordered one; 5 records carry original-kind features.
+        assert PHASE1_SCHEMA_VERSION == 5
         result = run_phase1(MODEL_GROUPS["set"], CONFIG, CORE2,
                             per_class_target=1, max_seeds=4)
         path = tmp_path / "set.json"
@@ -208,7 +209,7 @@ class TestSchemaBump:
                 Phase1Result.load(path)
 
     def test_previous_phase1_checkpoint_is_refused(self, tmp_path):
-        assert PHASE1_CHECKPOINT_SCHEMA_VERSION == 3
+        assert PHASE1_CHECKPOINT_SCHEMA_VERSION == 4
         path = tmp_path / "set.phase1.json"
         run_phase1(MODEL_GROUPS["set"], CONFIG, CORE2, per_class_target=1,
                    max_seeds=4, checkpoint_path=path)
@@ -395,6 +396,11 @@ class TestPlainRunFeatures:
         assert finished > 0
 
 
+def set_bytes(training_set):
+    return (training_set.X.tobytes(), training_set.y.tobytes(),
+            training_set.seeds)
+
+
 class TestFamilyPhase1:
     GROUPS = [MODEL_GROUPS[name]
               for name in ("vector", "vector_oo", "list", "list_oo")]
@@ -416,23 +422,63 @@ class TestFamilyPhase1:
             assert (tmp_path / "a.json").read_bytes() \
                 == (tmp_path / "b.json").read_bytes()
             if group.name in ("vector", "vector_oo"):
-                assert (tmp_path / f"{group.name}.json").read_bytes() \
-                    == alone_path.read_bytes()
+                # The set's checkpoint carries its sibling's original
+                # features too; without them it is the alone one.
+                shared = Phase1Checkpoint.load(tmp_path / f"{group.name}.json")
+                own = Phase1Checkpoint.load(alone_path)
+                kind = group.original.value
+                assert {tuple(r["features"]) for r in shared.records} \
+                    == {("vector", "list")}
+                assert dataclasses.replace(shared, records=[
+                    dict(r, features={kind: r["features"][kind]})
+                    for r in shared.records]) == own
             else:  # the set's checkpoint is named after its first group
                 assert not (tmp_path / f"{group.name}.json").exists()
 
     def test_features_come_from_completed_original_runs(self):
-        features = {}
-        family = run_phase1(self.GROUPS, CONFIG, CORE2, **self.KWARGS,
-                            features=features)
-        assert features
-        assert {kind for _, kind in features} \
-            <= {DSKind.VECTOR, DSKind.LIST}
-        for (seed, kind), vector in features.items():
-            app = generate_app(seed, self.GROUPS[0], CONFIG)
-            assert vector.tobytes() \
-                == app.run(kind, CORE2).features().tobytes()
+        family = run_phase1(self.GROUPS, CONFIG, CORE2, **self.KWARGS)
+        for group, result in zip(self.GROUPS, family):
+            assert result.records
+            for record in result.records:
+                assert list(record.features) == [group.original]
+                app = generate_app(record.seed, group, CONFIG)
+                assert record.features[group.original].tobytes() \
+                    == app.run(group.original, CORE2).features().tobytes()
         assert family[0].seeds_tried == max(r.seeds_tried for r in family)
+
+    def test_phase2_after_a_resume_simulates_nothing(self, tmp_path,
+                                                     monkeypatch):
+        """A resumed Phase I's records carry their features from the
+        checkpoint, so Phase II needs no machine and equals a straight
+        training's sets byte for byte."""
+        straight = run_phase1(self.GROUPS, CONFIG, CORE2, **self.KWARGS)
+        paths = {g.name: tmp_path / f"{g.name}.json" for g in self.GROUPS}
+        injector = FaultInjector(FaultPlan(interrupt_at_seeds=frozenset({6})))
+        with pytest.raises(TrainingInterrupted):
+            run_phase1(self.GROUPS, CONFIG, CORE2, **self.KWARGS,
+                       checkpoint_path=paths,
+                       generate_fn=injector.wrap_generate(),
+                       options=RunOptions(jobs=1))
+        resumed = run_phase1(self.GROUPS, CONFIG, CORE2, **self.KWARGS,
+                             resume_from=paths)
+
+        def no_machine(self, config):
+            raise AssertionError("Phase II built a machine")
+
+        monkeypatch.setattr(Machine, "__init__", no_machine)
+        for ours, theirs in zip(resumed, straight):
+            assert set_bytes(run_phase2(ours)) \
+                == set_bytes(run_phase2(theirs))
+
+    def test_a_checkpoint_without_a_siblings_features_is_refused(
+            self, tmp_path):
+        path = tmp_path / "vector.json"
+        run_phase1(MODEL_GROUPS["vector"], CONFIG, CORE2,
+                   per_class_target=1, max_seeds=4, checkpoint_path=path)
+        assert Phase1Checkpoint.load(path).records
+        with pytest.raises(ValueError, match="features of vector, list"):
+            run_phase1(self.GROUPS, CONFIG, CORE2, per_class_target=1,
+                       max_seeds=4, resume_from={"vector": path})
 
     def test_groups_of_other_families_are_refused(self):
         with pytest.raises(ValueError, match="app family"):
@@ -472,10 +518,10 @@ class TestSharedPhase1:
                 for r in theirs.records] \
             == [(r.seed, r.best, list(r.runtimes.items()))
                 for r in ours.records]
-        relabelled = ours.for_group(MODEL_GROUPS[sibling])
-        assert relabelled.group is MODEL_GROUPS[sibling]
-        assert [r.to_payload() for r in relabelled.records] \
-            == [r.to_payload() for r in theirs.records]
+        # The records carry only their own group's original features, so
+        # relabelling cannot supply the sibling's.
+        with pytest.raises(ValueError, match="carry no list features"):
+            ours.for_group(MODEL_GROUPS[sibling])
 
     def test_groups_with_other_candidates_do_not_share(self):
         result = run_phase1(MODEL_GROUPS["vector"], CONFIG, CORE2,
@@ -551,8 +597,8 @@ class TestSharedTraining:
         assert list(checkpoints.iterdir()) == []
 
     def test_phase2_simulates_nothing(self):
-        """Phase I finishes the original-kind runs its records need, so
-        every Phase II row reuses a Phase I run, whatever ``jobs``."""
+        """Phase I's records carry the original-kind features, so Phase
+        II is a join with no span below it, whatever ``jobs``."""
         counters = []
         for jobs in (1, 2):
             collector = obs.Collector()
@@ -561,8 +607,10 @@ class TestSharedTraining:
             metrics = collector.metrics
             rows = sum(metrics.find("phase2.rows{").values())
             assert rows > 0
-            assert metrics.counter_value("phase2.reused") == rows
-            assert "phase2.seed" not in json.dumps(collector.span_tree())
+            phase2 = collector.span_tree()["train"]["children"][
+                "train.group"]["children"]["phase2"]
+            assert phase2["count"] == len(self.GROUPS)
+            assert "children" not in phase2
             counters.append(collector.snapshot()["metrics"]["counters"])
         assert counters[0] == counters[1]
 
@@ -571,7 +619,7 @@ class TestSharedTraining:
                                                       monkeypatch):
         """A seed whose winner's class filled ``FINISH_LAG`` seeds back
         cannot become a record, so its stopped runs stay unfinished;
-        every record's run is still finished for Phase II."""
+        every record's run is still finished for its features."""
         finished = {}
         for lag in (2, 10**6):
             monkeypatch.setattr(phase1_mod, "FINISH_LAG", lag)
@@ -580,16 +628,14 @@ class TestSharedTraining:
                                options=RunOptions(telemetry=collector))
             self.assert_alone(suite_bytes(suite, tmp_path / str(lag)),
                               alone)
-            metrics = collector.metrics
-            rows = sum(metrics.find("phase2.rows{").values())
-            assert metrics.counter_value("phase2.reused") == rows
-            finished[lag] = sum(metrics.find("phase1.finished{").values())
+            finished[lag] = sum(
+                collector.metrics.find("phase1.finished{").values())
         assert finished[2] < finished[10**6]
 
-    def test_a_finish_that_raises_leaves_the_record_to_phase2(
-            self, alone, tmp_path, monkeypatch):
-        """A stopped run whose finish raises loses only its features:
-        Phase II runs that record afresh, and the suite is unchanged."""
+    def test_a_finish_that_raises_quarantines_the_seed(self, monkeypatch):
+        """A stopped run whose finish raises deterministically
+        quarantines its seed at stage ``"finish"``: it never becomes a
+        record, so Phase II drops no row."""
         real_race_sets = phase1_mod.race_sets
 
         def broken_steps():
@@ -606,13 +652,21 @@ class TestSharedTraining:
         monkeypatch.setattr(phase1_mod, "race_sets",
                             race_with_broken_stopped_runs)
         collector = obs.Collector()
-        suite = self.train(self.GROUPS,
-                           options=RunOptions(telemetry=collector))
-        self.assert_alone(suite_bytes(suite, tmp_path), alone)
-        metrics = collector.metrics
-        rows = sum(metrics.find("phase2.rows{").values())
-        assert 0 < metrics.counter_value("phase2.reused") < rows
-        assert sum(metrics.find("phase1.finished{").values()) > 0
+        with obs.use_collector(collector):
+            family = run_phase1(self.GROUPS, CONFIG, CORE2,
+                                per_class_target=3, max_seeds=40,
+                                options=RunOptions(jobs=1))
+        for result in family:
+            assert result.quarantined
+            assert {(q.stage, q.category, q.seed % 2)
+                    for q in result.quarantined} \
+                == {("finish", "deterministic", 1)}
+            assert not ({q.seed for q in result.quarantined}
+                        & {r.seed for r in result.records})
+            training_set = run_phase2(result)
+            assert training_set.seeds == [r.seed for r in result.records]
+        # Even seeds still finish their stopped runs.
+        assert sum(collector.metrics.find("phase1.finished{").values()) > 0
 
     def test_shared_phase1_is_counted_once(self, alone):
         collector = obs.Collector()
@@ -634,8 +688,6 @@ class TestSharedTraining:
         assert metrics.counter_value("train.groups") == 4
         # Every (seed, original kind) is simulated at most once.
         rows = metrics.counter_value("phase2.rows")
-        reused = metrics.counter_value("phase2.reused")
-        assert reused > 0
         assert rows == sum(alone[g.name][1].counter_value("phase2.rows")
                            for g in self.GROUPS)
         assert metrics.counter_value("sim.l1_accesses") < sum(

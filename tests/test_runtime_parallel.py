@@ -38,7 +38,6 @@ from repro.training.phase1 import (
     _recover_worker_crash,
     run_phase1,
 )
-from repro.training.phase2 import run_phase2
 
 GROUP = MODEL_GROUPS["set"]
 CONFIG = GeneratorConfig.small()
@@ -246,15 +245,6 @@ class TestParallelSerialEquivalence:
         parallel = run_phase1(GROUP, CONFIG, CORE2,
                               **phase1_kwargs(options=RunOptions(jobs=4)))
         serial_phase1.save(tmp_path / "serial.json")
-        parallel.save(tmp_path / "parallel.json")
-        assert (tmp_path / "serial.json").read_bytes() \
-            == (tmp_path / "parallel.json").read_bytes()
-
-    def test_phase2_jobs4_matches_serial(self, serial_phase1, tmp_path):
-        baseline = run_phase2(serial_phase1, CONFIG, CORE2)
-        parallel = run_phase2(serial_phase1, CONFIG, CORE2,
-                              options=RunOptions(jobs=4))
-        baseline.save(tmp_path / "serial.json")
         parallel.save(tmp_path / "parallel.json")
         assert (tmp_path / "serial.json").read_bytes() \
             == (tmp_path / "parallel.json").read_bytes()

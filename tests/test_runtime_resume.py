@@ -77,8 +77,8 @@ class TestPhase1Resume:
         assert base_path.read_bytes() == resumed_path.read_bytes()
 
         # And the downstream training sets match byte-for-byte too.
-        ts_base = run_phase2(baseline, CONFIG, CORE2)
-        ts_resumed = run_phase2(resumed, CONFIG, CORE2)
+        ts_base = run_phase2(baseline)
+        ts_resumed = run_phase2(resumed)
         ts_base.save(tmp_path / "ts_base.json")
         ts_resumed.save(tmp_path / "ts_resumed.json")
         assert (tmp_path / "ts_base.json").read_bytes() \
@@ -172,48 +172,6 @@ class TestPhase1Quarantine:
         result.save(path)
         loaded = Phase1Result.load(path)
         assert loaded.quarantined == result.quarantined
-
-
-class TestPhase2Resume:
-    @pytest.fixture(scope="class")
-    def phase1_result(self):
-        return run_phase1(GROUP, CONFIG, CORE2, **phase1_kwargs())
-
-    def test_interrupt_then_resume_matches(self, phase1_result, tmp_path):
-        baseline = run_phase2(phase1_result, CONFIG, CORE2)
-        victim = phase1_result.records[1].seed
-        injector = FaultInjector(
-            FaultPlan(interrupt_at_seeds=frozenset({victim}))
-        )
-        ckpt = tmp_path / "phase2.ckpt.json"
-        with pytest.raises(TrainingInterrupted):
-            run_phase2(phase1_result, CONFIG, CORE2,
-                       checkpoint_path=ckpt,
-                       generate_fn=injector.wrap_generate())
-        resumed = run_phase2(phase1_result, CONFIG, CORE2,
-                             resume_from=ckpt)
-        baseline.save(tmp_path / "a.json")
-        resumed.save(tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() \
-            == (tmp_path / "b.json").read_bytes()
-
-    def test_failing_record_skipped_and_reported(self, phase1_result):
-        victim = phase1_result.records[0].seed
-        faults = []
-
-        def broken_generate(seed, group, config):
-            if seed == victim:
-                raise ValueError("pathological seed")
-            from repro.appgen.generator import generate_app
-            return generate_app(seed, group, config)
-
-        ts = run_phase2(phase1_result, CONFIG, CORE2,
-                        generate_fn=broken_generate,
-                        options=NO_WAIT_OPTIONS,
-                        on_fault=faults.append)
-        assert len(ts) == len(phase1_result) - 1
-        assert victim not in ts.seeds
-        assert [q.seed for q in faults] == [victim]
 
 
 class TestCacheRecovery:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.appgen.config import GeneratorConfig
-from repro.appgen.workload import DEFAULT_MARGIN
+from repro.appgen.generator import generate_app
+from repro.appgen.workload import DEFAULT_MARGIN, collect_features
 from repro.containers.registry import DSKind, MODEL_GROUPS
 from repro.instrumentation.features import num_features
-from repro.machine.configs import ATOM, CORE2
+from repro.machine.configs import CORE2
 from repro.training.dataset import TrainingSet
 from repro.training.phase1 import run_phase1
 from repro.training.phase2 import run_phase2
@@ -77,16 +78,21 @@ class TestPhase1:
 
 class TestPhase2:
     def test_builds_labelled_rows(self, phase1_result):
-        training_set = run_phase2(phase1_result, GeneratorConfig.small(),
-                                  CORE2)
+        training_set = run_phase2(phase1_result)
         assert len(training_set) == len(phase1_result)
         assert training_set.X.shape == (len(training_set), num_features())
+        assert training_set.machine_name == phase1_result.machine_name
+        assert training_set.seeds == [r.seed for r in phase1_result.records]
         for row, record in zip(training_set.y, phase1_result.records):
             assert training_set.classes[row] == record.best
 
-    def test_rejects_machine_mismatch(self, phase1_result):
-        with pytest.raises(ValueError):
-            run_phase2(phase1_result, GeneratorConfig.small(), ATOM)
+    def test_rows_are_the_original_kind_runs(self, phase1_result):
+        """Algorithm 2's row: the recorded app run on the original kind."""
+        group = phase1_result.group
+        training_set = run_phase2(phase1_result)
+        for row, seed in zip(training_set.X, training_set.seeds):
+            app = generate_app(seed, group, GeneratorConfig.small())
+            assert row.tobytes() == collect_features(app, CORE2).tobytes()
 
 
 class TestTrainingSet:
@@ -149,11 +155,14 @@ class TestPhase1Persistence:
         for a, b in zip(loaded.records, phase1_result.records):
             assert (a.seed, a.best, a.runtimes) == (b.seed, b.best,
                                                     b.runtimes)
+            assert {k: v.tobytes() for k, v in a.features.items()} \
+                == {k: v.tobytes() for k, v in b.features.items()}
 
     def test_loaded_result_feeds_phase2(self, phase1_result, tmp_path):
         path = tmp_path / "pairs.json"
         phase1_result.save(path)
         from repro.training.phase1 import Phase1Result
         loaded = Phase1Result.load(path)
-        training_set = run_phase2(loaded, GeneratorConfig.small(), CORE2)
-        assert len(training_set) == len(phase1_result)
+        training_set = run_phase2(loaded)
+        assert training_set.X.tobytes() \
+            == run_phase2(phase1_result).X.tobytes()
