@@ -6,7 +6,9 @@ sits at each site — only the containers' simulated costs do.  So
 :meth:`Tape.record` runs the app once and keeps, in program order,
 every container interface call (site, method, arguments, return value)
 interleaved with the app's own machine events (``instr``, ``branch``,
-``div``, ``loop_branches``, ``malloc``, ``free``, ``access``).
+``div``, ``loop_branches``, ``malloc``, ``free``, ``access``).  Each run
+of consecutive ``instr`` events is kept as one event that carries the
+run's instruction total and each call's cycle cost, in order.
 :meth:`Tape.replay` then evaluates any other assignment by building
 fresh containers on a fresh machine — through the same
 :func:`~repro.apps.base.build_containers` that
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from itertools import groupby
 
 import repro.obs as obs
 from repro.apps.base import (
@@ -45,7 +48,8 @@ from repro.apps.base import (
 from repro.containers.registry import DSKind
 from repro.machine.configs import MachineConfig
 
-# Tape opcodes; an event is ``(opcode, *operands)``.
+# Tape opcodes; an event is ``(opcode, *operands)``.  ``_INSTR`` is
+# ``(count)`` while recording and ``(total, costs)`` on a tape.
 _CALL, _INSTR, _ACCESS, _MALLOC, _FREE, _BRANCH, _DIV, _LOOP = range(8)
 
 #: Interface calls whose return value is a software cost (or nothing):
@@ -53,6 +57,25 @@ _CALL, _INSTR, _ACCESS, _MALLOC, _FREE, _BRANCH, _DIV, _LOOP = range(8)
 #: replay does not check it.  Every other return is checked.
 _COST_CALLS = frozenset({"insert", "erase", "push_back", "push_front",
                          "put", "remove", "clear"})
+
+
+def _fold_instr_runs(events: list[tuple], cpi: float) -> tuple[tuple, ...]:
+    """``events`` with each run of consecutive ``instr`` events folded
+    into one ``(_INSTR, total, costs)``: the run's instruction total and
+    each call's ``count * cpi``, in order, for :meth:`Machine.instr_run
+    <repro.machine.machine.Machine.instr_run>`.  A run of one folds
+    too, so a tape holds one form of ``instr`` event.  Equal counts
+    share one cost float, so the tape stays smaller than unfolded."""
+    folded: list[tuple] = []
+    cost: dict[int, float] = {}
+    for is_instr, run in groupby(events, lambda event: event[0] == _INSTR):
+        if is_instr:
+            counts = [event[1] for event in run]
+            folded.append((_INSTR, sum(counts), tuple(
+                cost.setdefault(count, count * cpi) for count in counts)))
+        else:
+            folded.extend(run)
+    return tuple(folded)
 
 
 class _Recorder:
@@ -219,8 +242,8 @@ class Tape:
             pickled = pickle.dumps(output, pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, TypeError, AttributeError):
             return None, result
-        return cls(app, machine_config, tuple(recorder.events),
-                   pickled), result
+        events = _fold_instr_runs(recorder.events, machine_config.cpi_base)
+        return cls(app, machine_config, events, pickled), result
 
     def replay(self, kinds: dict[str, DSKind] | None = None
                ) -> AppResult | None:
@@ -231,7 +254,7 @@ class Tape:
             self.app, self.machine_config, kinds)
         sites = tuple(containers.values())
         addrs: list[int] = []
-        instr = machine.instr
+        instr_run = machine.instr_run
         access = machine.access
         for event in self.events:
             op = event[0]
@@ -242,7 +265,7 @@ class Tape:
                     obs.counter("darwin.tape_fallbacks")
                     return None
             elif op == _INSTR:
-                instr(event[1])
+                instr_run(event[1], event[2])
             elif op == _ACCESS:
                 access(addrs[event[1]] + event[2], event[3])
             elif op == _MALLOC:

@@ -10,6 +10,9 @@ analogue.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 from repro.machine.branch import BimodalPredictor, GSharePredictor
 from repro.machine.cache import Cache
 from repro.machine.configs import MachineConfig
@@ -446,6 +449,50 @@ class Machine:
                     cycles_int += mem_lat
             if first == last:
                 continue
+            if last == first + 1 and prefetcher is None:
+                # A node straddling two lines: its one-line tail is
+                # inlined, as in ``access``.
+                page = last >> page_delta
+                if page != last_page:
+                    last_page = page
+                    tlb_accesses += 1
+                    if page in tlb_pages:
+                        del tlb_pages[page]
+                        tlb_pages[page] = None
+                    else:
+                        tlb_misses += 1
+                        tlb_pages[page] = None
+                        if len(tlb_pages) > tlb_entries:
+                            for victim in tlb_pages:
+                                break
+                            del tlb_pages[victim]
+                        cycles_int += tlb_penalty
+                cycles += l1_streamed
+                ways = l1_sets[last & l1_mask]
+                if last in ways:
+                    del ways[last]
+                    ways[last] = None
+                else:
+                    l1_misses += 1
+                    ways[last] = None
+                    if len(ways) > l1_assoc:
+                        for victim in ways:
+                            break
+                        del ways[victim]
+                    cycles += l2_streamed
+                    ways2 = l2_sets[last & l2_mask]
+                    if last in ways2:
+                        del ways2[last]
+                        ways2[last] = None
+                    else:
+                        l2_misses += 1
+                        ways2[last] = None
+                        if len(ways2) > l2_assoc:
+                            for victim in ways2:
+                                break
+                            del ways2[victim]
+                        cycles += mem_streamed
+                continue
             for line in range(first + 1, last + 1):
                 page = line >> page_delta
                 if page != last_page:
@@ -594,6 +641,18 @@ class Machine:
         """Retire ``count`` non-memory instructions."""
         self.instructions += count
         self._cycles += count * self._cpi
+
+    def instr_run(self, total: int, costs) -> None:
+        """Retire a run of :meth:`instr` calls at once.
+
+        ``total`` is the run's instruction count and ``costs`` each
+        call's ``count * cpi_base``, in call order.  They are added to
+        ``_cycles`` one by one, left to right, so the float is the
+        calls' to the last bit (``sum`` may compensate, so it is not
+        used).
+        """
+        self.instructions += total
+        self._cycles = reduce(add, costs, self._cycles)
 
     def branch(self, pc: int, taken: bool) -> bool:
         """Resolve a conditional branch at (pseudo-)PC; return True if it

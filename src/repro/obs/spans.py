@@ -78,6 +78,9 @@ class SpanNode:
         if seconds > self.max_s:
             self.max_s = seconds
         keep = self.slowest
+        if len(keep) >= SLOWEST_PER_PATH and seconds <= keep[-1][0]:
+            # It would sort after the fifth (ties keep arrival order).
+            return
         keep.append((seconds, attrs))
         keep.sort(key=lambda item: -item[0])
         del keep[SLOWEST_PER_PATH:]

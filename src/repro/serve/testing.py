@@ -28,12 +28,13 @@ def tiny_suite(seed: int = 0, *, epochs: int = 8,
     rng = np.random.default_rng(seed)
     suite = BrainySuite(machine_name="core2")
     for group_name, group in MODEL_GROUPS.items():
-        ts = TrainingSet(group_name=group_name, machine_name="core2",
-                         classes=group.classes)
-        for i in range(records_per_group):
-            x = rng.normal(size=num_features())
-            label = int(np.argmax(x[:len(group.classes)]))
-            ts.add(x, group.classes[label], seed=i)
+        X = [rng.normal(size=num_features())
+             for _ in range(records_per_group)]
+        ts = TrainingSet(
+            group_name=group_name, machine_name="core2",
+            classes=group.classes, X=X,
+            y=[int(np.argmax(x[:len(group.classes)])) for x in X],
+            seeds=list(range(records_per_group)))
         suite.models[group_name] = BrainyModel.train(ts, epochs=epochs,
                                                      seed=seed)
     return suite

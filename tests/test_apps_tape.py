@@ -21,15 +21,20 @@ from repro.apps import (
     run_case_study,
 )
 from repro.apps.base import CaseStudyApp, Site
-from repro.apps.tape import Tape
+from repro.apps.tape import _INSTR, Tape
 from repro.containers.registry import DSKind
 from repro.core.darwin import run_assignment, site_candidates
 from repro.machine.configs import ATOM, CORE2
 
 
 def signature(result):
+    """What a replay must reproduce, down to the float accumulator's
+    bits: a reordered float add shows here even when it leaves the
+    integer cycle count alone."""
+    machine = result.machine
     return (result.cycles, result.footprint_bytes,
-            result.machine.snapshot_tuple(), result.output)
+            machine.snapshot_tuple(), result.output,
+            machine._cycles_int, machine._cycles.hex())
 
 
 def oracle(app, arch) -> int:
@@ -57,6 +62,15 @@ def oracle(app, arch) -> int:
 ], ids=lambda a: a.name)
 def test_every_assignment_replays_exactly(app, arch):
     assert oracle(app, arch) == 0
+
+
+def test_raytrace_tape_folds_its_instruction_runs():
+    # Raytrace issues runs of about ten ``instr`` calls between its
+    # container calls; the tape keeps each run as one event.
+    tape, _ = Tape.record(Raytracer("small"), CORE2)
+    ops = [event[0] for event in tape.events]
+    assert _INSTR in ops
+    assert not any(a == b == _INSTR for a, b in zip(ops, ops[1:]))
 
 
 def test_xalan_falls_back_exactly_where_order_differs():

@@ -741,6 +741,68 @@ class TestWalkMatchesAccessLoop:
         assert machine_state(walked) == machine_state(per_access)
 
 
+def drive_instr_runs(machine: Machine, seed: int, fold: bool,
+                     events: int = 1500) -> None:
+    """A seeded stream of ``instr`` runs (some empty, some of one)
+    between straddling node touches, issued access by access or
+    walked, whose streamed tails add to ``_cycles`` between the runs.
+    With ``fold`` each run is one :meth:`Machine.instr_run` call,
+    otherwise one ``instr`` call per count; the stream is the same.
+    Large counts make the order of a run's adds show in the last bits
+    on core2 (summing a run, or adding it reversed, fails)."""
+    rng = random.Random(seed)
+    cpi = machine.config.cpi_base
+    line = machine.config.line_bytes
+    for _ in range(events):
+        counts = [rng.randrange(rng.choice((60, 5000)))
+                  for _ in range(rng.choice((0, 1, 1, 2, 3, 10, 25)))]
+        if fold:
+            machine.instr_run(sum(counts),
+                              tuple(count * cpi for count in counts))
+        else:
+            for count in counts:
+                machine.instr(count)
+        nbytes = rng.choice((24, 40, 56, 72, 136))
+        addrs = [rng.randrange(1, 1 << 14) * line - rng.randrange(1, nbytes)
+                 for _ in range(rng.randrange(0, 6))]
+        if rng.random() < 0.5:
+            for addr in addrs:
+                machine.access(addr, nbytes)
+        else:
+            machine.access_each(addrs, nbytes)
+        if rng.random() < 0.2:
+            machine.branch(rng.randrange(4096), rng.random() < 0.6)
+
+
+class TestInstrRunMatchesInstrCalls:
+    """``instr_run`` leaves exactly the state of one ``instr`` call per
+    count of the run, down to the bits of the float accumulator."""
+
+    @pytest.mark.parametrize("config", (CORE2, ATOM, CORE2_FULL),
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_folded_stream(self, config, seed):
+        machines = []
+        for fold in (False, True):
+            machine = Machine(config)
+            drive_instr_runs(machine, seed, fold)
+            machines.append(machine)
+        calls, folded = machines
+        assert folded._cycles.hex() == calls._cycles.hex()
+        assert folded._cycles_int == calls._cycles_int
+        assert folded.instructions == calls.instructions
+        assert hidden_state(folded) == hidden_state(calls)
+        assert machine_state(folded) == machine_state(calls)
+
+    def test_empty_run_changes_nothing(self):
+        machine, untouched = Machine(CORE2), Machine(CORE2)
+        for m in (machine, untouched):
+            m.instr(7)
+        machine.instr_run(0, ())
+        assert machine._cycles.hex() == untouched._cycles.hex()
+        assert machine_state(machine) == machine_state(untouched)
+
+
 class TestAccessValidation:
     @pytest.mark.parametrize("nbytes", (0, -1, -64))
     def test_nonpositive_size_rejected(self, nbytes):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import random
 import threading
 
 import pytest
@@ -23,7 +24,7 @@ from repro.obs import (
     metric_key,
     use_collector,
 )
-from repro.obs.spans import SLOWEST_PER_PATH
+from repro.obs.spans import SLOWEST_PER_PATH, SpanNode
 
 
 class FakeClock:
@@ -71,6 +72,23 @@ class TestSpans:
         seconds = [entry["seconds"] for entry in slowest]
         assert seconds == sorted(seconds, reverse=True)
         assert slowest[0]["attrs"]["index"] == SLOWEST_PER_PATH + 3
+
+    def test_slowest_kept_as_if_always_sorted(self):
+        # Repeated durations make ties: the kept list, order and ties
+        # included, is what appending and sorting every sample keeps.
+        rng = random.Random(7)
+        node = SpanNode("work")
+        reference: list = []
+        for index in range(2000):
+            # Few distinct values, whose top slowly rises.
+            seconds = rng.randrange(index // 100 + 4) / 4
+            attrs = {"index": index}
+            node.record(seconds, attrs)
+            reference.append((seconds, attrs))
+            reference.sort(key=lambda item: -item[0])
+            del reference[SLOWEST_PER_PATH:]
+            assert node.slowest == reference
+        assert node.count == 2000
 
     def test_exception_inside_span_still_records(self):
         c = Collector(clock=FakeClock())

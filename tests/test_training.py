@@ -1,5 +1,7 @@
 """Unit tests for the two-phase training framework."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,30 @@ class TestPhase2:
         assert training_set.seeds == [r.seed for r in phase1_result.records]
         for row, record in zip(training_set.y, phase1_result.records):
             assert training_set.classes[row] == record.best
+
+    def test_set_is_built_at_once_as_row_by_row(self, phase1_result,
+                                                monkeypatch):
+        group = phase1_result.group
+        reference = TrainingSet(group_name=group.name,
+                                machine_name=phase1_result.machine_name,
+                                classes=group.classes)
+        for record in phase1_result.records:
+            reference.add(record.features[group.original], record.best,
+                          record.seed)
+
+        def row_by_row(*args, **kwargs):
+            raise AssertionError("Phase II appended a row")
+
+        monkeypatch.setattr(TrainingSet, "add", row_by_row)
+        training_set = run_phase2(phase1_result)
+        for got, want in ((training_set.X, reference.X),
+                          (training_set.y, reference.y)):
+            assert (got.dtype, got.shape, got.tobytes()) \
+                == (want.dtype, want.shape, want.tobytes())
+        assert training_set.seeds == reference.seeds
+        empty = run_phase2(dataclasses.replace(phase1_result, records=[]))
+        assert empty.X.shape == (0, num_features())
+        assert empty.y.dtype == np.int64 and len(empty) == 0
 
     def test_rows_are_the_original_kind_runs(self, phase1_result):
         """Algorithm 2's row: the recorded app run on the original kind."""
