@@ -64,8 +64,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_advise(args: argparse.Namespace) -> int:
     report = api.advise(
         args.app, input_name=args.input, machine=args.machine,
-        scale=args.scale, jobs=args.jobs,
-        batched=not args.per_record, telemetry=args.telemetry,
+        scale=args.scale, jobs=args.jobs, telemetry=args.telemetry,
     )
     print(report.format())
     return 0
@@ -273,10 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes if the suite must be "
                              "trained first (default: REPRO_JOBS or "
                              "serial)")
-    advise.add_argument("--per-record", action="store_true",
-                        help="use record-at-a-time model inference "
-                             "instead of the batched per-group path "
-                             "(identical report, slower)")
     _add_telemetry_arg(advise)
     advise.set_defaults(fn=cmd_advise)
 

@@ -385,12 +385,11 @@ class BrainyAdvisor:
         )
 
     def advise_app(self, app: CaseStudyApp,
-                   machine_config: MachineConfig,
-                   *, batched: bool = True) -> Report:
+                   machine_config: MachineConfig) -> Report:
         """Profile a case-study app with its baseline containers and
         report replacements."""
         result = run_case_study(app, machine_config, instrument=True)
-        return self.advise_result(app, result, batched=batched)
+        return self.advise_result(app, result)
 
     def advise_result(self, app: CaseStudyApp, result: AppResult,
                       *, batched: bool = True) -> Report:

@@ -335,9 +335,8 @@ def run_darwin(app: CaseStudyApp,
     ``darwin_objectives``, which picks the axes the GA minimises (any
     non-empty subset of ``cycles``/``memory``); reported points always
     carry both measurements.  All randomness stays in the parent
-    process and fitness fans out over ``options.jobs`` workers
-    (``options.window`` in flight), so the result is byte-identical for
-    any ``jobs`` value.
+    process and fitness fans out over ``options.jobs`` workers, so the
+    result is byte-identical for any ``jobs`` value.
 
     Robustness knobs:
 
@@ -518,7 +517,7 @@ def run_darwin(app: CaseStudyApp,
             seed=seed,
         )
         result: ParetoResult = search.pareto(
-            fitness, objectives, jobs=options.jobs, window=options.window,
+            fitness, objectives, jobs=options.jobs,
             executor=executor, resume_state=resume_state,
             on_generation=on_generation, stop=stop,
             retry_policy=options.retry_policy)

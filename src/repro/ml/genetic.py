@@ -92,7 +92,6 @@ class GeneticFeatureSelector:
 
     def run(self, fitness_fn: FitnessFn, *,
             jobs: int | None = None,
-            window: int | None = None,
             executor=None) -> GAResult:
         """Evolve weights; ``fitness_fn(weights)`` must return a score to
         maximise (e.g. validation accuracy of a model trained on
@@ -105,10 +104,9 @@ class GeneticFeatureSelector:
         a worker-side failure is re-evaluated once in the parent before
         propagating.  ``executor`` overrides the pool (tests pass an
         in-process executor so stateful fitness seams work under any
-        ``jobs``); ``window`` bounds in-flight speculation.
+        ``jobs``).
         """
-        result = self._search.run(fitness_fn, jobs=jobs, window=window,
-                                  executor=executor)
+        result = self._search.run(fitness_fn, jobs=jobs, executor=executor)
         return GAResult(
             weights=result.best,
             fitness=result.fitness,

@@ -348,7 +348,6 @@ class GeneticSearch:
 
     def run(self, fitness_fn: ScalarFitnessFn, *,
             jobs: int | None = None,
-            window: int | None = None,
             executor=None) -> SearchResult:
         """Evolve chromosomes maximising ``fitness_fn(chromosome)``.
 
@@ -359,7 +358,7 @@ class GeneticSearch:
         a worker-side failure is re-evaluated once in the parent before
         propagating.  ``executor`` overrides the pool (tests pass an
         in-process executor so stateful fitness seams work under any
-        ``jobs``); ``window`` bounds in-flight speculation.
+        ``jobs``).
         """
         jobs, executor, own_executor = self._executor(
             fitness_fn, jobs, executor)
@@ -370,8 +369,7 @@ class GeneticSearch:
             # ``[fitness_fn(ch) for ch in population]``.
             obs.counter("ga.fitness_evals", len(population))
             return np.array(list(map_retry(
-                fitness_fn, list(population),
-                jobs=jobs, window=window, executor=executor,
+                fitness_fn, list(population), jobs=jobs, executor=executor,
             )), dtype=np.float64)
 
         with obs.span("ga.run"):
@@ -409,7 +407,6 @@ class GeneticSearch:
     def pareto(self, fitness_fn: VectorFitnessFn,
                objectives: Sequence[str], *,
                jobs: int | None = None,
-               window: int | None = None,
                executor=None,
                resume_state: ParetoState | None = None,
                on_generation: Callable[[ParetoState], None] | None = None,
@@ -487,10 +484,8 @@ class GeneticSearch:
                     fresh.append(ch)
             if fresh:
                 obs.counter("ga.fitness_evals", len(fresh))
-                outcomes = map_ordered(
-                    fitness_fn, fresh,
-                    jobs=jobs, window=window, executor=executor,
-                )
+                outcomes = map_ordered(fitness_fn, fresh, jobs=jobs,
+                                       executor=executor)
                 for ch, outcome in zip(fresh, outcomes):
                     if isinstance(outcome, TaskFailure):
                         outcome = recover(ch, outcome)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Iterable
 
@@ -39,7 +38,6 @@ from repro.runtime.artifacts import (
 )
 from repro.runtime.checkpoint import TrainingInterrupted
 from repro.runtime.options import RunOptions
-from repro.runtime.parallel import map_retry, resolve_jobs, usable_jobs
 from repro.training.dataset import TrainingSet
 from repro.training.phase1 import phase1_key, run_phase1
 from repro.training.phase2 import run_phase2
@@ -284,59 +282,6 @@ def phase1_tasks(groups: Iterable[ModelGroup]) -> list[tuple[str, ...]]:
     return [tuple(names) for names in tasks.values()]
 
 
-def _train_groups(group_names: tuple[str, ...],
-                  *,
-                  config: GeneratorConfig,
-                  machine_config: MachineConfig,
-                  per_class_target: int,
-                  max_seeds: int,
-                  hidden: tuple[int, ...],
-                  seed_base: int,
-                  seed: int,
-                  checkpoint_dir: str | None,
-                  resume: bool,
-                  options: RunOptions) -> list[BrainyModel]:
-    """One task's pipelines: Phase I once for the app family, then
-    Phase II → ANN fit for each group (see :func:`phase1_tasks`).
-
-    A pure function of its (picklable) arguments, which is what lets
-    :meth:`BrainySuite.train` overlap independent tasks across a worker
-    pool while staying byte-identical to the serial loop.  Each
-    candidate set's Phase I checkpoints to ``<its first group>.phase1.json``,
-    so concurrent tasks never touch the same path.  Phase I's records
-    carry every group's original-kind features, so Phase II simulates
-    nothing.  ``options`` carries no telemetry collector: a live one
-    never crosses the process boundary.
-    """
-    def checkpoint(name: str) -> tuple[Path | None, Path | None]:
-        if checkpoint_dir is None:
-            return None, None
-        path = Path(checkpoint_dir) / f"{name}.phase1.json"
-        return path, (path if resume and path.exists() else None)
-
-    groups = [MODEL_GROUPS[name] for name in group_names]
-    models = []
-    for index, group in enumerate(groups):
-        with obs.span("train.group", group=group.name):
-            if index == 0:
-                paths = {name: checkpoint(name) for name in group_names}
-                phase1 = run_phase1(
-                    groups, config, machine_config,
-                    per_class_target=per_class_target,
-                    max_seeds=max_seeds, seed_base=seed_base,
-                    resume_from={name: resume
-                                 for name, (_, resume) in paths.items()},
-                    checkpoint_path={name: path
-                                     for name, (path, _) in paths.items()},
-                    options=options,
-                )
-            else:
-                obs.counter("phase1.shared", group=group.name)
-            models.append(BrainyModel.train(run_phase2(phase1[index]),
-                                            hidden=hidden, seed=seed))
-    return models
-
-
 class BrainySuite:
     """One BrainyModel per model group, for a single microarchitecture."""
 
@@ -382,37 +327,31 @@ class BrainySuite:
               checkpoint_dir: str | Path | None = None,
               resume: bool = False,
               options: RunOptions | None = None,
-              executor=None,
               ) -> "BrainySuite":
         """End-to-end training: Phase I + Phase II + ANN fit per group.
 
         Groups of one app family (:func:`phase1_tasks`) run one Phase I
-        seed loop, as one task.  With ``checkpoint_dir`` set, each
-        candidate set's Phase I writes periodic checkpoints there
+        seed loop, as one task; the tasks run in order.  Phase I's
+        records carry every group's original-kind features, so Phase II
+        simulates nothing.  With ``checkpoint_dir`` set, each candidate
+        set's Phase I writes periodic checkpoints there
         (``<its first group>.phase1.json``); with ``resume=True`` an
         interrupted run picks up from those files.  A completed Phase I
         leaves a ``complete=True`` checkpoint, so resume skips finished
         work.  Checkpoints are removed once the whole suite trains
         successfully.
 
-        Cross-cutting run knobs (``jobs``, ``window``,
-        ``checkpoint_every``, fault tuning, ``telemetry``) arrive via
-        ``options=RunOptions(...)`` and are checked before any group
-        trains.
+        Cross-cutting run knobs (``jobs``, ``checkpoint_every``, fault
+        tuning, ``telemetry``) arrive via ``options=RunOptions(...)``
+        and are checked before any group trains.
 
-        ``RunOptions.jobs`` parallelises training (``None`` reads
-        ``REPRO_JOBS``, default serial).  With several tasks, whole
-        task pipelines overlap across the worker pool — each pipeline's
-        own seed loop then runs serially inside its worker, since pool
-        workers are daemonic and cannot host a nested pool.  With a
-        single task the parallelism goes into the per-seed fan-out
-        instead.  Either way the deterministic in-order merge keeps the
-        trained suite byte-identical for any ``jobs`` value, and the
-        merged telemetry content too, except that a single task of
-        several candidate sets fanned out per seed may race a set a few
-        seeds past its stop (seeds already shipped), which adds
-        simulation counts.  ``executor`` overrides
-        the group-level pool (the test seam for fault injection).
+        ``RunOptions.jobs`` fans each task's Phase I seeds out over a
+        worker pool (``None`` reads ``REPRO_JOBS``, default serial).
+        The in-order merge keeps the trained suite byte-identical for
+        any ``jobs`` value, and the merged telemetry content too,
+        except that a task of several candidate sets may race a set a
+        few seeds past its stop (seeds already shipped), which adds
+        simulation counts.
         """
         config = config or GeneratorConfig()
         groups = list(groups) if groups is not None \
@@ -420,33 +359,13 @@ class BrainySuite:
         checkpoint_dir = (Path(checkpoint_dir)
                           if checkpoint_dir is not None else None)
         options = (options or RunOptions()).validate_training()
-        jobs = resolve_jobs(options.jobs)
-        tasks = phase1_tasks(groups)
-        group_jobs = min(jobs, len(tasks)) if len(tasks) > 1 else 1
-        if executor is None and group_jobs == 1:
-            # All parallelism fits inside one pipeline's seed fan-out.
-            inner_jobs = jobs
-        else:
-            inner_jobs = 1
+        by_name = {group.name: group for group in groups}
 
-        def make_worker(inner: int):
-            return partial(
-                _train_groups,
-                config=config, machine_config=machine_config,
-                per_class_target=per_class_target, max_seeds=max_seeds,
-                hidden=tuple(hidden), seed_base=seed_base, seed=seed,
-                checkpoint_dir=(str(checkpoint_dir)
-                                if checkpoint_dir is not None else None),
-                resume=resume,
-                options=options.with_overrides(jobs=inner, telemetry=None),
-            )
-
-        worker = make_worker(inner_jobs)
-        if executor is None and group_jobs > 1:
-            group_jobs = usable_jobs(worker, group_jobs,
-                                     "the per-group training pipeline")
-            if group_jobs == 1:
-                worker = make_worker(jobs)
+        def checkpoints(names: Iterable[str]) -> dict[str, Path]:
+            if checkpoint_dir is None:
+                return {}
+            return {name: checkpoint_dir / f"{name}.phase1.json"
+                    for name in names}
 
         telemetry_scope = (obs.use_collector(options.telemetry)
                            if options.telemetry is not None
@@ -454,23 +373,36 @@ class BrainySuite:
         with telemetry_scope, obs.span("train",
                                        machine=machine_config.name):
             trained: dict[str, BrainyModel] = {}
-            merged = map_retry(worker, tasks, jobs=group_jobs,
-                               executor=executor,
-                               reraise=(TrainingInterrupted,))
             try:
-                try:
-                    for task, models in zip(tasks, merged):
-                        for name, model in zip(task, models):
-                            trained[name] = model
-                            obs.counter("train.groups")
-                finally:
-                    merged.close()
+                for task in phase1_tasks(groups):
+                    paths = checkpoints(task)
+                    resumable = {name: path for name, path in paths.items()
+                                 if resume and path.exists()}
+                    for index, name in enumerate(task):
+                        with obs.span("train.group", group=name):
+                            if index == 0:
+                                phase1 = run_phase1(
+                                    [by_name[n] for n in task],
+                                    config, machine_config,
+                                    per_class_target=per_class_target,
+                                    max_seeds=max_seeds,
+                                    seed_base=seed_base,
+                                    resume_from=resumable,
+                                    checkpoint_path=paths,
+                                    options=options,
+                                )
+                            else:
+                                obs.counter("phase1.shared", group=name)
+                            trained[name] = BrainyModel.train(
+                                run_phase2(phase1[index]),
+                                hidden=hidden, seed=seed)
+                        obs.counter("train.groups")
             except KeyboardInterrupt:
                 if checkpoint_dir is None:
                     raise
-                # Workers ignore SIGINT and flush per-group checkpoints
-                # at merged-prefix boundaries; surface the same
-                # resumable signal the serial path raises.
+                # Phase I's seed loop raises TrainingInterrupted itself;
+                # an interrupt anywhere else surfaces the same resumable
+                # signal.
                 raise TrainingInterrupted(
                     "suite training interrupted; per-group checkpoints "
                     f"under {checkpoint_dir}",
@@ -479,10 +411,8 @@ class BrainySuite:
             suite = cls(machine_name=machine_config.name,
                         models={group.name: trained[group.name]
                                 for group in groups})
-            if checkpoint_dir is not None:
-                for group in groups:
-                    (checkpoint_dir / f"{group.name}.phase1.json"
-                     ).unlink(missing_ok=True)
+            for path in checkpoints(by_name).values():
+                path.unlink(missing_ok=True)
             return suite
 
     # -- persistence ---------------------------------------------------------

@@ -4,7 +4,7 @@ The training entry points (:func:`repro.training.phase1.run_phase1`,
 :meth:`repro.models.brainy.BrainySuite.train`, the suite cache in
 :mod:`repro.models.cache`) and the Darwinian search
 (:func:`repro.core.darwin.run_darwin`) take their cross-cutting knobs —
-``jobs``, ``window``, ``checkpoint_every``, the fault-boundary tuning
+``jobs``, ``checkpoint_every``, the fault-boundary tuning
 (``retry_policy`` / ``seed_budget_seconds``), ``telemetry`` and the
 ``darwin_*`` search knobs — as one immutable :class:`RunOptions` value
 passed as ``options=``; there is no other spelling.
@@ -34,11 +34,8 @@ class RunOptions:
     Parameters
     ----------
     jobs:
-        Worker processes for seed/group fan-out (``None`` reads
-        ``REPRO_JOBS``, default serial).
-    window:
-        In-flight speculation bound for :func:`map_ordered` (Phase I's
-        seed loop caps it at ``phase1.FINISH_LAG``).
+        Worker processes for the Phase I seed and GA fitness fan-outs
+        (``None`` reads ``REPRO_JOBS``, default serial).
     checkpoint_every:
         Periodic checkpoint cadence, in seeds/records.
     retry_policy / seed_budget_seconds:
@@ -104,7 +101,6 @@ class RunOptions:
     """
 
     jobs: int | None = None
-    window: int | None = None
     checkpoint_every: int | None = None
     retry_policy: RetryPolicy | None = None
     seed_budget_seconds: float | None = None
@@ -142,14 +138,13 @@ class RunOptions:
         except that an unset ``jobs`` must resolve: ``REPRO_JOBS``, when
         set, has to be an integer >= 1.
         """
-        problems = [f"{knob} must be >= 1"
-                    for knob in ("window", "checkpoint_every")
-                    if getattr(self, knob) is not None
-                    and getattr(self, knob) < 1]
+        problems = []
         try:
             resolve_jobs(self.jobs)
         except ValueError as exc:
-            problems.insert(0, str(exc))
+            problems.append(str(exc))
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            problems.append("checkpoint_every must be >= 1")
         if (self.seed_budget_seconds is not None
                 and self.seed_budget_seconds <= 0):
             problems.append("seed_budget_seconds must be positive")

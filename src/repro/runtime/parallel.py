@@ -208,18 +208,6 @@ def make_executor(jobs: int) -> SerialExecutor | PoolExecutor:
     return PoolExecutor(jobs)
 
 
-def require_picklable(obj: Any, what: str) -> None:
-    """Fail fast (with a useful message) on payloads a pool cannot ship."""
-    try:
-        pickle.dumps(obj)
-    except Exception as exc:
-        raise ValueError(
-            f"{what} is not picklable and cannot cross process "
-            f"boundaries ({exc}); use jobs=1 or pass an in-process "
-            "executor (e.g. repro.runtime.parallel.SerialExecutor)"
-        ) from exc
-
-
 def usable_jobs(worker: Callable, jobs: int, what: str) -> int:
     """Clamp ``jobs`` to 1 when ``worker`` cannot cross a process boundary.
 
@@ -318,29 +306,19 @@ def map_retry(fn: Callable[[Any], Any],
               tasks: Iterable[Any],
               *,
               jobs: int = 1,
-              window: int | None = None,
-              executor=None,
-              reraise: tuple[type[BaseException], ...] = (),
-              ) -> Iterator[Any]:
+              executor=None) -> Iterator[Any]:
     """:func:`map_ordered` for fan-outs whose tasks must all succeed.
 
     A :class:`TaskFailure` slot is re-executed once in the parent
     process instead of being yielded: transient pool faults (lost
     worker, flaky resource) heal invisibly, and a deterministic error
     surfaces with its natural traceback at the same loop position a
-    serial run would raise it.  Exception types listed in ``reraise``
-    propagate immediately without a retry — e.g. a
-    ``TrainingInterrupted`` whose checkpoint was already flushed
-    worker-side, where re-running the task would redo completed work.
+    serial run would raise it.
 
-    Used by the ML layer (GA fitness fan-out, per-group training
-    pipelines), where — unlike the per-seed loops — there is no
-    quarantine slot to degrade into.
+    Used by the GA fitness fan-out, where — unlike the per-seed loops —
+    there is no quarantine slot to degrade into.
     """
-    for result in map_ordered(fn, tasks, jobs=jobs, window=window,
-                              executor=executor):
+    for result in map_ordered(fn, tasks, jobs=jobs, executor=executor):
         if isinstance(result, TaskFailure):
-            if reraise and isinstance(result.error, reraise):
-                raise result.error
             result = fn(result.task)
         yield result

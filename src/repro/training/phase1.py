@@ -511,7 +511,7 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
         whose records carry the features of all the set's groups.
     options:
         The cross-cutting run knobs as one frozen
-        :class:`~repro.runtime.options.RunOptions` (``jobs``, ``window``,
+        :class:`~repro.runtime.options.RunOptions` (``jobs``,
         ``checkpoint_every``, fault-boundary tuning, telemetry
         collector); ``None`` means the defaults.  The knobs are checked
         (:meth:`~repro.runtime.options.RunOptions.validate_training`)
@@ -644,10 +644,10 @@ def _seed_loop(loops: list[_SetLoop],
         first_seeds[i] = None
         loops[i].flush(seed_base, next_offset, complete=True)
 
-    window = options.window or max(2, jobs * DEFAULT_WINDOW_PER_JOB)
+    window = min(max(2, jobs * DEFAULT_WINDOW_PER_JOB), FINISH_LAG)
     outcomes = map_ordered(
         worker, (seed_base + off for off in range(min(pending), max_seeds)),
-        jobs=jobs, window=min(window, FINISH_LAG), executor=executor,
+        jobs=jobs, window=window, executor=executor,
     )
     try:
         for offset in range(min(pending), max_seeds):

@@ -13,6 +13,7 @@ from repro.appgen.config import GeneratorConfig
 from repro.machine.configs import ATOM, CORE2
 from repro.machine.machine import Machine
 from repro.models import cache as cache_mod
+from repro.serve import AdvisorService
 
 # Keep property tests brisk: the containers run a real simulator per op.
 settings.register_profile(
@@ -73,3 +74,25 @@ def install_suite(trained_suite):
                         Path(cache_root) / "suites" / f"core2-{scale_name}")
 
     return install
+
+
+@pytest.fixture
+def drained_services(monkeypatch):
+    """Drain every :class:`AdvisorService` the test builds when it ends.
+
+    A pass still running after a deadline answer writes ``advise.*``
+    counters into whatever collector is active, and that collector is
+    process-global: undrained, it can land in a later test's telemetry.
+    """
+    built = []
+    real_init = AdvisorService.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(AdvisorService, "__init__", init)
+    yield
+    for service in built:
+        assert service.drain(drain_seconds=10.0), \
+            "a serve worker pass outlived its test"

@@ -157,7 +157,7 @@ class TestRunOptions:
         assert base.jobs is None  # frozen: original untouched
 
     def test_explicit_options_pass_through_silently(self):
-        opts = RunOptions(jobs=2, window=3, checkpoint_every=5,
+        opts = RunOptions(jobs=2, checkpoint_every=5,
                           seed_budget_seconds=1.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -203,7 +203,7 @@ class TestTrainingKnobValidation:
 
     @pytest.mark.parametrize("changes,message", [
         (dict(jobs=0), "jobs must be >= 1"),
-        (dict(window=0), "window must be >= 1"),
+        (dict(jobs=-2), "jobs must be >= 1"),
         (dict(checkpoint_every=0), "checkpoint_every must be >= 1"),
         (dict(checkpoint_every=-3), "checkpoint_every must be >= 1"),
         (dict(seed_budget_seconds=0.0),
@@ -215,8 +215,9 @@ class TestTrainingKnobValidation:
 
     def test_problems_are_joined(self):
         with pytest.raises(ValueError) as excinfo:
-            RunOptions(window=0, checkpoint_every=0).validate_training()
-        assert "window" in str(excinfo.value)
+            RunOptions(seed_budget_seconds=0,
+                       checkpoint_every=0).validate_training()
+        assert "seed_budget_seconds" in str(excinfo.value)
         assert "checkpoint_every" in str(excinfo.value)
 
     @staticmethod
@@ -247,6 +248,6 @@ class TestTrainingKnobValidation:
         with pytest.raises(api.UsageError, match="checkpoint_every"):
             api.train(scale="tiny",
                       options=RunOptions(checkpoint_every=0))
-        with pytest.raises(api.UsageError, match="window"):
+        with pytest.raises(api.UsageError, match="seed_budget_seconds"):
             api.advise("xalan", scale="tiny",
-                       options=RunOptions(window=0))
+                       options=RunOptions(seed_budget_seconds=0))

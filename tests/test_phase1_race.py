@@ -39,6 +39,7 @@ from repro.runtime.checkpoint import (
 from repro.runtime.checkpoint import TrainingInterrupted
 from repro.runtime.inject import FaultInjector, FaultPlan
 from repro.runtime.options import RunOptions
+from repro.runtime.parallel import SerialExecutor
 from repro.training.phase1 import (
     PHASE1_ARTIFACT_KIND,
     PHASE1_SCHEMA_VERSION,
@@ -46,10 +47,30 @@ from repro.training.phase1 import (
     run_phase1,
 )
 from repro.training.phase2 import run_phase2
-from tests.test_ml_parallel import FlakyExecutor, suite_bytes
+from tests.test_ml_parallel import suite_bytes
 
 CONFIG = GeneratorConfig.small()
 MARGINS = (0.0, 0.05)
+
+
+class FlakyExecutor(SerialExecutor):
+    """In-process executor that fails chosen submissions at get() time
+    with a transient fault (``ConnectionError``, an ``OSError`` the
+    fault taxonomy retries)."""
+
+    def __init__(self, fail_submissions):
+        self.fail_submissions = set(fail_submissions)
+        self.count = 0
+
+    def submit(self, fn, args):
+        index = self.count
+        self.count += 1
+        if index in self.fail_submissions:
+            class _Boom:
+                def get(self):
+                    raise ConnectionError("injected executor fault")
+            return _Boom()
+        return super().submit(fn, args)
 
 
 class TestRaceLimit:
@@ -568,13 +589,29 @@ class TestSharedTraining:
             self.train(self.GROUPS, options=RunOptions(jobs=jobs)),
             tmp_path), alone)
 
-    def test_shared_training_survives_an_executor_fault(self, alone,
-                                                        tmp_path):
-        flaky = FlakyExecutor(fail_submissions={0})
-        shared = suite_bytes(self.train(self.GROUPS, executor=flaky),
-                             tmp_path)
-        assert flaky.count == 1  # one task for the four groups
-        self.assert_alone(shared, alone)
+    def test_shared_training_survives_an_executor_fault(self):
+        """A mid-loop seed whose executor slot fails transiently is
+        retried in the parent: every group's Phase I equals the clean
+        run's, record for record, with no quarantine."""
+        def phase1(**extra):
+            return run_phase1(self.GROUPS, CONFIG, CORE2,
+                              per_class_target=3, max_seeds=40, **extra)
+
+        clean = phase1()
+        flaky = FlakyExecutor(fail_submissions={5})
+        collector = obs.Collector()
+        faulted = phase1(executor=flaky,
+                         options=RunOptions(telemetry=collector))
+        assert flaky.count > 6  # the failed seed was not the last
+        assert collector.metrics.counter_value(
+            "phase1.worker_crashes") == 1
+        assert len(faulted) == len(clean) == len(self.GROUPS)
+        for got, want in zip(faulted, clean):
+            assert got.quarantined == [] == want.quarantined
+            assert (got.seeds_tried, got.no_winner) \
+                == (want.seeds_tried, want.no_winner)
+            assert [r.to_payload() for r in got.records] \
+                == [r.to_payload() for r in want.records]
 
     def test_interrupt_and_resume_mid_phase1(self, alone, tmp_path,
                                              monkeypatch):

@@ -33,6 +33,9 @@ from repro.runtime.options import RunOptions
 from repro.serve.loop import AdvisorService
 from repro.serve.testing import advise_payload, make_trace, tiny_suite
 
+pytestmark = pytest.mark.usefixtures("drained_services")
+
+
 KEY = RegistryKey("core2", "cafef00d1234")
 
 #: Small thresholds so tests cross the gates with a handful of requests.

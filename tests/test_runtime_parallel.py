@@ -151,8 +151,8 @@ class TestMapOrdered:
 
 class TestMapRetry:
     """map_ordered plus a single in-parent retry for failed slots —
-    the recovery used by consumers (GA fitness, suite group pipelines)
-    whose tasks are pure and safe to re-run."""
+    the recovery used by the GA fitness fan-out, whose tasks are pure
+    and safe to re-run."""
 
     def test_passthrough_without_failures(self):
         assert list(map_retry(_square, range(10), jobs=2)) \
@@ -176,18 +176,6 @@ class TestMapRetry:
         assert [next(results) for _ in range(7)] == list(range(7))
         with pytest.raises(ValueError, match="crash"):
             next(results)
-
-    def test_reraise_types_skip_the_retry(self):
-        calls = []
-
-        def interrupted(x):
-            calls.append(x)
-            raise TrainingInterrupted("stop")
-
-        with pytest.raises(TrainingInterrupted):
-            list(map_retry(interrupted, range(5),
-                           reraise=(TrainingInterrupted,)))
-        assert calls == [0]  # no second in-parent attempt
 
 
 class TestUsableJobs:

@@ -44,6 +44,9 @@ from repro.serve.protocol import (
 from repro.serve.testing import advise_payload, make_trace, tiny_suite
 
 
+pytestmark = pytest.mark.usefixtures("drained_services")
+
+
 @pytest.fixture(scope="module")
 def suite():
     return tiny_suite()

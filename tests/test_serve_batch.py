@@ -42,6 +42,9 @@ from repro.serve.testing import (
 )
 
 
+pytestmark = pytest.mark.usefixtures("drained_services")
+
+
 @pytest.fixture(scope="module")
 def suite():
     return tiny_suite()

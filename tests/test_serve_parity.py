@@ -11,6 +11,7 @@ breaker/deadline fallback path must be byte-identical to what
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.containers.registry import (
@@ -143,6 +144,7 @@ class TestBaselinePathMatchesPerflintDirectly:
                 == json.dumps(sequential.to_payload(), sort_keys=True))
 
 
+@pytest.mark.usefixtures("drained_services")
 class TestServiceLevelParity:
     def test_deadline_response_report_equals_direct_perflint(self):
         """End to end through ``AdvisorService.submit``: the wire-level
