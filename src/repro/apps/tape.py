@@ -7,8 +7,9 @@ sits at each site — only the containers' simulated costs do.  So
 every container interface call (site, method, arguments, return value)
 interleaved with the app's own machine events (``instr``, ``branch``,
 ``div``, ``loop_branches``, ``malloc``, ``free``, ``access``).  Each run
-of consecutive ``instr`` events is kept as one event that carries the
-run's instruction total and each call's cycle cost, in order.
+of consecutive ``instr`` events is kept as one event, a
+:meth:`~repro.machine.machine.Machine.walk` path of address-less steps,
+one per call, in order.
 :meth:`Tape.replay` then evaluates any other assignment by building
 fresh containers on a fresh machine — through the same
 :func:`~repro.apps.base.build_containers` that
@@ -49,7 +50,7 @@ from repro.containers.registry import DSKind
 from repro.machine.configs import MachineConfig
 
 # Tape opcodes; an event is ``(opcode, *operands)``.  ``_INSTR`` is
-# ``(count)`` while recording and ``(total, costs)`` on a tape.
+# ``(count)`` while recording and ``(steps)``, a walk path, on a tape.
 _CALL, _INSTR, _ACCESS, _MALLOC, _FREE, _BRANCH, _DIV, _LOOP = range(8)
 
 #: Interface calls whose return value is a software cost (or nothing):
@@ -59,20 +60,20 @@ _COST_CALLS = frozenset({"insert", "erase", "push_back", "push_front",
                          "put", "remove", "clear"})
 
 
-def _fold_instr_runs(events: list[tuple], cpi: float) -> tuple[tuple, ...]:
+def _fold_instr_runs(events: list[tuple]) -> tuple[tuple, ...]:
     """``events`` with each run of consecutive ``instr`` events folded
-    into one ``(_INSTR, total, costs)``: the run's instruction total and
-    each call's ``count * cpi``, in order, for :meth:`Machine.instr_run
-    <repro.machine.machine.Machine.instr_run>`.  A run of one folds
-    too, so a tape holds one form of ``instr`` event.  Equal counts
-    share one cost float, so the tape stays smaller than unfolded."""
+    into one ``(_INSTR, steps)``: a :meth:`Machine.walk
+    <repro.machine.machine.Machine.walk>` step ``(None, count, None)``
+    per call, in order.  A run of one folds too, so a tape holds one
+    form of ``instr`` event.  Equal counts share one step tuple, so the
+    tape stays smaller than unfolded."""
     folded: list[tuple] = []
-    cost: dict[int, float] = {}
+    steps: dict[int, tuple] = {}
     for is_instr, run in groupby(events, lambda event: event[0] == _INSTR):
         if is_instr:
-            counts = [event[1] for event in run]
-            folded.append((_INSTR, sum(counts), tuple(
-                cost.setdefault(count, count * cpi) for count in counts)))
+            folded.append((_INSTR, tuple(
+                steps.setdefault(event[1], (None, event[1], None))
+                for event in run)))
         else:
             folded.extend(run)
     return tuple(folded)
@@ -242,7 +243,7 @@ class Tape:
             pickled = pickle.dumps(output, pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, TypeError, AttributeError):
             return None, result
-        events = _fold_instr_runs(recorder.events, machine_config.cpi_base)
+        events = _fold_instr_runs(recorder.events)
         return cls(app, machine_config, events, pickled), result
 
     def replay(self, kinds: dict[str, DSKind] | None = None
@@ -254,7 +255,7 @@ class Tape:
             self.app, self.machine_config, kinds)
         sites = tuple(containers.values())
         addrs: list[int] = []
-        instr_run = machine.instr_run
+        walk = machine.walk
         access = machine.access
         for event in self.events:
             op = event[0]
@@ -265,7 +266,7 @@ class Tape:
                     obs.counter("darwin.tape_fallbacks")
                     return None
             elif op == _INSTR:
-                instr_run(event[1], event[2])
+                walk(event[1], 1)  # the size of no access
             elif op == _ACCESS:
                 access(addrs[event[1]] + event[2], event[3])
             elif op == _MALLOC:

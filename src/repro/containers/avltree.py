@@ -8,6 +8,15 @@ RelipmoC case study (find-heavy basic-block sets) wins by replacing
 
 Duplicates descend right (multiset semantics), matching the red-black
 implementation.
+
+Machine events: every level of a descent loads one node and resolves one
+direction branch; on the way back up every node on the path has its
+height recomputed and stored, resolves the balance branch, and is
+rotated when unbalanced.  Both paths depend only on the tree, so each is
+computed first (the ascent as a loop over the recorded descent) and
+handed to :meth:`Machine.walk` whole, as ``(addr, ninstr, taken)``
+steps; only ``malloc`` and ``free``, which issue their own events,
+split them.
 """
 
 from __future__ import annotations
@@ -52,90 +61,104 @@ class AVLTree(Container):
         super().__init__(machine, elem_size, payload_size)
         self._root: _AVLNode | None = None
         self._size = 0
-
-    @property
-    def _node_bytes(self) -> int:
-        return _NODE_OVERHEAD + self.element_bytes
-
-    def _touch(self, node: _AVLNode) -> None:
-        self.machine.access(node.addr, self._node_bytes)
+        self._node_bytes = _NODE_OVERHEAD + self.element_bytes
 
     # -- rotations ---------------------------------------------------------
 
     def _update_height(self, node: _AVLNode) -> None:
         node.height = 1 + max(_height(node.left), _height(node.right))
 
-    def _rotate_right(self, y: _AVLNode) -> _AVLNode:
+    def _rotate_right(self, y: _AVLNode, path: list) -> _AVLNode:
         x = y.left
         assert x is not None
         y.left = x.right
         x.right = y
         self._update_height(y)
         self._update_height(x)
-        self._touch(x)
-        self._touch(y)
-        self.machine.instr(_INSTR_ROTATE)
+        path.append((x.addr, 0, None))
+        path.append((y.addr, _INSTR_ROTATE, None))
         return x
 
-    def _rotate_left(self, x: _AVLNode) -> _AVLNode:
+    def _rotate_left(self, x: _AVLNode, path: list) -> _AVLNode:
         y = x.right
         assert y is not None
         x.right = y.left
         y.left = x
         self._update_height(x)
         self._update_height(y)
-        self._touch(x)
-        self._touch(y)
-        self.machine.instr(_INSTR_ROTATE)
+        path.append((x.addr, 0, None))
+        path.append((y.addr, _INSTR_ROTATE, None))
         return y
 
-    def _rebalance(self, node: _AVLNode) -> _AVLNode:
+    def _rebalance(self, node: _AVLNode, path: list) -> _AVLNode:
         # Recomputing and storing the height dirties the node on the
         # way back up -- the classic AVL update overhead RB trees avoid.
-        self._update_height(node)
-        self.machine.instr(3)
-        self._touch(node)
-        balance = _balance(node)
+        left, right = node.left, node.right
+        left_height = 0 if left is None else left.height
+        right_height = 0 if right is None else right.height
+        node.height = 1 + (left_height if left_height > right_height
+                           else right_height)
+        balance = left_height - right_height
         unbalanced = balance > 1 or balance < -1
-        self.machine.branch(_PC_BALANCE, unbalanced)
+        path.append((None, 3, None))
+        path.append((node.addr, 0, unbalanced))
         if not unbalanced:
             return node
         if balance > 1:
             assert node.left is not None
             if _balance(node.left) < 0:
-                node.left = self._rotate_left(node.left)
-            return self._rotate_right(node)
+                node.left = self._rotate_left(node.left, path)
+            return self._rotate_right(node, path)
         assert node.right is not None
         if _balance(node.right) > 0:
-            node.right = self._rotate_right(node.right)
-        return self._rotate_left(node)
+            node.right = self._rotate_right(node.right, path)
+        return self._rotate_left(node, path)
+
+    def _descend(self, value: int, path: list, stop_at_equal: bool
+                 ) -> tuple[list[_AVLNode], _AVLNode | None]:
+        """The descent towards ``value``, appended to ``path``: the
+        nodes passed on the way, and the equal node it stopped at (when
+        ``stop_at_equal``) or None."""
+        passed = []
+        cmp_instr = self._cmp_instr + 1
+        append = path.append
+        node = self._root
+        while node is not None:
+            if stop_at_equal and value == node.value:
+                append((node.addr, cmp_instr, None))
+                return passed, node
+            go_left = value < node.value
+            append((node.addr, cmp_instr, go_left))
+            passed.append(node)
+            node = node.left if go_left else node.right
+        return passed, None
+
+    def _ascend(self, value: int, passed: list[_AVLNode],
+                child: _AVLNode | None, path: list) -> None:
+        """Relink ``child`` under the last node of the descent towards
+        ``value`` and rebalance every node passed, bottom up."""
+        for node in reversed(passed):
+            if value < node.value:
+                node.left = child
+            else:
+                node.right = child
+            child = self._rebalance(node, path)
+        self._root = child
 
     # -- insert --------------------------------------------------------------
 
     def insert(self, value: int, hint: int | None = None) -> int:
         self._dispatch()
-        touched = 0
-
-        def rec(node: _AVLNode | None) -> _AVLNode:
-            nonlocal touched
-            machine = self.machine
-            if node is None:
-                addr = machine.malloc(self._node_bytes)
-                fresh = _AVLNode(value, addr)
-                machine.access(addr, self._node_bytes)
-                return fresh
-            machine.access(node.addr, self._node_bytes)
-            machine.instr(self._cmp_instr + 1)
-            touched += 1
-            go_left = value < node.value
-            machine.branch(_PC_DIR, go_left)
-            if go_left:
-                node.left = rec(node.left)
-            else:
-                node.right = rec(node.right)
-            return self._rebalance(node)
-
-        self._root = rec(self._root)
+        machine = self.machine
+        nb = self._node_bytes
+        path = []
+        passed, _ = self._descend(value, path, stop_at_equal=False)
+        machine.walk(path, nb, _PC_DIR)
+        addr = machine.malloc(nb)
+        path = [(addr, 0, None)]
+        self._ascend(value, passed, _AVLNode(value, addr), path)
+        machine.walk(path, nb, _PC_BALANCE)
+        touched = len(passed)
         self._size += 1
         self.stats.inserts += 1
         self.stats.insert_cost += touched
@@ -146,48 +169,41 @@ class AVLTree(Container):
 
     def erase(self, value: int) -> int:
         self._dispatch()
-        touched = 0
-        erased = False
-
-        def pop_min(node: _AVLNode) -> tuple[_AVLNode, _AVLNode | None]:
-            """Remove and return the minimum node of a subtree."""
-            self._touch(node)
+        machine = self.machine
+        nb = self._node_bytes
+        path = []
+        passed, node = self._descend(value, path, stop_at_equal=True)
+        machine.walk(path, nb, _PC_DIR)
+        touched = len(path)
+        path = []
+        child = None
+        if node is not None:
+            machine.free(node.addr)
             if node.left is None:
-                return node, node.right
-            minimum, node.left = pop_min(node.left)
-            return minimum, self._rebalance(node)
-
-        def rec(node: _AVLNode | None) -> _AVLNode | None:
-            nonlocal touched, erased
-            machine = self.machine
-            if node is None:
-                return None
-            machine.access(node.addr, self._node_bytes)
-            machine.instr(self._cmp_instr + 1)
-            touched += 1
-            if value == node.value:
-                erased = True
-                machine.free(node.addr)
-                if node.left is None:
-                    return node.right
-                if node.right is None:
-                    return node.left
-                successor, rest = pop_min(node.right)
+                child = node.right
+            elif node.right is None:
+                child = node.left
+            else:
+                # Pop the right subtree's minimum, rebalancing its left
+                # spine bottom up, and put it in the erased node's place.
+                spine = []
+                successor = node.right
+                path.append((successor.addr, 0, None))
+                while successor.left is not None:
+                    spine.append(successor)
+                    successor = successor.left
+                    path.append((successor.addr, 0, None))
+                rest = successor.right
+                for parent in reversed(spine):
+                    parent.left = rest
+                    rest = self._rebalance(parent, path)
                 successor.left = node.left
                 successor.right = rest
-                self._touch(successor)
-                return self._rebalance(successor)
-            go_left = value < node.value
-            machine.branch(_PC_DIR, go_left)
-            if go_left:
-                node.left = rec(node.left)
-            else:
-                node.right = rec(node.right)
-            return self._rebalance(node)
-
-        self._root = rec(self._root)
-        if erased:
+                path.append((successor.addr, 0, None))
+                child = self._rebalance(successor, path)
             self._size -= 1
+        self._ascend(value, passed, child, path)
+        machine.walk(path, nb, _PC_BALANCE)
         self.stats.erases += 1
         self.stats.erase_cost += touched
         return touched
@@ -196,41 +212,32 @@ class AVLTree(Container):
 
     def find(self, value: int) -> bool:
         self._dispatch()
-        machine = self.machine
-        nb = self._node_bytes
-        node = self._root
-        touched = 0
-        found = False
-        while node is not None:
-            machine.access(node.addr, nb)
-            machine.instr(self._cmp_instr + 1)
-            touched += 1
-            if value == node.value:
-                found = True
-                break
-            go_left = value < node.value
-            machine.branch(_PC_DIR, go_left)
-            node = node.left if go_left else node.right
+        path = []
+        _, node = self._descend(value, path, stop_at_equal=True)
+        self.machine.walk(path, self._node_bytes, _PC_DIR)
         self.stats.finds += 1
-        self.stats.find_cost += touched
-        return found
+        self.stats.find_cost += len(path)
+        return node is not None
 
     def iterate(self, steps: int) -> int:
         self._dispatch()
         machine = self.machine
-        nb = self._node_bytes
+        cmp_instr = self._cmp_instr + 1
         visited = 0
+        path = []
+        append = path.append
         stack: list[_AVLNode] = []
         node = self._root
         while (stack or node is not None) and visited < steps:
             while node is not None:
-                machine.access(node.addr, nb)
+                append((node.addr, 0, None))
                 stack.append(node)
                 node = node.left
             node = stack.pop()
-            machine.instr(self._cmp_instr + 1)
+            append((None, cmp_instr, None))
             visited += 1
             node = node.right
+        machine.walk(path, self._node_bytes)
         if visited:
             machine.loop_branches(_PC_ITER, visited)
         self.stats.iterates += 1

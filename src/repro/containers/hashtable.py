@@ -47,15 +47,12 @@ class HashTable(Container):
                  payload_size: int = 0) -> None:
         super().__init__(machine, elem_size, payload_size)
         self._hash_instr = 6 + self.elem_size // 4
+        self._node_bytes = _NODE_OVERHEAD + self.element_bytes
         self._buckets: list[list[_HashNode]] = [
             [] for _ in range(_INITIAL_BUCKETS)
         ]
         self._array = machine.malloc(_INITIAL_BUCKETS * _SLOT_BYTES)
         self._size = 0
-
-    @property
-    def _node_bytes(self) -> int:
-        return _NODE_OVERHEAD + self.element_bytes
 
     @property
     def bucket_count(self) -> int:
@@ -99,18 +96,18 @@ class HashTable(Container):
 
     def _chain_walk(self, chain: list[_HashNode], value: int) -> tuple[int, int]:
         """Walk a chain comparing values; (index or -1, nodes touched)."""
-        machine = self.machine
-        nb = self._node_bytes
-        touched = 0
+        path = []
         found = -1
         for idx, node in enumerate(chain):
-            machine.access(node.addr, nb)
-            touched += 1
+            path.append((node.addr, 0, None))
             if node.value == value:
                 found = idx
                 break
+        touched = len(path)
         if touched:
-            machine.instr(touched * (self._cmp_instr + 1))
+            machine = self.machine
+            path.append((None, touched * (self._cmp_instr + 1), None))
+            machine.walk(path, self._node_bytes)
             machine.loop_branches(_PC_CHAIN, touched)
         return found, touched
 

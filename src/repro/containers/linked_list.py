@@ -8,10 +8,11 @@ lists scramble node addresses relative to logical order, which is what
 makes long list traversals miss in cache (the paper's L1-miss feature for
 the list models).
 
-The list keeps its values and their node addresses in two parallel
-Python lists in logical order.  A find or an iteration hands the
-addresses of the nodes it walks to :meth:`Machine.access_each` in one
-call, which touches them one by one exactly as per-node accesses would.
+The list keeps its values and its nodes in two parallel Python lists in
+logical order, each node as the :meth:`Machine.walk` step that touches
+it, ``(addr, 0, None)``.  A find or an iteration hands a slice of them
+to ``walk`` in one call, which touches the nodes one by one exactly as
+per-node accesses would.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ class DoublyLinkedList(Container):
                  payload_size: int = 0) -> None:
         super().__init__(machine, elem_size, payload_size)
         self._node_bytes = _POINTER_BYTES + self.element_bytes
-        # Node values and simulated heap addresses, in logical order.
+        # Node values and node touches, in logical order.
         self._values: list[int] = []
-        self._addrs: list[int] = []
+        self._nodes: list[tuple[int, int, None]] = []
 
     def _scan(self, value: int) -> tuple[int, int]:
         """Walk from the head comparing values; (index or -1, touched)."""
@@ -55,8 +56,9 @@ class DoublyLinkedList(Container):
             touched = len(values)
         if touched:
             machine = self.machine
-            machine.access_each(self._addrs[:touched], self._node_bytes)
-            machine.instr(touched * (self._cmp_instr + 1))
+            path = self._nodes[:touched]
+            path.append((None, touched * (self._cmp_instr + 1), None))
+            machine.walk(path, self._node_bytes)
             machine.loop_branches(_PC_SCAN, touched)
         return found, touched
 
@@ -65,20 +67,20 @@ class DoublyLinkedList(Container):
     def insert(self, value: int, hint: int | None = None) -> int:
         self._dispatch()
         machine = self.machine
-        addrs = self._addrs
+        nodes = self._nodes
         nb = self._node_bytes
-        size = len(addrs)
+        size = len(nodes)
         idx = size if hint is None else max(0, min(hint, size))
-        addr = machine.malloc(nb)
-        machine.access(addr, nb)  # write the new node
-        # Relink neighbours.
+        node = (machine.malloc(nb), 0, None)
+        path = [node]  # write the new node, then relink its neighbours
         if idx > 0:
-            machine.access(addrs[idx - 1], nb)
+            path.append(nodes[idx - 1])
         if idx < size:
-            machine.access(addrs[idx], nb)
-        machine.instr(_INSTR_LINK)
+            path.append(nodes[idx])
+        path.append((None, _INSTR_LINK, None))
+        machine.walk(path, nb)
         self._values.insert(idx, value)
-        addrs.insert(idx, addr)
+        nodes.insert(idx, node)
         self.stats.inserts += 1
         self.stats.note_size(size + 1)
         return 0
@@ -98,14 +100,15 @@ class DoublyLinkedList(Container):
         idx, touched = self._scan(value)
         if idx >= 0:
             machine = self.machine
-            addrs = self._addrs
-            nb = self._node_bytes
+            nodes = self._nodes
+            path = []
             if idx > 0:
-                machine.access(addrs[idx - 1], nb)
-            if idx + 1 < len(addrs):
-                machine.access(addrs[idx + 1], nb)
-            machine.instr(_INSTR_LINK)
-            machine.free(addrs.pop(idx))
+                path.append(nodes[idx - 1])
+            if idx + 1 < len(nodes):
+                path.append(nodes[idx + 1])
+            path.append((None, _INSTR_LINK, None))
+            machine.walk(path, self._node_bytes)
+            machine.free(nodes.pop(idx)[0])
             del self._values[idx]
         self.stats.erases += 1
         self.stats.erase_cost += touched
@@ -120,11 +123,12 @@ class DoublyLinkedList(Container):
 
     def iterate(self, steps: int) -> int:
         self._dispatch()
-        visited = max(0, min(steps, len(self._addrs)))
+        visited = max(0, min(steps, len(self._nodes)))
         if visited:
             machine = self.machine
-            machine.access_each(self._addrs[:visited], self._node_bytes)
-            machine.instr(visited * _INSTR_PER_STEP)
+            path = self._nodes[:visited]
+            path.append((None, visited * _INSTR_PER_STEP, None))
+            machine.walk(path, self._node_bytes)
             machine.loop_branches(_PC_ITER, visited)
         self.stats.iterates += 1
         self.stats.iterate_cost += visited
@@ -137,7 +141,7 @@ class DoublyLinkedList(Container):
         return list(self._values)
 
     def clear(self) -> None:
-        for addr in self._addrs:
+        for addr, _, _ in self._nodes:
             self.machine.free(addr)
         self._values.clear()
-        self._addrs.clear()
+        self._nodes.clear()

@@ -8,7 +8,10 @@ matches the sequence containers under an identical operation stream.
 Machine events: every level of a descent loads one node and resolves one
 data-dependent direction branch (the ~50 %-mispredicting comparisons that
 make tree search branchy on real hardware); rotations and fixups touch the
-nodes they relink.
+nodes they relink.  The path a descent, a fixup or an in-order walk takes
+depends only on the tree, so each is computed first and handed to
+:meth:`Machine.walk` whole, as ``(addr, ninstr, taken)`` steps; only
+``malloc`` and ``free``, which issue their own events, split a path.
 """
 
 from __future__ import annotations
@@ -52,24 +55,20 @@ class RedBlackTree(Container):
         self._nil.left = self._nil.right = self._nil.parent = self._nil
         self._root = self._nil
         self._size = 0
+        self._node_bytes = _NODE_OVERHEAD + self.element_bytes
 
-    @property
-    def _node_bytes(self) -> int:
-        return _NODE_OVERHEAD + self.element_bytes
-
-    def _touch(self, node: _RBNode) -> None:
+    def _touch(self, node: _RBNode, path: list) -> None:
         if node is not self._nil:
-            self.machine.access(node.addr, self._node_bytes)
+            path.append((node.addr, 0, None))
 
     # -- rotations ---------------------------------------------------------
 
-    def _rotate_left(self, x: _RBNode) -> None:
-        machine = self.machine
+    def _rotate_left(self, x: _RBNode, path: list) -> None:
         y = x.right
         x.right = y.left
         if y.left is not self._nil:
             y.left.parent = x
-            self._touch(y.left)
+            path.append((y.left.addr, 0, None))
         y.parent = x.parent
         if x.parent is self._nil:
             self._root = y
@@ -79,17 +78,15 @@ class RedBlackTree(Container):
             x.parent.right = y
         y.left = x
         x.parent = y
-        self._touch(x)
-        self._touch(y)
-        machine.instr(_INSTR_ROTATE)
+        path.append((x.addr, 0, None))
+        path.append((y.addr, _INSTR_ROTATE, None))
 
-    def _rotate_right(self, x: _RBNode) -> None:
-        machine = self.machine
+    def _rotate_right(self, x: _RBNode, path: list) -> None:
         y = x.left
         x.left = y.right
         if y.right is not self._nil:
             y.right.parent = x
-            self._touch(y.right)
+            path.append((y.right.addr, 0, None))
         y.parent = x.parent
         if x.parent is self._nil:
             self._root = y
@@ -99,33 +96,27 @@ class RedBlackTree(Container):
             x.parent.left = y
         y.right = x
         x.parent = y
-        self._touch(x)
-        self._touch(y)
-        machine.instr(_INSTR_ROTATE)
+        path.append((x.addr, 0, None))
+        path.append((y.addr, _INSTR_ROTATE, None))
 
     # -- search -------------------------------------------------------------
 
-    def _descend(self, value: int) -> tuple[_RBNode, int]:
-        """Walk from the root towards ``value``.
-
-        Returns ``(node or nil, levels touched)``; stops at the first
-        equal node (like ``std::set::find``).
-        """
-        machine = self.machine
+    def _descend(self, value: int, path: list) -> _RBNode:
+        """The path from the root towards ``value``, appended to
+        ``path``; returns the first equal node (like ``std::set::find``)
+        or nil."""
         nil = self._nil
         node = self._root
-        touched = 0
-        nb = self._node_bytes
+        cmp_instr = self._cmp_instr + 1
+        append = path.append
         while node is not nil:
-            machine.access(node.addr, nb)
-            machine.instr(self._cmp_instr + 1)
-            touched += 1
             if value == node.value:
-                return node, touched
+                append((node.addr, cmp_instr, None))
+                return node
             go_left = value < node.value
-            machine.branch(_PC_DIR, go_left)
+            append((node.addr, cmp_instr, go_left))
             node = node.left if go_left else node.right
-        return nil, touched
+        return nil
 
     # -- insert --------------------------------------------------------------
 
@@ -135,16 +126,17 @@ class RedBlackTree(Container):
         nil = self._nil
         parent = nil
         node = self._root
-        touched = 0
         nb = self._node_bytes
+        cmp_instr = self._cmp_instr + 1
+        path = []
+        append = path.append
         while node is not nil:
-            machine.access(node.addr, nb)
-            machine.instr(self._cmp_instr + 1)
-            touched += 1
             parent = node
             go_left = value < node.value
-            machine.branch(_PC_DIR, go_left)
+            append((node.addr, cmp_instr, go_left))
             node = node.left if go_left else node.right
+        touched = len(path)
+        machine.walk(path, nb, _PC_DIR)
         addr = machine.malloc(nb)
         fresh = _RBNode(value, addr, nil)
         fresh.parent = parent
@@ -154,56 +146,56 @@ class RedBlackTree(Container):
             parent.left = fresh
         else:
             parent.right = fresh
-        machine.access(addr, nb)  # write the new node
-        if parent is not nil:
-            self._touch(parent)
-        self._insert_fixup(fresh)
+        path = [(addr, 0, None)]  # write the new node
+        self._touch(parent, path)
+        self._insert_fixup(fresh, path)
+        machine.walk(path, nb, _PC_FIXUP)
         self._size += 1
         self.stats.inserts += 1
         self.stats.insert_cost += touched
         self.stats.note_size(self._size)
         return touched
 
-    def _insert_fixup(self, z: _RBNode) -> None:
-        machine = self.machine
+    def _insert_fixup(self, z: _RBNode, path: list) -> None:
+        touch = self._touch
         while z.parent.red:
-            machine.branch(_PC_FIXUP, True)
+            path.append((None, 0, True))
             grand = z.parent.parent
             if z.parent is grand.left:
                 uncle = grand.right
-                self._touch(uncle)
+                touch(uncle, path)
                 if uncle.red:
                     z.parent.red = _BLACK
                     uncle.red = _BLACK
                     grand.red = _RED
-                    self._touch(z.parent)
-                    self._touch(grand)
+                    touch(z.parent, path)
+                    touch(grand, path)
                     z = grand
                 else:
                     if z is z.parent.right:
                         z = z.parent
-                        self._rotate_left(z)
+                        self._rotate_left(z, path)
                     z.parent.red = _BLACK
                     grand.red = _RED
-                    self._rotate_right(grand)
+                    self._rotate_right(grand, path)
             else:
                 uncle = grand.left
-                self._touch(uncle)
+                touch(uncle, path)
                 if uncle.red:
                     z.parent.red = _BLACK
                     uncle.red = _BLACK
                     grand.red = _RED
-                    self._touch(z.parent)
-                    self._touch(grand)
+                    touch(z.parent, path)
+                    touch(grand, path)
                     z = grand
                 else:
                     if z is z.parent.left:
                         z = z.parent
-                        self._rotate_right(z)
+                        self._rotate_right(z, path)
                     z.parent.red = _BLACK
                     grand.red = _RED
-                    self._rotate_left(grand)
-        machine.branch(_PC_FIXUP, False)
+                    self._rotate_left(grand, path)
+        path.append((None, 0, False))
         self._root.red = _BLACK
 
     # -- erase ---------------------------------------------------------------
@@ -217,22 +209,26 @@ class RedBlackTree(Container):
             u.parent.right = v
         v.parent = u.parent
 
-    def _minimum(self, node: _RBNode) -> _RBNode:
+    def _minimum(self, node: _RBNode, path: list) -> _RBNode:
         nil = self._nil
         while node.left is not nil:
-            self._touch(node)
+            path.append((node.addr, 0, None))
             node = node.left
         return node
 
     def erase(self, value: int) -> int:
         self._dispatch()
-        z, touched = self._descend(value)
+        machine = self.machine
+        nb = self._node_bytes
+        path = []
+        z = self._descend(value, path)
+        touched = len(path)
         self.stats.erases += 1
         self.stats.erase_cost += touched
-        if z is self._nil:
-            return touched
-        machine = self.machine
         nil = self._nil
+        if z is nil:
+            machine.walk(path, nb, _PC_DIR)
+            return touched
         y = z
         y_was_red = y.red
         if z.left is nil:
@@ -242,7 +238,7 @@ class RedBlackTree(Container):
             x = z.left
             self._transplant(z, z.left)
         else:
-            y = self._minimum(z.right)
+            y = self._minimum(z.right, path)
             y_was_red = y.red
             x = y.right
             if y.parent is z:
@@ -255,26 +251,29 @@ class RedBlackTree(Container):
             y.left = z.left
             y.left.parent = y
             y.red = z.red
-            self._touch(y)
+            path.append((y.addr, 0, None))
+        machine.walk(path, nb, _PC_DIR)
         machine.free(z.addr)
         if not y_was_red:
-            self._erase_fixup(x)
+            path = []
+            self._erase_fixup(x, path)
+            machine.walk(path, nb, _PC_FIXUP)
         self._size -= 1
         return touched
 
-    def _erase_fixup(self, x: _RBNode) -> None:
-        machine = self.machine
+    def _erase_fixup(self, x: _RBNode, path: list) -> None:
+        touch = self._touch
         while x is not self._root and not x.red:
-            machine.branch(_PC_FIXUP, True)
+            path.append((None, 0, True))
             if x is x.parent.left:
                 w = x.parent.right
-                self._touch(w)
+                touch(w, path)
                 if w.red:
                     w.red = _BLACK
                     x.parent.red = _RED
-                    self._rotate_left(x.parent)
+                    self._rotate_left(x.parent, path)
                     w = x.parent.right
-                    self._touch(w)
+                    touch(w, path)
                 if not w.left.red and not w.right.red:
                     w.red = _RED
                     x = x.parent
@@ -282,23 +281,23 @@ class RedBlackTree(Container):
                     if not w.right.red:
                         w.left.red = _BLACK
                         w.red = _RED
-                        self._rotate_right(w)
+                        self._rotate_right(w, path)
                         w = x.parent.right
-                        self._touch(w)
+                        touch(w, path)
                     w.red = x.parent.red
                     x.parent.red = _BLACK
                     w.right.red = _BLACK
-                    self._rotate_left(x.parent)
+                    self._rotate_left(x.parent, path)
                     x = self._root
             else:
                 w = x.parent.left
-                self._touch(w)
+                touch(w, path)
                 if w.red:
                     w.red = _BLACK
                     x.parent.red = _RED
-                    self._rotate_right(x.parent)
+                    self._rotate_right(x.parent, path)
                     w = x.parent.left
-                    self._touch(w)
+                    touch(w, path)
                 if not w.right.red and not w.left.red:
                     w.red = _RED
                     x = x.parent
@@ -306,61 +305,63 @@ class RedBlackTree(Container):
                     if not w.left.red:
                         w.right.red = _BLACK
                         w.red = _RED
-                        self._rotate_left(w)
+                        self._rotate_left(w, path)
                         w = x.parent.left
-                        self._touch(w)
+                        touch(w, path)
                     w.red = x.parent.red
                     x.parent.red = _BLACK
                     w.left.red = _BLACK
-                    self._rotate_right(x.parent)
+                    self._rotate_right(x.parent, path)
                     x = self._root
-        machine.branch(_PC_FIXUP, False)
+        path.append((None, 0, False))
         x.red = _BLACK
 
     # -- queries ---------------------------------------------------------------
 
     def find(self, value: int) -> bool:
         self._dispatch()
-        node, touched = self._descend(value)
+        path = []
+        node = self._descend(value, path)
+        self.machine.walk(path, self._node_bytes, _PC_DIR)
         self.stats.finds += 1
-        self.stats.find_cost += touched
+        self.stats.find_cost += len(path)
         return node is not self._nil
 
     def iterate(self, steps: int) -> int:
         """In-order walk from the minimum, chasing node pointers."""
         self._dispatch()
-        machine = self.machine
         nil = self._nil
-        nb = self._node_bytes
         visited = 0
         if self._root is not nil and steps > 0:
+            path = []
+            append = path.append
             node = self._root
             while node.left is not nil:
-                machine.access(node.addr, nb)
+                append((node.addr, 0, None))
                 node = node.left
+            cmp_instr = self._cmp_instr + 1
             while node is not nil and visited < steps:
-                machine.access(node.addr, nb)
-                machine.instr(self._cmp_instr + 1)
+                append((node.addr, cmp_instr, None))
                 visited += 1
-                node = self._successor(node)
+                node = self._successor(node, append)
+            machine = self.machine
+            machine.walk(path, self._node_bytes)
             machine.loop_branches(_PC_ITER, visited)
         self.stats.iterates += 1
         self.stats.iterate_cost += visited
         return visited
 
-    def _successor(self, node: _RBNode) -> _RBNode:
+    def _successor(self, node: _RBNode, append) -> _RBNode:
         nil = self._nil
-        machine = self.machine
-        nb = self._node_bytes
         if node.right is not nil:
             node = node.right
             while node.left is not nil:
-                machine.access(node.addr, nb)
+                append((node.addr, 0, None))
                 node = node.left
             return node
         parent = node.parent
         while parent is not nil and node is parent.right:
-            machine.access(parent.addr, nb)
+            append((parent.addr, 0, None))
             node = parent
             parent = parent.parent
         return parent

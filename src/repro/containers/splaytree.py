@@ -10,7 +10,8 @@ exercised by ``benchmarks/test_ext_splay_tree.py``.
 
 Implementation: classic bottom-up splaying via the top-down simplified
 recursion-free zig/zig-zig/zig-zag steps, with duplicates descending
-right like the other trees.
+right like the other trees.  As in the other trees, a splay's path is
+computed first and handed to :meth:`Machine.walk` whole.
 """
 
 from __future__ import annotations
@@ -44,44 +45,37 @@ class SplayTree(Container):
         super().__init__(machine, elem_size, payload_size)
         self._root: _SplayNode | None = None
         self._size = 0
-
-    @property
-    def _node_bytes(self) -> int:
-        return _NODE_OVERHEAD + self.element_bytes
-
-    def _touch(self, node: _SplayNode) -> None:
-        self.machine.access(node.addr, self._node_bytes)
+        self._node_bytes = _NODE_OVERHEAD + self.element_bytes
 
     # -- splaying ----------------------------------------------------------
 
-    def _splay(self, value: int) -> int:
+    def _splay(self, value: int, path: list) -> int:
         """Top-down splay: after this, the root is the node closest to
-        ``value``.  Returns nodes touched."""
+        ``value``.  Appends the splay's steps to ``path``; returns nodes
+        touched."""
         root = self._root
         if root is None:
             return 0
-        machine = self.machine
-        nb = self._node_bytes
+        cmp_instr = self._cmp_instr + 1
+        append = path.append
         header = _SplayNode(0, 0)
         left_tail = right_tail = header
         touched = 0
         node = root
         while True:
-            machine.access(node.addr, nb)
-            machine.instr(self._cmp_instr + 1)
             touched += 1
             if value == node.value:
+                append((node.addr, cmp_instr, None))
                 break
             go_left = value < node.value
-            machine.branch(_PC_DIR, go_left)
+            append((node.addr, cmp_instr, go_left))
             if go_left:
                 if node.left is None:
                     break
                 # Zig-zig (rotate right) when the grandchild continues left.
                 if value < node.left.value:
                     child = node.left
-                    self._touch(child)
-                    machine.instr(_INSTR_ROTATE)
+                    append((child.addr, _INSTR_ROTATE, None))
                     touched += 1
                     node.left = child.right
                     child.right = node
@@ -97,8 +91,7 @@ class SplayTree(Container):
                     break
                 if value > node.right.value:
                     child = node.right
-                    self._touch(child)
-                    machine.instr(_INSTR_ROTATE)
+                    append((child.addr, _INSTR_ROTATE, None))
                     touched += 1
                     node.right = child.left
                     child.left = node
@@ -113,7 +106,7 @@ class SplayTree(Container):
         right_tail.left = node.right
         node.left = header.right
         node.right = header.left
-        self._touch(node)
+        append((node.addr, 0, None))
         self._root = node
         return touched
 
@@ -126,10 +119,11 @@ class SplayTree(Container):
         addr = machine.malloc(nb)
         fresh = _SplayNode(value, addr)
         touched = 0
+        path = []
         if self._root is None:
             self._root = fresh
         else:
-            touched = self._splay(value)
+            touched = self._splay(value, path)
             root = self._root
             assert root is not None
             # Duplicates descend right, like the other trees.
@@ -141,9 +135,10 @@ class SplayTree(Container):
                 fresh.right = root.right
                 fresh.left = root
                 root.right = None
-            self._touch(root)
+            path.append((root.addr, 0, None))
             self._root = fresh
-        machine.access(addr, nb)
+        path.append((addr, 0, None))
+        machine.walk(path, nb, _PC_DIR)
         self._size += 1
         self.stats.inserts += 1
         self.stats.insert_cost += touched
@@ -155,13 +150,16 @@ class SplayTree(Container):
         self.stats.erases += 1
         if self._root is None:
             return 0
-        touched = self._splay(value)
+        machine = self.machine
+        nb = self._node_bytes
+        path = []
+        touched = self._splay(value, path)
+        machine.walk(path, nb, _PC_DIR)
         self.stats.erase_cost += touched
         root = self._root
         assert root is not None
         if root.value != value:
             return touched
-        machine = self.machine
         machine.free(root.addr)
         if root.left is None:
             self._root = root.right
@@ -169,11 +167,13 @@ class SplayTree(Container):
             # Splay the left subtree's maximum to its root (guaranteeing
             # an empty right spine), then hang the right subtree off it.
             self._root = root.left
-            self._splay(float("inf"))  # type: ignore[arg-type]
+            path = []
+            self._splay(float("inf"), path)  # type: ignore[arg-type]
             assert self._root is not None
             assert self._root.right is None
             self._root.right = root.right
-            self._touch(self._root)
+            path.append((self._root.addr, 0, None))
+            machine.walk(path, nb, _PC_DIR)
         self._size -= 1
         return touched
 
@@ -182,26 +182,31 @@ class SplayTree(Container):
         self.stats.finds += 1
         if self._root is None:
             return False
-        touched = self._splay(value)
+        path = []
+        touched = self._splay(value, path)
+        self.machine.walk(path, self._node_bytes, _PC_DIR)
         self.stats.find_cost += touched
         return self._root is not None and self._root.value == value
 
     def iterate(self, steps: int) -> int:
         self._dispatch()
         machine = self.machine
-        nb = self._node_bytes
+        cmp_instr = self._cmp_instr + 1
         visited = 0
+        path = []
+        append = path.append
         stack: list[_SplayNode] = []
         node = self._root
         while (stack or node is not None) and visited < steps:
             while node is not None:
-                machine.access(node.addr, nb)
+                append((node.addr, 0, None))
                 stack.append(node)
                 node = node.left
             node = stack.pop()
-            machine.instr(self._cmp_instr + 1)
+            append((None, cmp_instr, None))
             visited += 1
             node = node.right
+        machine.walk(path, self._node_bytes)
         if visited:
             machine.loop_branches(_PC_ITER, visited)
         self.stats.iterates += 1

@@ -10,9 +10,6 @@ analogue.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add
-
 from repro.machine.branch import BimodalPredictor, GSharePredictor
 from repro.machine.cache import Cache
 from repro.machine.configs import MachineConfig
@@ -32,6 +29,12 @@ class Machine:
     collects the inherently fractional ones (CPI multiples, streamed
     multi-line latencies) in event order.  The observable cycle count
     is their sum.
+
+    Events come one call each (``access``, ``instr``, ``branch``, ...)
+    or as a path: :meth:`walk` plays a run of access/instr/branch steps
+    in one call, exactly as the per-event calls would.  Containers hand
+    their descents, rebalances and in-order walks over that way, and a
+    replayed tape its runs of ``instr`` events.
     """
 
     __slots__ = (
@@ -44,7 +47,7 @@ class Machine:
         "_l1_sets", "_l1_mask", "_l1_assoc",
         "_l2_sets", "_l2_mask", "_l2_assoc",
         "_tlb_pages", "_tlb_entries",
-        "_last_page", "_rep_first", "_rep_last",
+        "_last_page", "_rep_first", "_rep_last", "_walk_consts",
         "prefetcher",
     )
 
@@ -101,6 +104,18 @@ class Machine:
         self._rep_first = self._rep_last = None
         # Optional explicit prefetcher (see repro.machine.prefetch).
         self.prefetcher = None
+        # What ``walk`` reads and never writes, unpacked in one go.
+        self._walk_consts = (
+            self._line_shift, self._page_delta,
+            self._l1_sets, self._l1_mask, self._l1_assoc,
+            self._l2_sets, self._l2_mask, self._l2_assoc,
+            self._tlb_pages, self._tlb_entries, self._tlb_penalty,
+            self._l1_lat, self._l2_lat, self._mem_lat,
+            self._l1_streamed, self._l2_streamed, self._mem_streamed,
+            self._cpi, self._mispredict_penalty,
+            self.predictor.table_size - 1,
+            (1 << self.predictor.history_bits) - 1,
+        )
 
     # ------------------------------------------------------------------
     # Event issue API (used by containers).
@@ -337,122 +352,53 @@ class Machine:
         self._cycles = cycles
         self._cycles_int = cycles_int
 
-    def access_each(self, addrs, nbytes: int) -> None:
-        """Access ``nbytes`` at each address of ``addrs``, in order.
+    def walk(self, steps, nbytes: int, pc: int = 0) -> None:
+        """Play a path of events in one call.
 
-        Exactly ``for addr in addrs: self.access(addr, nbytes)``: the
-        same counters, L1/L2/TLB LRU orders, ``_last_page``, repeat span
-        and float ``_cycles`` adds in the same order.  A pointer-chasing
-        walk touches many small nodes, so loading the hot state into
-        locals once per walk, not once per node, is what it saves.
-        Each node's first line pays the integer latencies and its later
-        lines the streamed ones, as in :meth:`access`.
+        Each step ``(addr, ninstr, taken)`` plays ``access(addr,
+        nbytes)`` unless ``addr`` is None, then ``instr(ninstr)`` if
+        ``ninstr``, then ``branch(pc, taken)`` unless ``taken`` is None.
+        The result is exactly that of those calls, step by step: the
+        same counters, L1/L2/TLB LRU orders, ``_last_page``, repeat span,
+        predictor table and history, and float ``_cycles`` adds in the
+        same order.  A container computes a descent, a rebalance or an
+        in-order walk from its own state, which never depends on the
+        machine, and hands the path over whole; loading the hot state
+        into locals once per walk, not once per event, is what it saves.
+        Every step plays inline; while a prefetcher is attached, every
+        event goes through the per-event calls instead.
         """
         if nbytes <= 0:
             raise ValueError(f"access: size must be positive: {nbytes}")
-        shift = self._line_shift
+        if self.prefetcher is not None:
+            for addr, ninstr, taken in steps:
+                if addr is not None:
+                    self.access(addr, nbytes)
+                if ninstr:
+                    self.instr(ninstr)
+                if taken is not None:
+                    self.branch(pc, taken)
+            return
+        (shift, page_delta, l1_sets, l1_mask, l1_assoc, l2_sets, l2_mask,
+         l2_assoc, tlb_pages, tlb_entries, tlb_penalty, l1_lat, l2_lat,
+         mem_lat, l1_streamed, l2_streamed, mem_streamed, cpi,
+         mispredict_penalty, pred_mask, history_mask) = self._walk_consts
         span = nbytes - 1
         cycles_int = self._cycles_int
         cycles = self._cycles
-        l1_sets = self._l1_sets
-        l1_mask = self._l1_mask
-        l1_assoc = self._l1_assoc
-        l2_sets = self._l2_sets
-        l2_mask = self._l2_mask
-        l2_assoc = self._l2_assoc
-        tlb_pages = self._tlb_pages
-        tlb_entries = self._tlb_entries
-        page_delta = self._page_delta
         last_page = self._last_page
         rep_first = self._rep_first
-        rep_last = self._rep_last
-        tlb_penalty = self._tlb_penalty
-        prefetcher = self.prefetcher
-        l1_lat = self._l1_lat
-        l2_lat = self._l2_lat
-        mem_lat = self._mem_lat
-        l1_streamed = self._l1_streamed
-        l2_streamed = self._l2_streamed
-        mem_streamed = self._mem_streamed
-        l1_accesses = 0
-        l1_misses = 0
-        l2_misses = 0
-        tlb_accesses = 0
-        tlb_misses = 0
-        for addr in addrs:
-            first = addr >> shift
-            last = (addr + span) >> shift
-            if first == last:
-                rep_last = None
-            elif (first == rep_first and last == rep_last
-                    and prefetcher is None):
-                self._cycles = cycles
-                self._cycles_int = cycles_int
-                self._repeat(first, last)
-                cycles = self._cycles
-                cycles_int = self._cycles_int
-                continue
-            else:
-                rep_first = first
-                rep_last = last
-            l1_accesses += last - first + 1
-            page = first >> page_delta
-            if page != last_page:
-                last_page = page
-                tlb_accesses += 1
-                if page in tlb_pages:
-                    del tlb_pages[page]
-                    tlb_pages[page] = None
-                else:
-                    tlb_misses += 1
-                    tlb_pages[page] = None
-                    if len(tlb_pages) > tlb_entries:
-                        for victim in tlb_pages:
-                            break
-                        del tlb_pages[victim]
-                    cycles_int += tlb_penalty
-            cycles_int += l1_lat
-            ways = l1_sets[first & l1_mask]
-            if first in ways:
-                del ways[first]
-                ways[first] = None
-                if prefetcher is not None:
-                    prefetcher.on_hit(first)
-            else:
-                l1_misses += 1
-                ways[first] = None
-                if len(ways) > l1_assoc:
-                    for victim in ways:
-                        break
-                    del ways[victim]
-                if prefetcher is not None:
-                    for target in prefetcher.on_miss(first):
-                        target_ways = l1_sets[target & l1_mask]
-                        if target not in target_ways:
-                            target_ways[target] = None
-                            if len(target_ways) > l1_assoc:
-                                for victim in target_ways:
-                                    break
-                                del target_ways[victim]
-                cycles_int += l2_lat
-                ways2 = l2_sets[first & l2_mask]
-                if first in ways2:
-                    del ways2[first]
-                    ways2[first] = None
-                else:
-                    l2_misses += 1
-                    ways2[first] = None
-                    if len(ways2) > l2_assoc:
-                        for victim in ways2:
-                            break
-                        del ways2[victim]
-                    cycles_int += mem_lat
-            if first == last:
-                continue
-            if last == first + 1 and prefetcher is None:
-                # A node straddling two lines: its one-line tail is
-                # inlined, as in ``access``.
-                page = last >> page_delta
+        predictor = self.predictor
+        table = predictor._counters
+        history = predictor._history
+        instructions = branches = mispredicts = 0
+        l1_accesses = l1_misses = l2_misses = tlb_accesses = tlb_misses = 0
+        for addr, ninstr, taken in steps:
+            if addr is not None:
+                first = addr >> shift
+                last = (addr + span) >> shift
+                l1_accesses += 1
+                page = first >> page_delta
                 if page != last_page:
                     last_page = page
                     tlb_accesses += 1
@@ -467,95 +413,125 @@ class Machine:
                                 break
                             del tlb_pages[victim]
                         cycles_int += tlb_penalty
-                cycles += l1_streamed
-                ways = l1_sets[last & l1_mask]
-                if last in ways:
-                    del ways[last]
-                    ways[last] = None
+                cycles_int += l1_lat
+                ways = l1_sets[first & l1_mask]
+                if first in ways:
+                    del ways[first]
+                    ways[first] = None
                 else:
                     l1_misses += 1
-                    ways[last] = None
+                    ways[first] = None
                     if len(ways) > l1_assoc:
                         for victim in ways:
                             break
                         del ways[victim]
-                    cycles += l2_streamed
-                    ways2 = l2_sets[last & l2_mask]
-                    if last in ways2:
-                        del ways2[last]
-                        ways2[last] = None
+                    cycles_int += l2_lat
+                    ways2 = l2_sets[first & l2_mask]
+                    if first in ways2:
+                        del ways2[first]
+                        ways2[first] = None
                     else:
                         l2_misses += 1
-                        ways2[last] = None
+                        ways2[first] = None
                         if len(ways2) > l2_assoc:
                             for victim in ways2:
                                 break
                             del ways2[victim]
-                        cycles += mem_streamed
-                continue
-            for line in range(first + 1, last + 1):
-                page = line >> page_delta
-                if page != last_page:
-                    last_page = page
-                    tlb_accesses += 1
-                    if page in tlb_pages:
-                        del tlb_pages[page]
-                        tlb_pages[page] = None
-                    else:
-                        tlb_misses += 1
-                        tlb_pages[page] = None
-                        if len(tlb_pages) > tlb_entries:
-                            for victim in tlb_pages:
-                                break
-                            del tlb_pages[victim]
-                        cycles_int += tlb_penalty
-                cycles += l1_streamed
-                ways = l1_sets[line & l1_mask]
-                if line in ways:
-                    del ways[line]
-                    ways[line] = None
-                    if prefetcher is not None:
-                        prefetcher.on_hit(line)
-                else:
-                    l1_misses += 1
-                    ways[line] = None
-                    if len(ways) > l1_assoc:
-                        for victim in ways:
-                            break
-                        del ways[victim]
-                    if prefetcher is not None:
-                        for target in prefetcher.on_miss(line):
-                            target_ways = l1_sets[target & l1_mask]
-                            if target not in target_ways:
-                                target_ways[target] = None
-                                if len(target_ways) > l1_assoc:
-                                    for victim in target_ways:
+                        cycles_int += mem_lat
+                # The lines after the first pay the streamed latencies,
+                # as in ``access``.  A repeated span is played line by
+                # line too: ``_repeat`` only shortcuts what this does.
+                if first != last:
+                    rep_first = first
+                    line = first + 1
+                    while True:
+                        page = line >> page_delta
+                        if page != last_page:
+                            last_page = page
+                            tlb_accesses += 1
+                            if page in tlb_pages:
+                                del tlb_pages[page]
+                                tlb_pages[page] = None
+                            else:
+                                tlb_misses += 1
+                                tlb_pages[page] = None
+                                if len(tlb_pages) > tlb_entries:
+                                    for victim in tlb_pages:
                                         break
-                                    del target_ways[victim]
-                    cycles += l2_streamed
-                    ways2 = l2_sets[line & l2_mask]
-                    if line in ways2:
-                        del ways2[line]
-                        ways2[line] = None
-                    else:
-                        l2_misses += 1
-                        ways2[line] = None
-                        if len(ways2) > l2_assoc:
-                            for victim in ways2:
-                                break
-                            del ways2[victim]
-                        cycles += mem_streamed
-        self.tlb.accesses += tlb_accesses
-        self.tlb.misses += tlb_misses
-        self.l1.accesses += l1_accesses
-        self.l1.misses += l1_misses
-        self.l2.accesses += l1_misses
-        self.l2.misses += l2_misses
-        self._last_page = last_page
-        self._rep_first = rep_first
-        self._rep_last = rep_last
+                                    del tlb_pages[victim]
+                                cycles_int += tlb_penalty
+                        l1_accesses += 1
+                        cycles += l1_streamed
+                        ways = l1_sets[line & l1_mask]
+                        if line in ways:
+                            del ways[line]
+                            ways[line] = None
+                        else:
+                            l1_misses += 1
+                            ways[line] = None
+                            if len(ways) > l1_assoc:
+                                for victim in ways:
+                                    break
+                                del ways[victim]
+                            cycles += l2_streamed
+                            ways2 = l2_sets[line & l2_mask]
+                            if line in ways2:
+                                del ways2[line]
+                                ways2[line] = None
+                            else:
+                                l2_misses += 1
+                                ways2[line] = None
+                                if len(ways2) > l2_assoc:
+                                    for victim in ways2:
+                                        break
+                                    del ways2[victim]
+                                cycles += mem_streamed
+                        if line == last:
+                            break
+                        line += 1
+            if ninstr:
+                instructions += ninstr
+                cycles += ninstr * cpi
+            if taken is not None:
+                # ``branch``: one instruction (counted with ``branches``),
+                # then the 2-bit counter at ``pc`` xor the global history.
+                cycles += cpi
+                branches += 1
+                index = (pc ^ history) & pred_mask
+                counter = table[index]
+                if taken:
+                    if counter < 2:
+                        mispredicts += 1
+                        cycles_int += mispredict_penalty
+                    if counter < 3:
+                        table[index] = counter + 1
+                    history = ((history << 1) | 1) & history_mask
+                else:
+                    if counter >= 2:
+                        mispredicts += 1
+                        cycles_int += mispredict_penalty
+                    if counter > 0:
+                        table[index] = counter - 1
+                    history = (history << 1) & history_mask
+        self.instructions += instructions + branches
         self._cycles = cycles
         self._cycles_int = cycles_int
+        if branches:
+            predictor.branches += branches
+            predictor.mispredicts += mispredicts
+            predictor._history = history
+        if l1_accesses:
+            self.tlb.accesses += tlb_accesses
+            self.tlb.misses += tlb_misses
+            self.l1.accesses += l1_accesses
+            self.l1.misses += l1_misses
+            self.l2.accesses += l1_misses
+            self.l2.misses += l2_misses
+            # The repeat span is the last access's, if it was
+            # multi-line (``first`` and ``last`` are still its lines).
+            self._last_page = last_page
+            self._rep_first = rep_first
+            self._rep_last = last if first != last else None
 
     def _repeat(self, first: int, last: int) -> None:
         """Re-access lines ``first..last`` right after the same range.
@@ -641,18 +617,6 @@ class Machine:
         """Retire ``count`` non-memory instructions."""
         self.instructions += count
         self._cycles += count * self._cpi
-
-    def instr_run(self, total: int, costs) -> None:
-        """Retire a run of :meth:`instr` calls at once.
-
-        ``total`` is the run's instruction count and ``costs`` each
-        call's ``count * cpi_base``, in call order.  They are added to
-        ``_cycles`` one by one, left to right, so the float is the
-        calls' to the last bit (``sum`` may compensate, so it is not
-        used).
-        """
-        self.instructions += total
-        self._cycles = reduce(add, costs, self._cycles)
 
     def branch(self, pc: int, taken: bool) -> bool:
         """Resolve a conditional branch at (pseudo-)PC; return True if it

@@ -124,7 +124,8 @@ class Dispatcher:
     Workers are daemon threads: a model call that never returns cannot
     block process exit (the drain budget, not thread join, bounds
     shutdown).  ``try_submit`` never blocks — a full queue returns
-    ``None``, which is the load-shedding signal.
+    ``None``, which is the load-shedding signal.  :meth:`close` lets
+    the workers exit once the queue is empty.
     """
 
     def __init__(self, workers: int, queue_depth: int, *,
@@ -138,6 +139,7 @@ class Dispatcher:
         self._ready = threading.Condition(self._lock)
         self._settled = threading.Condition(self._lock)
         self._active = 0
+        self._closed = False
         self._metrics = (metrics if metrics is not None
                          else obs.NULL_COLLECTOR.metrics)
         self.workers = workers
@@ -163,7 +165,7 @@ class Dispatcher:
                    ) -> _Task | None:
         task = _Task(advisor, trace, keyed_contexts)
         with self._lock:
-            if len(self._queue) >= self.queue_depth:
+            if self._closed or len(self._queue) >= self.queue_depth:
                 return None
             self._queue.append(task)
             self._ready.notify()
@@ -184,6 +186,8 @@ class Dispatcher:
         while True:
             with self._lock:
                 while not self._queue:
+                    if self._closed:
+                        return
                     self._ready.wait()
                 batch = self._take_locked()
                 self._active += 1
@@ -215,6 +219,13 @@ class Dispatcher:
         for task, report in zip(batch, reports):
             task.result, task.error = report, error
             task.done.set()
+
+    def close(self) -> None:
+        """Refuse new requests and wake the idle workers to exit; a
+        worker finishes what is queued or running first."""
+        with self._lock:
+            self._closed = True
+            self._ready.notify_all()
 
     def quiesce(self, timeout: float,
                 clock: Callable[[], float] = time.monotonic) -> bool:
@@ -625,6 +636,10 @@ class AdvisorService:
             self.router.close()
         self.metrics.gauge("serve.drained", 1.0 if drained else 0.0)
         return drained
+
+    def close(self) -> None:
+        """Stop the worker threads, after :meth:`drain`."""
+        self._dispatcher.close()
 
     def export_telemetry(self, path: str | Path,
                          meta: dict | None = None) -> None:

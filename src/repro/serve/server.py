@@ -204,6 +204,7 @@ def run_server(service: AdvisorService,
             server.stop_accepting()
             service.begin_drain()
             drained = service.drain()
+            service.close()
             if telemetry is not None:
                 service.export_telemetry(
                     telemetry,

@@ -57,7 +57,6 @@ from repro.machine.configs import CORE2, MachineConfig
 from repro.runtime.artifacts import read_artifact, write_artifact
 from repro.runtime.checkpoint import Phase1Checkpoint, TrainingInterrupted
 from repro.runtime.faults import (
-    CATEGORY_TRANSIENT,
     QuarantineRecord,
     RetryPolicy,
     SeedQuarantined,
@@ -348,27 +347,23 @@ def _one_set(measure_fn: Callable, app, machine_config,
 def _recover_worker_crash(failure: TaskFailure,
                           worker: Callable[[int], SeedOutcome],
                           ) -> SeedOutcome:
-    """Map a pool-infrastructure failure onto the fault taxonomy.
+    """Retry a pool-infrastructure failure once in the parent.
 
-    A transient crash (lost worker, flaky resource) gets one in-parent
-    retry through the normal error boundary; a deterministic one is
-    quarantined directly — either way the run keeps going.
+    Every failure gets the retry, whatever its type: a fault of the pool
+    itself (a lost worker, ``EMFILE``, ``ENOMEM``) then leaves no trace,
+    so a pool run saves the serial run's bytes, and a seed that fails
+    again on the retry is quarantined with ``attempts=2``.
     """
     seed = failure.task
-    error = failure.error
-    attempts = 1
-    if classify(error) == CATEGORY_TRANSIENT:
-        try:
-            return worker(seed)
-        except KeyboardInterrupt:
-            raise
-        except Exception as retry_error:
-            error = retry_error
-            attempts = 2
-    return SeedOutcome(seed=seed, quarantine=QuarantineRecord(
-        seed=seed, stage="worker", category=classify(error),
-        error=f"{type(error).__name__}: {error}", attempts=attempts,
-    ))
+    try:
+        return worker(seed)
+    except KeyboardInterrupt:
+        raise
+    except Exception as error:
+        return SeedOutcome(seed=seed, quarantine=QuarantineRecord(
+            seed=seed, stage="worker", category=classify(error),
+            error=f"{type(error).__name__}: {error}", attempts=2,
+        ))
 
 
 def _checkpoint_state(result: Phase1Result, counts: dict[DSKind, int],

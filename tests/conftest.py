@@ -78,7 +78,8 @@ def install_suite(trained_suite):
 
 @pytest.fixture
 def drained_services(monkeypatch):
-    """Drain every :class:`AdvisorService` the test builds when it ends.
+    """Drain and close every :class:`AdvisorService` the test builds
+    when it ends, so its worker threads exit.
 
     A pass still running after a deadline answer writes ``advise.*``
     counters into whatever collector is active, and that collector is
@@ -96,3 +97,4 @@ def drained_services(monkeypatch):
     for service in built:
         assert service.drain(drain_seconds=10.0), \
             "a serve worker pass outlived its test"
+        service.close()

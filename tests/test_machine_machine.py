@@ -1,8 +1,7 @@
 """Unit tests for the Machine: cycle accounting and counter attribution,
 plus pinned SHA-256 oracles of every observable measurement on
-randomized event streams (issued access by access, and with runs of
-same-sized accesses walked by ``access_each``) and of a Phase I
-artifact."""
+randomized event streams (issued event by event, and with runs of
+events played by ``walk``) and of a Phase I artifact."""
 
 import hashlib
 import json
@@ -13,7 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.appgen.config import GeneratorConfig
+from repro.containers.avltree import AVLTree
+from repro.containers.hashtable import HashTable
+from repro.containers.linked_list import DoublyLinkedList
+from repro.containers.rbtree import RedBlackTree
 from repro.containers.registry import MODEL_GROUPS
+from repro.containers.splaytree import SplayTree
 from repro.machine.cache import Cache
 from repro.machine.configs import (
     ATOM,
@@ -367,8 +371,8 @@ def drive_straddle_stream(machine, seed, events=600):
     from a small pool (hits and exact repeats), and are interleaved
     with instructions, branches and heap calls.
 
-    Returns the trail observed after every run, ending with the state
-    no counter exposes (:func:`hidden_state`)."""
+    Returns the trail observed after every run, ending with the
+    memory-side state no counter exposes (:func:`cache_state`)."""
     rng = random.Random(seed)
     config = machine.config
     line = config.line_bytes
@@ -410,43 +414,67 @@ def drive_straddle_stream(machine, seed, events=600):
             machine.free(heap.pop(rng.randrange(len(heap))))
         trail.append([list(machine.snapshot_tuple()), machine.tlb.accesses,
                       repr(machine.seconds)])
-    trail.append(hidden_state(machine))
+    trail.append(cache_state(machine))
     return trail
 
 
 class WalkRoute:
-    """A machine whose same-sized access runs go to ``access_each``.
+    """A machine whose runs of events go to ``walk``.
 
-    The stream drivers issue through it as through a machine.  ``access``
-    calls queue up while their size stays the same; a run ends at a
-    seeded random length (1 to 40), at a size change, or before any
-    other use of the machine, and goes to ``access_each`` in one call,
-    sometimes after an empty walk.  Its randomness is its own, so the
-    driver's stream, and with it every pinned digest, is unchanged.
+    The stream drivers issue through it as through a machine.  Same-sized
+    ``access`` calls, ``instr`` calls and same-PC ``branch`` calls queue
+    up as walk steps, each event joining the last step when the step
+    order (access, then instructions, then branch) allows.  A run ends
+    at a seeded random length (1 to 40 steps), at a size or PC change,
+    or before any other use of the machine, and goes to ``walk`` in one
+    call, sometimes after an empty walk.  Its randomness is its own, so
+    the driver's stream, and with it every pinned digest, is unchanged.
     """
 
     def __init__(self, machine: Machine, seed: int) -> None:
         self._machine = machine
         self._rng = random.Random(1000 + seed)
-        self._run: list[int] = []
+        self._steps: list[list] = []
         self._nbytes = 8
+        self._pc = 0
         self._limit = 1
+
+    def _step(self, addr, ninstr, taken) -> None:
+        self._steps.append([addr, ninstr, taken])
+        if len(self._steps) >= self._limit:
+            self._walk()
 
     def access(self, addr: int, nbytes: int = 8) -> None:
         if nbytes != self._nbytes:
             self._walk()
             self._nbytes = nbytes
-        self._run.append(addr)
-        if len(self._run) >= self._limit:
+        self._step(addr, 0, None)
+
+    def instr(self, count: int) -> None:
+        last = self._steps[-1] if self._steps else None
+        if last is not None and not last[1] and last[2] is None:
+            last[1] = count
+        else:
+            self._step(None, count, None)
+
+    def branch(self, pc: int, taken: bool) -> None:
+        if pc != self._pc:
             self._walk()
+            self._pc = pc
+        last = self._steps[-1] if self._steps else None
+        if last is not None and last[2] is None:
+            last[2] = taken
+        else:
+            self._step(None, 0, taken)
 
     def _walk(self) -> None:
         rng = self._rng
         if rng.random() < 0.1:
-            self._machine.access_each([], self._nbytes)
-        if self._run:
-            self._machine.access_each(self._run, self._nbytes)
-            self._run = []
+            self._machine.walk([], self._nbytes, self._pc)
+        if self._steps:
+            self._machine.walk([tuple(step) for step in self._steps],
+                               self._nbytes, self._pc)
+            self._steps = []
         self._limit = rng.choice((1, 1, 2, 2, 3, 5, 8, 13, 40))
 
     def __getattr__(self, name: str):
@@ -455,12 +483,12 @@ class WalkRoute:
 
 
 def routed(machine: Machine, route: str, seed: int = 0):
-    """``machine`` itself, or wrapped so runs go to ``access_each``."""
+    """``machine`` itself, or wrapped so runs go to ``walk``."""
     return machine if route == "access" else WalkRoute(machine, seed)
 
 
-#: Both ways of issuing a stream: one ``access`` call per access, and
-#: runs of same-sized accesses walked by ``access_each``.
+#: Both ways of issuing a stream: one call per event, and runs of
+#: events played by ``walk``.
 ROUTES = ("access", "walk")
 
 #: Digests of :func:`state_digest` over seeds 0-2 of
@@ -643,8 +671,8 @@ class TestPinnedStreams:
 
 
 class TestPinnedStreamsWalked:
-    """The same pinned streams, with runs of same-sized accesses sent
-    through ``access_each``: the digests must not move."""
+    """The same pinned streams, with runs of events played by ``walk``:
+    the digests must not move."""
 
     @STREAM_CONFIGS
     @PREFETCH
@@ -705,9 +733,10 @@ class TestPinnedPhase1Artifact:
         assert digest.hexdigest() == PHASE2_SET_SHA256
 
 
-def hidden_state(machine: Machine) -> tuple:
-    """State the digests cannot see: every L1/L2 set's and the TLB's LRU
-    order, the repeat span, and the prefetcher's stream statistics."""
+def cache_state(machine: Machine) -> tuple:
+    """Memory-side state the digests cannot see: every L1/L2 set's and
+    the TLB's LRU order, the repeat span, and the prefetcher's stream
+    statistics."""
     pf = machine.prefetcher
     return (
         [list(ways) for ways in machine.l1._sets],
@@ -720,9 +749,17 @@ def hidden_state(machine: Machine) -> tuple:
     )
 
 
+def hidden_state(machine: Machine) -> tuple:
+    """All state the digests cannot see: :func:`cache_state` plus the
+    branch predictor's counter table, history and counts."""
+    pred = machine.predictor
+    return cache_state(machine) + (bytes(pred._counters), pred._history,
+                                   pred.branches, pred.mispredicts)
+
+
 class TestWalkMatchesAccessLoop:
-    """``access_each`` leaves exactly the state of one ``access`` per
-    address, including the state no counter exposes."""
+    """``walk`` leaves exactly the state of one call per event,
+    including the state no counter exposes."""
 
     @pytest.mark.parametrize("config", (CORE2, ATOM), ids=lambda c: c.name)
     @pytest.mark.parametrize("prefetch", (False, True),
@@ -737,6 +774,7 @@ class TestWalkMatchesAccessLoop:
             drive_repeat_stream(routed(machine, route), 4, events=100)
             machines.append(machine)
         per_access, walked = machines
+        assert walked._cycles.hex() == per_access._cycles.hex()
         assert hidden_state(walked) == hidden_state(per_access)
         assert machine_state(walked) == machine_state(per_access)
 
@@ -744,39 +782,39 @@ class TestWalkMatchesAccessLoop:
 def drive_instr_runs(machine: Machine, seed: int, fold: bool,
                      events: int = 1500) -> None:
     """A seeded stream of ``instr`` runs (some empty, some of one)
-    between straddling node touches, issued access by access or
-    walked, whose streamed tails add to ``_cycles`` between the runs.
-    With ``fold`` each run is one :meth:`Machine.instr_run` call,
-    otherwise one ``instr`` call per count; the stream is the same.
-    Large counts make the order of a run's adds show in the last bits
-    on core2 (summing a run, or adding it reversed, fails)."""
+    between straddling node touches, whose streamed tails add to
+    ``_cycles`` between the runs.  With ``fold`` each run is one
+    :meth:`Machine.walk` of address-less steps and each batch of touches
+    one walk of address-only steps, otherwise one ``instr`` or
+    ``access`` call per event; the stream is the same.  Large counts
+    make the order of a run's adds show in the last bits on core2
+    (summing a run, or adding it reversed, fails)."""
     rng = random.Random(seed)
-    cpi = machine.config.cpi_base
     line = machine.config.line_bytes
     for _ in range(events):
         counts = [rng.randrange(rng.choice((60, 5000)))
                   for _ in range(rng.choice((0, 1, 1, 2, 3, 10, 25)))]
         if fold:
-            machine.instr_run(sum(counts),
-                              tuple(count * cpi for count in counts))
+            machine.walk([(None, count, None) for count in counts], 1)
         else:
             for count in counts:
                 machine.instr(count)
         nbytes = rng.choice((24, 40, 56, 72, 136))
         addrs = [rng.randrange(1, 1 << 14) * line - rng.randrange(1, nbytes)
                  for _ in range(rng.randrange(0, 6))]
-        if rng.random() < 0.5:
+        if fold:
+            machine.walk([(addr, 0, None) for addr in addrs], nbytes)
+        else:
             for addr in addrs:
                 machine.access(addr, nbytes)
-        else:
-            machine.access_each(addrs, nbytes)
         if rng.random() < 0.2:
             machine.branch(rng.randrange(4096), rng.random() < 0.6)
 
 
 class TestInstrRunMatchesInstrCalls:
-    """``instr_run`` leaves exactly the state of one ``instr`` call per
-    count of the run, down to the bits of the float accumulator."""
+    """A run of ``instr`` calls walked as address-less steps leaves
+    exactly the state of one ``instr`` call per count of the run, down
+    to the bits of the float accumulator."""
 
     @pytest.mark.parametrize("config", (CORE2, ATOM, CORE2_FULL),
                              ids=lambda c: c.name)
@@ -798,9 +836,75 @@ class TestInstrRunMatchesInstrCalls:
         machine, untouched = Machine(CORE2), Machine(CORE2)
         for m in (machine, untouched):
             m.instr(7)
-        machine.instr_run(0, ())
+        machine.walk((), 1)
+        machine.walk(((None, 0, None),), 1)
         assert machine._cycles.hex() == untouched._cycles.hex()
+        assert hidden_state(machine) == hidden_state(untouched)
         assert machine_state(machine) == machine_state(untouched)
+
+
+class PerEventMachine(Machine):
+    """A machine whose ``walk`` issues every step's events one call at
+    a time, as the containers did before they handed paths over."""
+
+    __slots__ = ()
+
+    def walk(self, steps, nbytes: int, pc: int = 0) -> None:
+        if nbytes <= 0:
+            raise ValueError(f"access: size must be positive: {nbytes}")
+        for addr, ninstr, taken in steps:
+            if addr is not None:
+                self.access(addr, nbytes)
+            if ninstr:
+                self.instr(ninstr)
+            if taken is not None:
+                self.branch(pc, taken)
+
+
+def drive_container(cls, machine: Machine, seed: int, elem_size: int,
+                    payload_size: int, ops: int = 700):
+    """A seeded insert/erase/find/iterate stream on a fresh ``cls``
+    (mostly inserts, so trees grow deep and rebalance)."""
+    rng = random.Random(seed)
+    container = cls(machine, elem_size, payload_size)
+    for _ in range(ops):
+        r = rng.random()
+        if r < 0.45:
+            container.insert(rng.randrange(400))
+        elif r < 0.65:
+            container.erase(rng.randrange(400))
+        elif r < 0.9:
+            container.find(rng.randrange(400))
+        else:
+            container.iterate(rng.randrange(80))
+    return container
+
+
+class TestContainerWalksMatchEvents:
+    """Every container that hands paths to ``walk`` leaves exactly the
+    state of the same events issued one call at a time: counters, the
+    float accumulator's bits, LRU orders and the predictor's table and
+    history.  Node sizes span one, two and three lines."""
+
+    @pytest.mark.parametrize("cls", (RedBlackTree, AVLTree, HashTable,
+                                     SplayTree, DoublyLinkedList),
+                             ids=lambda c: c.kind)
+    @pytest.mark.parametrize("config", (CORE2, ATOM), ids=lambda c: c.name)
+    @PREFETCH
+    @pytest.mark.parametrize("sizes", ((8, 0), (32, 16), (64, 32)),
+                             ids=("small", "medium", "large"))
+    def test_seeded_stream(self, cls, config, prefetch, sizes):
+        machines = (Machine(config), PerEventMachine(config))
+        containers = []
+        for machine in machines:
+            if prefetch:
+                machine.attach_prefetcher(NextLinePrefetcher())
+            containers.append(drive_container(cls, machine, 7, *sizes))
+        walked, per_event = machines
+        assert containers[0].to_list() == containers[1].to_list()
+        assert walked._cycles.hex() == per_event._cycles.hex()
+        assert hidden_state(walked) == hidden_state(per_event)
+        assert machine_state(walked) == machine_state(per_event)
 
 
 class TestAccessValidation:
@@ -823,7 +927,7 @@ class TestAccessValidation:
         with pytest.raises(ValueError,
                            match=rf"access: size must be positive: "
                                  rf"{nbytes}"):
-            rejected.access_each(addrs, nbytes)
+            rejected.walk([(addr, 0, None) for addr in addrs], nbytes)
         assert machine_state(rejected) == machine_state(clean)
 
     def test_rejection_leaves_state_unchanged(self):

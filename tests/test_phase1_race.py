@@ -55,8 +55,8 @@ MARGINS = (0.0, 0.05)
 
 class FlakyExecutor(SerialExecutor):
     """In-process executor that fails chosen submissions at get() time
-    with a transient fault (``ConnectionError``, an ``OSError`` the
-    fault taxonomy retries)."""
+    with a plain ``OSError``, which the fault taxonomy calls
+    deterministic: the parent retries it all the same."""
 
     def __init__(self, fail_submissions):
         self.fail_submissions = set(fail_submissions)
@@ -68,7 +68,7 @@ class FlakyExecutor(SerialExecutor):
         if index in self.fail_submissions:
             class _Boom:
                 def get(self):
-                    raise ConnectionError("injected executor fault")
+                    raise OSError("injected executor fault")
             return _Boom()
         return super().submit(fn, args)
 
@@ -590,8 +590,8 @@ class TestSharedTraining:
             tmp_path), alone)
 
     def test_shared_training_survives_an_executor_fault(self):
-        """A mid-loop seed whose executor slot fails transiently is
-        retried in the parent: every group's Phase I equals the clean
+        """A mid-loop seed whose executor slot fails is retried in the
+        parent: every group's Phase I equals the clean
         run's, record for record, with no quarantine."""
         def phase1(**extra):
             return run_phase1(self.GROUPS, CONFIG, CORE2,

@@ -195,12 +195,26 @@ class TestUsableJobs:
 class TestWorkerCrashRecovery:
     def test_deterministic_crash_quarantined(self):
         failure = TaskFailure(task=11, error=ValueError("bad state"))
-        outcome = _recover_worker_crash(failure, _square)
+
+        def still_bad(seed):
+            raise ValueError("bad state")
+
+        outcome = _recover_worker_crash(failure, still_bad)
         assert outcome.quarantine is not None
         assert outcome.quarantine.seed == 11
         assert outcome.quarantine.stage == "worker"
         assert outcome.quarantine.category == CATEGORY_DETERMINISTIC
-        assert outcome.quarantine.attempts == 1
+        assert outcome.quarantine.attempts == 2
+
+    def test_any_crash_retried_in_parent(self):
+        """A plain ``OSError`` (``EMFILE``) classifies deterministic,
+        and is retried all the same."""
+        failure = TaskFailure(task=7, error=OSError(24, "Too many open files"))
+        outcome = _recover_worker_crash(
+            failure, lambda seed: SeedOutcome(seed=seed, runtimes={})
+        )
+        assert outcome.quarantine is None
+        assert outcome.seed == 7
 
     def test_transient_crash_retried_in_parent(self):
         failure = TaskFailure(task=5, error=ConnectionError("lost worker"))

@@ -172,6 +172,21 @@ class TestDispatcher:
             assert task.done.wait(5.0)
             assert task.result == i * i
         assert dispatcher.quiesce(5.0)
+        dispatcher.close()
+
+    def test_close_stops_the_workers(self):
+        before = set(threading.enumerate())
+        dispatcher = Dispatcher(3, 4)
+        workers = [t for t in threading.enumerate() if t not in before]
+        assert len(workers) == 3
+        task = dispatcher.try_submit(_Squares(), 3)
+        assert task.done.wait(5.0) and task.result == 9
+        assert dispatcher.quiesce(5.0)
+        dispatcher.close()
+        for worker in workers:
+            worker.join(5.0)
+            assert not worker.is_alive()
+        assert dispatcher.try_submit(_Squares(), 4) is None
 
     def test_full_queue_returns_none(self):
         advisor = _Squares()
@@ -188,6 +203,7 @@ class TestDispatcher:
         assert dispatcher.try_submit(advisor, 2) is None
         advisor.gate.set()
         assert running.done.wait(5.0)
+        dispatcher.close()
 
 
 class TestProtocol:
