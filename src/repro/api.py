@@ -411,8 +411,9 @@ def serve(machine: str | MachineConfig = "core2",
     and are validated up front (:class:`UsageError`, CLI exit 2).
 
     ``workers`` is the number of shared-nothing server *processes* on
-    the one port (``SO_REUSEPORT`` kernel balancing, or the front-door
-    fallback — see :mod:`repro.serve.fleet`); ``threads`` bounds each
+    the one port (``SO_REUSEPORT`` kernel balancing — see
+    :mod:`repro.serve.fleet`; a platform without the socket option
+    serves with ``workers=1`` only); ``threads`` bounds each
     process's inference concurrency.  With ``workers > 1`` the
     telemetry artifact merges every worker's ``serve.*`` metrics, and
     the fleet is self-healing: a worker that dies outside drain is
@@ -424,11 +425,18 @@ def serve(machine: str | MachineConfig = "core2",
     ``telemetry=PATH``) exports the serving telemetry artifact; returns
     the exit code (0 clean drain, 1 drain budget expired).
     """
-    from repro.serve import AdvisorService, FleetSpec, run_fleet, \
-        run_server
+    import socket
+
+    from repro.serve import FleetSpec, run_fleet, run_server
+    from repro.serve.fleet import _build_service
 
     if workers < 1:
         raise UsageError("workers must be >= 1")
+    if workers > 1 and not hasattr(socket, "SO_REUSEPORT"):
+        raise UsageError(
+            "workers > 1 needs the SO_REUSEPORT socket option, which "
+            "this platform lacks; serve with workers=1"
+        )
     if threads < 1:
         raise UsageError("threads must be >= 1")
     if max_restarts < 0:
@@ -444,17 +452,13 @@ def serve(machine: str | MachineConfig = "core2",
         options.validate_serving()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    store = None
     if registry is not None:
-        from repro.registry.store import SuiteRegistry
-
         registry = Path(registry)
         if not registry.is_dir():
             raise UsageError(
                 f"no registry directory at {registry} (create one with "
                 "`repro pipeline --registry DIR`)"
             )
-        store = SuiteRegistry(registry)
     elif suite_dir is not None:
         suite_dir = Path(suite_dir)
         if not (suite_dir / "suite.json").exists():
@@ -468,30 +472,20 @@ def serve(machine: str | MachineConfig = "core2",
         scale = resolve_scale(scale)
         get_or_train_suite(machine, scale, options=options)
         suite_dir = suite_path(machine, scale)
+    spec = FleetSpec(
+        suite_dir=str(suite_dir) if suite_dir is not None else None,
+        registry=str(registry) if registry is not None else None,
+        registry_key=registry_key, auto_promote=auto_promote,
+        options=options, threads=threads, host=host, port=port,
+        poll_interval=poll_interval,
+        telemetry=str(telemetry) if telemetry is not None else None,
+        max_restarts=max_restarts,
+        restart_backoff_seconds=restart_backoff,
+    )
     if workers > 1:
-        spec = FleetSpec(
-            suite_dir=(str(suite_dir) if suite_dir is not None
-                       else None),
-            registry=(str(registry) if registry is not None else None),
-            registry_key=registry_key, auto_promote=auto_promote,
-            options=options, threads=threads, host=host, port=port,
-            poll_interval=poll_interval,
-            telemetry=(str(telemetry) if telemetry is not None
-                       else None),
-            max_restarts=max_restarts,
-            restart_backoff_seconds=restart_backoff,
-        )
         return run_fleet(spec, workers)
     try:
-        if store is not None:
-            service = AdvisorService(
-                registry=store, registry_key=registry_key,
-                auto_promote=auto_promote, options=options,
-                workers=threads,
-            )
-        else:
-            service = AdvisorService(suite_dir, options=options,
-                                     workers=threads)
+        service = _build_service(spec, 0)
     except (ValueError, RuntimeError) as exc:
         raise UsageError(str(exc)) from None
     return run_server(service, host=host, port=port,

@@ -392,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "address is printed on startup)")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
                        help="shared-nothing server processes on the "
-                            "one port (SO_REUSEPORT, or the front-"
-                            "door fallback; default 1)")
+                            "one port (N > 1 needs SO_REUSEPORT; "
+                            "default 1)")
     serve.add_argument("--threads", type=int, default=2, metavar="N",
                        help="inference worker threads per process "
                             "(bounded concurrency; default 2)")

@@ -391,10 +391,9 @@ class BrainyAdvisor:
         result = run_case_study(app, machine_config, instrument=True)
         return self.advise_result(app, result)
 
-    def advise_result(self, app: CaseStudyApp, result: AppResult,
-                      *, batched: bool = True) -> Report:
+    def advise_result(self, app: CaseStudyApp,
+                      result: AppResult) -> Report:
         keyed = frozenset(
             f"{app.name}:{site.name}" for site in app.sites() if site.keyed
         )
-        return self.advise_trace(result.trace(), keyed_contexts=keyed,
-                                 batched=batched)
+        return self.advise_trace(result.trace(), keyed_contexts=keyed)

@@ -21,10 +21,8 @@ from repro.runtime.checkpoint import (
     TrainingInterrupted,
 )
 from repro.runtime.faults import (
-    DeadlineExceeded,
     DeterministicFault,
     InferenceUnavailable,
-    Overloaded,
     QuarantineRecord,
     RetryPolicy,
     SeedBudgetExceeded,
@@ -66,10 +64,8 @@ __all__ = [
     "write_artifact",
     "Phase1Checkpoint",
     "TrainingInterrupted",
-    "DeadlineExceeded",
     "DeterministicFault",
     "InferenceUnavailable",
-    "Overloaded",
     "QuarantineRecord",
     "RetryPolicy",
     "SeedBudgetExceeded",

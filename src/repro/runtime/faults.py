@@ -44,14 +44,6 @@ class ServingFault(RuntimeError):
     """Base class for faults raised on the advisor serving path."""
 
 
-class Overloaded(ServingFault):
-    """The bounded work queue is full; the request was shed."""
-
-
-class DeadlineExceeded(ServingFault):
-    """A request's deadline elapsed before inference finished."""
-
-
 class InferenceUnavailable(ServingFault):
     """A serving inference seam declined to run a group's model.
 

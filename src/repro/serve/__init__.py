@@ -42,7 +42,6 @@ from repro.serve.reload import (
 from repro.serve.server import (
     AdvisorServer,
     request_once,
-    reuse_port_supported,
     run_server,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "RegistryRouter",
     "RegistryRouterError",
     "request_once",
-    "reuse_port_supported",
     "run_fleet",
     "run_server",
     "ServeResponse",

@@ -10,19 +10,13 @@ mode — its own :class:`~repro.serve.reload.RegistryRouter`.  Nothing is
 shared between workers, so one worker's stuck model call, tripped
 breaker or corrupt reload cannot affect another's answers.
 
-Two ways onto one port:
-
-* **SO_REUSEPORT** (preferred, Linux/BSD): every worker binds its own
-  listening socket to the *same* address with ``SO_REUSEPORT`` and the
-  kernel balances incoming connections across them.  The parent
-  resolves ``port=0`` up front with a bound (never listening) probe
-  socket so all workers agree on the concrete port, then closes the
-  probe once the fleet is ready.
-* **Front-door fallback** (any platform, or forced with
-  ``REPRO_SERVE_NO_REUSEPORT=1``): workers bind loopback ephemeral
-  ports; the parent listens on the public address itself and splices
-  each accepted connection to the next live worker round-robin.  Pure
-  stdlib, byte-level, protocol-agnostic.
+One way onto one port: every worker binds its own listening socket to
+the *same* address with ``SO_REUSEPORT`` and the kernel balances
+incoming connections across them.  The parent resolves ``port=0`` up
+front with a bound (never listening) probe socket so all workers agree
+on the concrete port, then closes the probe once the fleet is ready.
+Linux, macOS and the BSDs expose the option; a platform without it
+(Windows) serves with ``--workers 1`` only.
 
 Lifecycle: the parent announces ``serving on HOST:PORT`` only after
 every worker reported ready (same line supervisors already parse for
@@ -38,9 +32,9 @@ non-zero exit is respawned with exponential backoff
 (``restart_backoff_seconds`` doubled per consecutive restart of the
 slot) up to ``max_restarts`` times per worker slot — the crash-loop
 cap, after which the slot is abandoned and the fleet exit code flags
-the failure.  Respawned workers re-report ready, re-register their
-socket with the front-door fallback, and carry their restart count in
-health (``worker.restarts``); the merged telemetry counts
+the failure.  Respawned workers re-report ready, the kernel starts
+balancing connections onto their socket, and they carry their restart
+count in health (``worker.restarts``); the merged telemetry counts
 ``serve.worker_restarts{worker=}``.  A successfully-healed crash does
 *not* fail the fleet's exit code.
 """
@@ -54,11 +48,10 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.runtime.options import RunOptions
-from repro.serve.server import reuse_port_supported
 
 #: Seconds the parent waits for each worker's ready report.
 READY_TIMEOUT_SECONDS = 120.0
@@ -85,7 +78,6 @@ class FleetSpec:
     threads: int = 2
     host: str = "127.0.0.1"
     port: int = 0
-    reuse_port: bool = True
     poll_interval: float = 1.0
     telemetry: str | None = None
     #: Crash-loop cap: respawns allowed per worker slot (0 disables
@@ -171,14 +163,10 @@ def _worker_main(worker_id: int, spec: FleetSpec, ready_queue,
         raise SystemExit(1)
     telemetry = (f"{spec.telemetry}.worker{worker_id}"
                  if spec.telemetry is not None else None)
-    if spec.reuse_port:
-        host, port = spec.host, spec.port
-    else:
-        host, port = "127.0.0.1", 0
-    code = run_server(service, host=host, port=port,
+    code = run_server(service, host=spec.host, port=spec.port,
                       telemetry=telemetry,
                       poll_interval=spec.poll_interval,
-                      reuse_port=spec.reuse_port,
+                      reuse_port=True,
                       announce=announce)
     raise SystemExit(code)
 
@@ -199,107 +187,6 @@ def _probe_socket(host: str, port: int) -> socket.socket:
         probe.close()
         raise
     return probe
-
-
-class _FrontDoor:
-    """Connection-sharding fallback when ``SO_REUSEPORT`` is absent.
-
-    The parent owns the public listening socket and splices every
-    accepted connection — raw bytes, both directions — to the next
-    live worker round-robin.  Slightly more copying than the kernel
-    path, but works on any platform the stdlib works on.
-    """
-
-    def __init__(self, host: str, port: int,
-                 workers: "list[tuple[multiprocessing.Process, tuple[str, int]]]",
-                 announce) -> None:
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET,
-                                  socket.SO_REUSEADDR, 1)
-        try:
-            self._listener.bind((host, port))
-            self._listener.listen(128)
-        except BaseException:
-            self._listener.close()
-            raise
-        self._workers = workers
-        self._announce = announce
-        self._next = 0
-        self._closing = threading.Event()
-        self._thread = threading.Thread(target=self._accept_loop,
-                                        name="repro-serve-frontdoor",
-                                        daemon=True)
-        self._thread.start()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._listener.getsockname()[:2]
-        return str(host), int(port)
-
-    def _accept_loop(self) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed: shutdown
-            upstream = self._connect_next()
-            if upstream is None:
-                conn.close()
-                continue
-            threading.Thread(target=_splice, args=(conn, upstream),
-                             daemon=True).start()
-            threading.Thread(target=_splice, args=(upstream, conn),
-                             daemon=True).start()
-
-    def _connect_next(self) -> socket.socket | None:
-        """Next live worker, skipping dead ones; None when none left."""
-        for _ in range(len(self._workers)):
-            proc, address = self._workers[self._next
-                                          % len(self._workers)]
-            self._next += 1
-            if not proc.is_alive():
-                continue
-            try:
-                return socket.create_connection(address, timeout=5.0)
-            except OSError:
-                continue
-        self._announce("front door: no live workers to shard to",
-                       flush=True)
-        return None
-
-    def prune_dead(self) -> None:
-        self._workers = [pair for pair in self._workers
-                         if pair[0].is_alive()]
-
-    def add(self, proc, address: tuple[str, int]) -> None:
-        """Register a (re)spawned worker's socket for sharding."""
-        self._workers = self._workers + [(proc, address)]
-
-    def close(self) -> None:
-        self._closing.set()
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self._thread.join(timeout=5.0)
-
-
-def _splice(src: socket.socket, dst: socket.socket) -> None:
-    """Pump bytes one direction until EOF/error, then half-close."""
-    try:
-        while True:
-            data = src.recv(65536)
-            if not data:
-                break
-            dst.sendall(data)
-    except OSError:
-        pass
-    finally:
-        for sock, how in ((dst, socket.SHUT_WR), (src, socket.SHUT_RD)):
-            try:
-                sock.shutdown(how)
-            except OSError:
-                pass
 
 
 def _merge_worker_telemetry(telemetry: str, reports: list[dict],
@@ -366,30 +253,16 @@ def run_fleet(spec: FleetSpec, workers: int, *,
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    use_reuse_port = spec.reuse_port and reuse_port_supported()
     context = multiprocessing.get_context("spawn")
     ready_queue = context.Queue()
 
-    host, port = spec.host, spec.port
-    probe: socket.socket | None = None
-    if use_reuse_port:
-        probe = _probe_socket(host, port)
-        port = probe.getsockname()[1]
-    worker_spec = FleetSpec(
-        suite_dir=spec.suite_dir, registry=spec.registry,
-        registry_key=spec.registry_key,
-        auto_promote=spec.auto_promote, options=spec.options,
-        threads=spec.threads, host=host, port=port,
-        reuse_port=use_reuse_port,
-        poll_interval=spec.poll_interval, telemetry=spec.telemetry,
-        max_restarts=spec.max_restarts,
-        restart_backoff_seconds=spec.restart_backoff_seconds,
-    )
+    probe: socket.socket | None = _probe_socket(spec.host, spec.port)
+    host, port = spec.host, probe.getsockname()[1]
+    worker_spec = replace(spec, port=port)
     tracker = _RestartTracker(spec.max_restarts,
                               spec.restart_backoff_seconds)
 
     procs: list[multiprocessing.Process] = []
-    front_door: _FrontDoor | None = None
     stop = threading.Event()
     previous_handlers = {}
 
@@ -420,7 +293,6 @@ def run_fleet(spec: FleetSpec, workers: int, *,
         # Every worker must report ready (or fail) before the fleet
         # address is announced — supervisors treat the announcement as
         # "traffic is safe now".
-        addresses: dict[int, tuple[str, int]] = {}
         deadline = time.monotonic() + READY_TIMEOUT_SECONDS
         while len(reports) < workers:
             remaining = deadline - time.monotonic()
@@ -441,28 +313,16 @@ def run_fleet(spec: FleetSpec, workers: int, *,
                          f"{report['error']}", flush=True)
                 return 1
             reports.append(report)
-            addresses[report["worker"]] = (report["host"],
-                                           report["port"])
             announce(f"worker {report['worker']} ready "
                      f"(pid {report['pid']}) on "
                      f"{report['host']}:{report['port']}", flush=True)
 
-        if use_reuse_port:
-            probe.close()
-            probe = None
-            bound_host, bound_port = host, port
-        else:
-            front_door = _FrontDoor(
-                host, port,
-                [(procs[i], addresses[i]) for i in range(workers)],
-                announce,
-            )
-            bound_host, bound_port = front_door.address
+        probe.close()
+        probe = None
         announce(f"fleet of {workers} worker"
-                 f"{'' if workers == 1 else 's'} "
-                 + ("(SO_REUSEPORT)" if use_reuse_port
-                    else "(front-door fallback)"), flush=True)
-        announce(f"serving on {bound_host}:{bound_port}", flush=True)
+                 f"{'' if workers == 1 else 's'} (SO_REUSEPORT)",
+                 flush=True)
+        announce(f"serving on {host}:{port}", flush=True)
 
         # Supervise: wake on signal, notice dead workers as they go,
         # respawn crashed slots with exponential backoff (self-heal).
@@ -492,8 +352,6 @@ def run_fleet(spec: FleetSpec, workers: int, *,
                          f"{delay:.1f}s (restart "
                          f"{tracker.restarts.get(worker_id, 0) + 1}"
                          f"/{tracker.max_restarts})", flush=True)
-            if exited and front_door is not None:
-                front_door.prune_dead()
             for worker_id in [w for w, due in pending_respawn.items()
                               if due <= now]:
                 del pending_respawn[worker_id]
@@ -519,30 +377,21 @@ def run_fleet(spec: FleetSpec, workers: int, *,
                              f"restart: {report['error']}", flush=True)
                     continue  # its death is noticed next tick
                 reports.append(report)
-                addresses[report["worker"]] = (report["host"],
-                                               report["port"])
                 announce(f"worker {report['worker']} ready "
                          f"(pid {report['pid']}) on "
                          f"{report['host']}:{report['port']} "
                          f"(restart {report.get('restarts', 0)})",
                          flush=True)
-                if (front_door is not None
-                        and report["worker"] in alive):
-                    front_door.add(alive[report["worker"]],
-                                   addresses[report["worker"]])
             if not alive and not pending_respawn:
                 announce("all workers exited; shutting down",
                          flush=True)
                 break
 
-        # Drain: stop routing, forward the signal, wait out the budget.
+        # Drain: forward the signal, wait out the budget.
         # Only the *current* generation of each slot counts toward the
         # exit code — a crash that was healed by a respawn already
         # either succeeded (replacement drains below) or set ``failed``
         # at the crash-loop cap.
-        if front_door is not None:
-            front_door.close()
-            front_door = None
         current = list(alive.values())
         for proc in current:
             if proc.is_alive():
@@ -572,8 +421,6 @@ def run_fleet(spec: FleetSpec, workers: int, *,
     finally:
         if probe is not None:
             probe.close()
-        if front_door is not None:
-            front_door.close()
         for proc in procs:
             if proc.is_alive():  # pragma: no cover - error paths
                 proc.kill()

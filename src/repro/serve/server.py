@@ -69,18 +69,6 @@ class _TCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
-def reuse_port_supported() -> bool:
-    """Does this platform expose ``SO_REUSEPORT`` (the kernel-balanced
-    multi-worker path)?  ``REPRO_SERVE_NO_REUSEPORT=1`` forces the
-    front-door fallback even where the option exists, so the fallback
-    is testable on any platform."""
-    import os
-
-    if os.environ.get("REPRO_SERVE_NO_REUSEPORT"):
-        return False
-    return hasattr(socket, "SO_REUSEPORT")
-
-
 class AdvisorServer:
     """A bound, running server; the embeddable piece under ``repro serve``.
 

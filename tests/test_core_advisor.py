@@ -184,9 +184,12 @@ class TestBatchedEquivalence:
     def test_case_study_apps(self, suite, app):
         advisor = BrainyAdvisor(suite)
         result = run_case_study(app, CORE2, instrument=True)
+        keyed = frozenset(
+            f"{app.name}:{site.name}" for site in app.sites() if site.keyed
+        )
         self.assert_reports_equal(
-            advisor.advise_result(app, result, batched=True),
-            advisor.advise_result(app, result, batched=False),
+            advisor.advise_result(app, result),
+            advisor.advise_trace(result.trace(), keyed, batched=False),
         )
 
 

@@ -389,7 +389,7 @@ class TestPinnedFront:
 
 
 class TestApiDarwinValidation:
-    """Malformed robustness knobs exit at the front door (UsageError,
+    """Malformed robustness knobs are refused up front (UsageError,
     CLI exit 2) — before any training or search work starts."""
 
     @pytest.mark.parametrize("kwargs,match", [

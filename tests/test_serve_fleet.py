@@ -1,15 +1,16 @@
 """Multi-worker fleet tests: real processes on one shared port.
 
-``repro serve --workers N`` forks N shared-nothing server processes.
-Both port-sharing modes are exercised end to end — kernel-balanced
-``SO_REUSEPORT`` and the connection-sharding front-door fallback
-(forced via ``REPRO_SERVE_NO_REUSEPORT=1``): concurrent clients on the
-one announced port, byte-identity of every answer against a local
-advisor, worker identity in health probes, SIGTERM draining every
-worker, and the merged per-worker telemetry artifact.
+``repro serve --workers N`` forks N shared-nothing server processes
+on one ``SO_REUSEPORT`` port, exercised end to end: concurrent clients
+on the one announced port, byte-identity of every answer against a
+local advisor, worker identity in health probes, SIGTERM draining every
+worker, the merged per-worker telemetry artifact, and the respawn of a
+killed worker.  A platform without ``SO_REUSEPORT`` refuses
+``workers > 1`` before any process starts.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -21,8 +22,8 @@ from pathlib import Path
 
 import pytest
 
+import repro.api as api
 from repro.core.advisor import BrainyAdvisor
-from repro.serve import reuse_port_supported
 from repro.serve.fleet import _RestartTracker
 from repro.serve.protocol import encode
 from repro.serve.testing import (
@@ -41,13 +42,8 @@ def suite_dir(tmp_path_factory):
     return directory
 
 
-def _spawn_fleet(suite_dir, telemetry, *, force_fallback=False,
-                 extra=()):
+def _spawn_fleet(suite_dir, telemetry, *, extra=()):
     env = dict(os.environ, PYTHONPATH=REPO_SRC, PYTHONUNBUFFERED="1")
-    if force_fallback:
-        env["REPRO_SERVE_NO_REUSEPORT"] = "1"
-    else:
-        env.pop("REPRO_SERVE_NO_REUSEPORT", None)
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
          "--suite-dir", str(suite_dir), "--port", "0",
@@ -83,11 +79,10 @@ def _request(host, port, payload, timeout=60.0):
         return json.loads(conn.makefile("rb").readline())
 
 
-def _drive_fleet(suite_dir, telemetry, *, force_fallback):
+def _drive_fleet(suite_dir, telemetry):
     """Spawn a 2-worker fleet, burst it, drain it; return stdout and
     the telemetry payload."""
-    proc = _spawn_fleet(suite_dir, telemetry,
-                        force_fallback=force_fallback)
+    proc = _spawn_fleet(suite_dir, telemetry)
     try:
         host, port, startup = _read_address(proc)
 
@@ -142,11 +137,10 @@ def _drive_fleet(suite_dir, telemetry, *, force_fallback):
 
 class TestFleet:
     def test_reuseport_fleet_end_to_end(self, suite_dir, tmp_path):
-        if not reuse_port_supported():
+        if not hasattr(socket, "SO_REUSEPORT"):
             pytest.skip("SO_REUSEPORT unavailable on this platform")
         telemetry = tmp_path / "fleet.telemetry.json"
-        out, payload = _drive_fleet(suite_dir, telemetry,
-                                    force_fallback=False)
+        out, payload = _drive_fleet(suite_dir, telemetry)
         assert "fleet of 2 workers (SO_REUSEPORT)" in out
         assert "fleet drained cleanly" in out
         meta = payload["meta"]
@@ -155,21 +149,6 @@ class TestFleet:
         # somewhere across the two workers and sum in the merged view.
         counters = payload["metrics"]["counters"]
         assert counters.get("serve.requests{status=ok}", 0) >= 24
-
-    def test_front_door_fallback_end_to_end(self, suite_dir, tmp_path):
-        telemetry = tmp_path / "fallback.telemetry.json"
-        out, payload = _drive_fleet(suite_dir, telemetry,
-                                    force_fallback=True)
-        assert "front-door fallback" in out
-        assert "fleet drained cleanly" in out
-        meta = payload["meta"]
-        assert meta["fleet"] is True and meta["workers"] == [0, 1]
-        counters = payload["metrics"]["counters"]
-        assert counters.get("serve.requests{status=ok}", 0) >= 24
-        # The front door round-robins connections, so with 8 clients
-        # both workers must have answered.
-        spans = payload.get("spans") or {}
-        assert isinstance(spans, dict)
 
 
 class TestRestartTracker:
@@ -212,12 +191,14 @@ class TestSelfHealingFleet:
     def test_killed_worker_is_respawned_and_answers_identically(
             self, suite_dir, tmp_path):
         """SIGKILL one worker mid-serve: the supervisor respawns it
-        within the backoff window, re-registers it with the front
-        door, health reports the restart count, answers stay
+        within the backoff window, the kernel balances connections
+        onto it, health reports the restart count, answers stay
         byte-identical, and the drain still exits 0."""
+        if not hasattr(socket, "SO_REUSEPORT"):
+            pytest.skip("SO_REUSEPORT unavailable on this platform")
         telemetry = tmp_path / "heal.telemetry.json"
         proc = _spawn_fleet(
-            suite_dir, telemetry, force_fallback=True,
+            suite_dir, telemetry,
             extra=("--max-restarts", "2", "--restart-backoff", "0.1"))
         try:
             host, port, _ = _read_address(proc)
@@ -252,7 +233,7 @@ class TestSelfHealingFleet:
             expected = json.dumps(
                 BrainyAdvisor(tiny_suite()).advise_trace(
                     trace).to_payload(), sort_keys=True)
-            for _ in range(4):  # round-robins across both workers
+            for _ in range(4):  # the kernel spreads these across workers
                 answer = _request(host, port,
                                   advise_payload(trace,
                                                  request_id="heal"))
@@ -280,11 +261,15 @@ class TestSelfHealingFleet:
                 proc.communicate()
 
 
-class TestReusePortGate:
-    def test_env_var_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_NO_REUSEPORT", "1")
-        assert reuse_port_supported() is False
-
-    def test_supported_matches_platform(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_NO_REUSEPORT", raising=False)
-        assert reuse_port_supported() == hasattr(socket, "SO_REUSEPORT")
+class TestNoReusePort:
+    def test_multi_worker_serve_is_refused_before_spawning(
+            self, suite_dir, monkeypatch):
+        """Without SO_REUSEPORT, ``workers > 1`` is a usage error
+        (CLI exit 2) raised before any worker process starts."""
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        spawned = []
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess,
+                            "start", lambda self: spawned.append(self))
+        with pytest.raises(api.UsageError, match="SO_REUSEPORT"):
+            api.serve(suite_dir=suite_dir, workers=2)
+        assert spawned == []
