@@ -51,7 +51,6 @@ from repro.runtime import (
     ArtifactError,
     FaultInjector,
     FaultPlan,
-    RetryPolicy,
     RunOptions,
     TrainingInterrupted,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "PerflintModel",
     "ProfiledContainer",
     "Report",
-    "RetryPolicy",
     "SeededChoiceInit",
     "Suggestion",
     "SyntheticApp",

@@ -425,18 +425,11 @@ def serve(machine: str | MachineConfig = "core2",
     ``telemetry=PATH``) exports the serving telemetry artifact; returns
     the exit code (0 clean drain, 1 drain budget expired).
     """
-    import socket
-
     from repro.serve import FleetSpec, run_fleet, run_server
-    from repro.serve.fleet import _build_service
+    from repro.serve.fleet import FleetUnsupported, _build_service
 
     if workers < 1:
         raise UsageError("workers must be >= 1")
-    if workers > 1 and not hasattr(socket, "SO_REUSEPORT"):
-        raise UsageError(
-            "workers > 1 needs the SO_REUSEPORT socket option, which "
-            "this platform lacks; serve with workers=1"
-        )
     if threads < 1:
         raise UsageError("threads must be >= 1")
     if max_restarts < 0:
@@ -483,7 +476,10 @@ def serve(machine: str | MachineConfig = "core2",
         restart_backoff_seconds=restart_backoff,
     )
     if workers > 1:
-        return run_fleet(spec, workers)
+        try:
+            return run_fleet(spec, workers)
+        except FleetUnsupported as exc:
+            raise UsageError(str(exc)) from None
     try:
         service = _build_service(spec, 0)
     except (ValueError, RuntimeError) as exc:

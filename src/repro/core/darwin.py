@@ -26,11 +26,12 @@ the parent, making the front byte-identical for any ``--jobs`` value.
 The search also carries the repo's crash-safety contract
 (docs/robustness.md): generation-granular
 :class:`~repro.runtime.checkpoint.DarwinCheckpoint` artifacts with
-byte-identical ``--resume``, per-chromosome fault isolation (transient →
-in-parent retry, deterministic → quarantine carried in
-:attr:`DarwinResult.quarantined`), SIGINT/SIGTERM → checkpoint → exit
-130/143, and a wall-clock budget that stops cleanly at a generation
-boundary with the best-front-so-far flagged ``truncated=budget``.
+byte-identical ``--resume``, per-chromosome fault isolation (a failed
+evaluation is retried once in the parent; a second failure quarantines
+the chromosome into :attr:`DarwinResult.quarantined`), SIGINT/SIGTERM →
+checkpoint → exit 130/143, and a wall-clock budget that stops cleanly
+at a generation boundary with the best-front-so-far flagged
+``truncated=budget``.
 """
 
 from __future__ import annotations
@@ -178,8 +179,8 @@ class DarwinResult:
     #: The greedy advisor's per-instance report with the Pareto front
     #: attached (:attr:`repro.core.report.Report.pareto_front`).
     report: Report
-    #: Chromosomes the fault boundary quarantined (deterministic or
-    #: retry-exhausted failures), with stage/trace; never in the front.
+    #: Chromosomes whose evaluation failed twice (on the pool and on the
+    #: in-parent retry), with stage/trace; never in the front.
     quarantined: list[QuarantinedChromosome] = field(default_factory=list)
     #: Why the search stopped early (``"budget"``), or ``None`` when it
     #: ran its full generation budget.
@@ -355,10 +356,10 @@ def run_darwin(app: CaseStudyApp,
       (resume-aware: time spent before an interrupt counts); the search
       stops cleanly at the next generation boundary, checkpoints, and
       the result comes back flagged ``truncated="budget"``.
-    * ``options.retry_policy`` — fault-boundary tuning for
-      per-chromosome transient retries; deterministic failures
-      quarantine the chromosome into :attr:`DarwinResult.quarantined`
-      and the search continues.
+
+    A failed chromosome evaluation is retried once in the parent; a
+    second failure quarantines the chromosome into
+    :attr:`DarwinResult.quarantined` and the search continues.
     """
     options = (options or RunOptions()).validate_darwin()
     generations = options.darwin_generations
@@ -519,8 +520,7 @@ def run_darwin(app: CaseStudyApp,
         result: ParetoResult = search.pareto(
             fitness, objectives, jobs=options.jobs,
             executor=executor, resume_state=resume_state,
-            on_generation=on_generation, stop=stop,
-            retry_policy=options.retry_policy)
+            on_generation=on_generation, stop=stop)
 
         front = [measure(p.genome) for p in result.front]
         front.sort(key=lambda p: (p.cycles, p.footprint_bytes, p.kinds))

@@ -38,8 +38,9 @@ long-running searches:
   interrupted-then-resumed front equals the uninterrupted one for any
   ``jobs`` value (:mod:`repro.core.darwin` builds checkpoints on top).
 * **Per-candidate fault isolation.**  A fitness evaluation that fails is
-  recovered at the in-order consume point: transient faults retry in the
-  parent with bounded backoff, deterministic ones quarantine the
+  run once more in the parent at its in-order consume point
+  (:func:`~repro.runtime.parallel.map_ordered`'s retry, the same rule
+  every fan-out follows); one that fails twice quarantines the
   chromosome (:class:`QuarantinedChromosome`, carried in the result) and
   the search continues on the surviving population.  Quarantined
   chromosomes score a large *finite* penalty on every objective — real
@@ -69,19 +70,11 @@ from repro.ml.strategies import (
     UniformCrossover,
     UnitUniformInit,
 )
-from repro.runtime.faults import (
-    CATEGORY_TRANSIENT,
-    QuarantineRecord,
-    RetryPolicy,
-    SeedQuarantined,
-    classify,
-    run_guarded,
-)
+from repro.runtime.faults import QuarantineRecord
 from repro.runtime.parallel import (
     TaskFailure,
     make_executor,
     map_ordered,
-    map_retry,
     resolve_jobs,
     usable_jobs,
 )
@@ -355,10 +348,10 @@ class GeneticSearch:
         worker pool (``None`` reads ``REPRO_JOBS``, default serial).
         The evolutionary loop — and every RNG draw — stays in the
         parent, so the result is byte-identical for any ``jobs`` value;
-        a worker-side failure is re-evaluated once in the parent before
-        propagating.  ``executor`` overrides the pool (tests pass an
-        in-process executor so stateful fitness seams work under any
-        ``jobs``).
+        a failed evaluation is run once more in the parent, and raises
+        only if that retry fails too.  ``executor`` overrides the pool
+        (tests pass an in-process executor so stateful fitness seams
+        work under any ``jobs``).
         """
         jobs, executor, own_executor = self._executor(
             fitness_fn, jobs, executor)
@@ -368,9 +361,13 @@ class GeneticSearch:
             # chromosome order, so this is exactly the serial
             # ``[fitness_fn(ch) for ch in population]``.
             obs.counter("ga.fitness_evals", len(population))
-            return np.array(list(map_retry(
-                fitness_fn, list(population), jobs=jobs, executor=executor,
-            )), dtype=np.float64)
+            fitnesses = []
+            for outcome in map_ordered(fitness_fn, list(population),
+                                       jobs=jobs, executor=executor):
+                if isinstance(outcome, TaskFailure):
+                    raise outcome.error
+                fitnesses.append(outcome)
+            return np.array(fitnesses, dtype=np.float64)
 
         with obs.span("ga.run"):
             try:
@@ -410,8 +407,8 @@ class GeneticSearch:
                executor=None,
                resume_state: ParetoState | None = None,
                on_generation: Callable[[ParetoState], None] | None = None,
-               stop: Callable[[int], str | None] | None = None,
-               retry_policy: RetryPolicy | None = None) -> ParetoResult:
+               stop: Callable[[int], str | None] | None = None
+               ) -> ParetoResult:
         """Evolve a Pareto front minimising every objective.
 
         ``fitness_fn(chromosome)`` must return one value per entry of
@@ -428,12 +425,10 @@ class GeneticSearch:
         restores one and continues byte-identically from that boundary.
         ``stop(generation)`` is consulted at each boundary — a non-None
         reason ends the search with ``truncated`` set and the
-        best-front-so-far.  A failing fitness evaluation is recovered
-        at its in-order consume point: transient faults retry in the
-        parent under ``retry_policy`` (default
-        :class:`~repro.runtime.faults.RetryPolicy`), everything else
-        quarantines the chromosome with a penalty score and the search
-        continues.  ``KeyboardInterrupt`` always propagates so the
+        best-front-so-far.  A failing fitness evaluation is run once
+        more in the parent at its in-order consume point; one that fails
+        again quarantines the chromosome with a penalty score and the
+        search continues.  ``KeyboardInterrupt`` always propagates so the
         caller can flush a checkpoint from the last boundary state.
         """
         objectives = tuple(objectives)
@@ -441,36 +436,10 @@ class GeneticSearch:
             raise ValueError("at least one objective is required")
         jobs, executor, own_executor = self._executor(
             fitness_fn, jobs, executor)
-        policy = retry_policy if retry_policy is not None \
-            else RetryPolicy()
-
         size = self.population_size
         archive: dict[bytes, tuple[float, ...]] = {}
         genomes: dict[bytes, tuple] = {}
         quarantine: dict[bytes, QuarantinedChromosome] = {}
-
-        def recover(chromosome: np.ndarray, failure: TaskFailure):
-            """In-parent boundary for one failed fitness evaluation:
-            retry transients with backoff, quarantine the rest."""
-            genome = tuple(np.asarray(chromosome).tolist())
-            index = len(archive) + len(quarantine)
-            category = classify(failure.error)
-            if category != CATEGORY_TRANSIENT:
-                return QuarantinedChromosome(
-                    genome=genome,
-                    record=QuarantineRecord(
-                        seed=index, stage="fitness", category=category,
-                        error=(f"{type(failure.error).__name__}: "
-                               f"{failure.error}"),
-                        attempts=1,
-                    ))
-            try:
-                return run_guarded(lambda: fitness_fn(chromosome),
-                                   seed=index, stage="fitness",
-                                   policy=policy)
-            except SeedQuarantined as exc:
-                return QuarantinedChromosome(genome=genome,
-                                             record=exc.record)
 
         def evaluate(population) -> np.ndarray:
             chromosomes = [np.asarray(ch) for ch in population]
@@ -487,11 +456,14 @@ class GeneticSearch:
                 outcomes = map_ordered(fitness_fn, fresh, jobs=jobs,
                                        executor=executor)
                 for ch, outcome in zip(fresh, outcomes):
-                    if isinstance(outcome, TaskFailure):
-                        outcome = recover(ch, outcome)
                     key = ch.tobytes()
-                    if isinstance(outcome, QuarantinedChromosome):
-                        quarantine[key] = outcome
+                    if isinstance(outcome, TaskFailure):
+                        quarantine[key] = QuarantinedChromosome(
+                            genome=tuple(ch.tolist()),
+                            record=QuarantineRecord.of(
+                                outcome.error,
+                                seed=len(archive) + len(quarantine),
+                                stage="fitness", attempts=2))
                         obs.counter("ga.quarantined")
                         continue
                     value = tuple(float(v) for v in np.atleast_1d(

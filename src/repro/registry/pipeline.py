@@ -9,8 +9,8 @@ operator ``kill -9``) skips completed stages and resumes the training
 stage from its own PR-1 checkpoints.
 
 Fault handling mirrors the training error boundary
-(:mod:`repro.runtime.faults`): transient faults retry with bounded
-backoff (``RunOptions.retry_policy``), anything deterministic
+(:mod:`repro.runtime.faults`): transient faults retry with the fixed
+backoff of ``RETRY_DELAYS``, anything deterministic
 *quarantines the candidate* with a structured stage + reason instead of
 crashing the loop — an unattended retrainer survives a bad corpus draw
 and tries again next cycle.  When the failure lands after registration,
@@ -60,7 +60,7 @@ from repro.runtime.artifacts import (
     write_artifact,
 )
 from repro.runtime.checkpoint import TrainingInterrupted
-from repro.runtime.faults import CATEGORY_TRANSIENT, RetryPolicy, classify
+from repro.runtime.faults import CATEGORY_TRANSIENT, RETRY_DELAYS, classify
 from repro.runtime.options import RunOptions
 
 STAGE_APPGEN = "appgen"
@@ -205,7 +205,6 @@ def run_pipeline(machine_config: MachineConfig, scale,
     checkpoints plus the stage ledger make the next run resume.
     """
     options = (options or RunOptions()).validate_serving()
-    policy = options.retry_policy or RetryPolicy()
     trainer = trainer or _default_trainer
     validator = validator or _default_validator
     corpus = corpus_fingerprint(config, scale.name)
@@ -223,7 +222,7 @@ def run_pipeline(machine_config: MachineConfig, scale,
         if stage in state.completed:
             say(f"pipeline: {stage} already complete; skipping")
             return state.completed[stage]
-        delays = policy.delays()
+        delays = iter(RETRY_DELAYS)
         while True:
             try:
                 with obs.span(f"pipeline.{stage}"):
@@ -242,8 +241,7 @@ def run_pipeline(machine_config: MachineConfig, scale,
                                     stage=stage)
                         say(f"pipeline: {stage} transient fault "
                             f"({exc}); retrying in {delay:.2f}s")
-                        if delay > 0:
-                            sleep(delay)
+                        sleep(delay)
                         continue
                 raise PipelineQuarantined(
                     stage, f"{type(exc).__name__}: {exc}"

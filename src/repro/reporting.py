@@ -2,8 +2,8 @@
 
 The benchmark harness regenerates the paper's figures as text; this
 module renders them — aligned tables, horizontal bar charts (Figure 2's
-census, Figure 8's speedups), and grouped bars (Figure 1's
-agree/disagree stacks) — without any plotting dependency.
+census, Figure 8's speedups) and normalised series — without any
+plotting dependency.
 """
 
 from __future__ import annotations
@@ -55,41 +55,6 @@ def bar_chart(values: Mapping[str, float], width: int = 40,
             bar += _HALF
         lines.append(f"{label.ljust(label_width)} |{bar.ljust(width)}| "
                      f"{value:g}{unit}")
-    return "\n".join(lines)
-
-
-def stacked_chart(groups: Mapping[str, Mapping[str, float]],
-                  width: int = 40) -> str:
-    """Figure 1-style stacks: one bar per group, segments labelled.
-
-    Segment glyphs cycle through a small palette; a legend line is
-    appended.
-    """
-    if not groups:
-        raise ValueError("nothing to chart")
-    palette = ("█", "░", "▒", "▓")
-    segment_names: list[str] = []
-    for segments in groups.values():
-        for name in segments:
-            if name not in segment_names:
-                segment_names.append(name)
-    glyphs = {name: palette[i % len(palette)]
-              for i, name in enumerate(segment_names)}
-    peak = max(sum(segments.values()) for segments in groups.values())
-    if peak <= 0:
-        peak = 1.0
-    label_width = max(len(label) for label in groups)
-    lines = []
-    for label, segments in groups.items():
-        bar = ""
-        for name in segment_names:
-            value = segments.get(name, 0.0)
-            bar += glyphs[name] * round(value / peak * width)
-        total = sum(segments.values())
-        lines.append(f"{label.ljust(label_width)} |{bar.ljust(width)}| "
-                     f"{total:g}")
-    legend = "  ".join(f"{glyphs[name]}={name}" for name in segment_names)
-    lines.append(f"legend: {legend}")
     return "\n".join(lines)
 
 

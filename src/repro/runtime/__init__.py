@@ -24,7 +24,6 @@ from repro.runtime.faults import (
     DeterministicFault,
     InferenceUnavailable,
     QuarantineRecord,
-    RetryPolicy,
     SeedBudgetExceeded,
     SeedQuarantined,
     ServingFault,
@@ -67,7 +66,6 @@ __all__ = [
     "DeterministicFault",
     "InferenceUnavailable",
     "QuarantineRecord",
-    "RetryPolicy",
     "SeedBudgetExceeded",
     "SeedQuarantined",
     "ServingFault",

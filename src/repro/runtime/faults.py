@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 
 class TransientFault(RuntimeError):
@@ -98,6 +98,14 @@ class QuarantineRecord:
                 "attempts": self.attempts}
 
     @classmethod
+    def of(cls, error: BaseException, *, seed: int, stage: str,
+           attempts: int) -> "QuarantineRecord":
+        """The record of giving up on ``seed`` after ``error``."""
+        return cls(seed=seed, stage=stage, category=classify(error),
+                   error=f"{type(error).__name__}: {error}",
+                   attempts=attempts)
+
+    @classmethod
     def from_payload(cls, payload: dict) -> "QuarantineRecord":
         return cls(seed=payload["seed"], stage=payload["stage"],
                    category=payload["category"], error=payload["error"],
@@ -113,24 +121,9 @@ class SeedQuarantined(Exception):
         self.record = record
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff for transient faults."""
-
-    retries: int = 2  # extra attempts after the first
-    backoff: float = 0.01  # seconds before the first retry
-    multiplier: float = 2.0
-    max_backoff: float = 1.0
-
-    def delays(self) -> Iterator[float]:
-        delay = self.backoff
-        for _ in range(self.retries):
-            yield min(delay, self.max_backoff)
-            delay *= self.multiplier
-
-
-#: Retry policy used by tests and tight loops: no real sleeping.
-NO_WAIT = RetryPolicy(retries=2, backoff=0.0, multiplier=1.0)
+#: Backoff before each retry of a transient fault, in seconds: the
+#: retry budget of :func:`run_guarded` and of the pipeline's stages.
+RETRY_DELAYS = (0.01, 0.02)
 
 
 class WorkBudget:
@@ -162,19 +155,17 @@ class WorkBudget:
 def run_guarded(fn: Callable[[], object], *,
                 seed: int,
                 stage: str,
-                policy: RetryPolicy | None = None,
                 budget: WorkBudget | None = None,
                 sleep: Callable[[float], None] = time.sleep) -> object:
     """Run ``fn`` inside the error boundary.
 
-    Transient faults are retried per ``policy`` (unless the work budget
-    is exhausted); deterministic faults, budget blow-outs, and exhausted
-    retries raise :class:`SeedQuarantined` carrying a structured record.
-    ``KeyboardInterrupt`` always passes through untouched so the caller
-    can flush a checkpoint.
+    Transient faults are retried after each of :data:`RETRY_DELAYS`
+    (unless the work budget is exhausted); deterministic faults, budget
+    blow-outs, and exhausted retries raise :class:`SeedQuarantined`
+    carrying a structured record.  ``KeyboardInterrupt`` always passes
+    through untouched so the caller can flush a checkpoint.
     """
-    policy = policy or RetryPolicy()
-    delays = policy.delays()
+    delays = iter(RETRY_DELAYS)
     attempts = 0
     while True:
         attempts += 1
@@ -188,16 +179,12 @@ def run_guarded(fn: Callable[[], object], *,
             category = classify(exc)
             budget_blown = budget is not None and budget.exceeded()
             if category == CATEGORY_TRANSIENT and not budget_blown:
-                try:
-                    delay = next(delays)
-                except StopIteration:
-                    pass  # retries exhausted; fall through to quarantine
-                else:
+                delay = next(delays, None)
+                if delay is not None:
                     import repro.obs as obs
 
                     obs.counter("faults.retries", stage=stage)
-                    if delay > 0:
-                        sleep(delay)
+                    sleep(delay)
                     continue
             if budget_blown and category == CATEGORY_TRANSIENT:
                 category = CATEGORY_BUDGET

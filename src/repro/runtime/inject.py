@@ -143,8 +143,8 @@ class DarwinFaultPlan:
     p_transient: float = 0.0
     p_deterministic: float = 0.0
     #: Attempts of a transiently-failing genome that fail before it
-    #: succeeds — at or below the retry budget models recoverable,
-    #: above it a persistent fault (quarantined as deterministic).
+    #: succeeds — 1 models a recoverable fault (the one in-parent retry
+    #: succeeds), 2 or more a persistent one (quarantined as transient).
     transient_failures: int = 1
     transient_genomes: frozenset[tuple] = frozenset()
     deterministic_genomes: frozenset[tuple] = frozenset()

@@ -4,8 +4,8 @@ The training entry points (:func:`repro.training.phase1.run_phase1`,
 :meth:`repro.models.brainy.BrainySuite.train`, the suite cache in
 :mod:`repro.models.cache`) and the Darwinian search
 (:func:`repro.core.darwin.run_darwin`) take their cross-cutting knobs —
-``jobs``, ``checkpoint_every``, the fault-boundary tuning
-(``retry_policy`` / ``seed_budget_seconds``), ``telemetry`` and the
+``jobs``, ``checkpoint_every``, the per-seed work budget
+(``seed_budget_seconds``), ``telemetry`` and the
 ``darwin_*`` search knobs — as one immutable :class:`RunOptions` value
 passed as ``options=``; there is no other spelling.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.runtime.faults import RetryPolicy
 from repro.runtime.parallel import resolve_jobs
 
 
@@ -38,8 +37,9 @@ class RunOptions:
         (``None`` reads ``REPRO_JOBS``, default serial).
     checkpoint_every:
         Periodic checkpoint cadence, in seeds/records.
-    retry_policy / seed_budget_seconds:
-        Fault-boundary tuning (transient retries; per-seed wall budget).
+    seed_budget_seconds:
+        Per-seed wall budget of the fault boundary
+        (:class:`repro.runtime.faults.WorkBudget`).
     telemetry:
         A :class:`repro.obs.Collector` activated for the run's duration;
         ``None`` leaves whatever collector is already active (the null
@@ -102,7 +102,6 @@ class RunOptions:
 
     jobs: int | None = None
     checkpoint_every: int | None = None
-    retry_policy: RetryPolicy | None = None
     seed_budget_seconds: float | None = None
     telemetry: object | None = None
     # -- serving knobs (defaults live here; see the class docstring) -----

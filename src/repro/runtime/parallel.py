@@ -105,14 +105,14 @@ class _TelemetryTask:
 
 @dataclass
 class TaskFailure:
-    """Sentinel yielded when a task raised instead of returning.
+    """Sentinel yielded when a task failed twice: once on its executor
+    and once more on :func:`map_ordered`'s retry in the calling process.
 
-    Worker functions built on :func:`repro.runtime.faults.run_guarded`
-    convert expected per-seed failures into quarantine outcomes, so a
-    ``TaskFailure`` means the *infrastructure* failed (worker crash,
-    unpicklable payload, resource exhaustion).  The merge loop maps it
-    onto the fault taxonomy: transient → in-parent retry, deterministic
-    → quarantine.
+    ``error`` is the retry's exception.  Worker functions built on
+    :func:`repro.runtime.faults.run_guarded` convert expected per-seed
+    failures into quarantine outcomes, so a ``TaskFailure`` means the
+    task itself is broken; each caller decides what that costs (a
+    quarantined seed or chromosome, or an error).
     """
 
     task: Any
@@ -241,11 +241,16 @@ def map_ordered(fn: Callable[[Any], Any],
     Up to ``window`` tasks (default ``jobs * 4``) are in flight at once;
     results are consumed strictly head-first, so the caller's merge loop
     observes the serial sequence no matter how execution interleaves.
-    A task that raises yields a :class:`TaskFailure` in its slot instead
-    of aborting the stream; ``KeyboardInterrupt`` propagates immediately
-    (the generator's ``finally`` shuts the pool down).  Closing the
-    generator early (e.g. on an early-stop break) discards speculative
-    in-flight work.
+    A task that raises, whatever the error, is run once more in the
+    calling process at its consume point (counted as
+    ``parallel.retries``): a fault of the pool itself (a lost worker,
+    ``EMFILE``, ``ENOMEM``) then leaves no trace, and a serial run and a
+    pool run see the same retry.  Only when the retry raises too does
+    the slot yield a :class:`TaskFailure` instead of aborting the
+    stream.  ``KeyboardInterrupt`` propagates immediately, from either
+    attempt (the generator's ``finally`` shuts the pool down).  Closing
+    the generator early (e.g. on an early-stop break) discards
+    speculative in-flight work.
 
     When the active :mod:`repro.obs` collector is enabled, each task's
     telemetry lands in the parent collector at the task's in-order
@@ -254,7 +259,7 @@ def map_ordered(fn: Callable[[Any], Any],
     execution — keeping telemetry content deterministic across ``jobs``
     values.
     """
-    from repro.obs import get_collector
+    from repro.obs import counter, get_collector
 
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -268,8 +273,7 @@ def map_ordered(fn: Callable[[Any], Any],
     # real process boundaries pay the snapshot/merge cost.
     ship_telemetry = (parent_collector.enabled
                       and not getattr(executor, "in_process", False))
-    if ship_telemetry:
-        fn = _TelemetryTask(fn)
+    submitted = _TelemetryTask(fn) if ship_telemetry else fn
     if window is None:
         window = max(2, jobs * DEFAULT_WINDOW_PER_JOB)
     pending: deque[tuple[Any, Any]] = deque()
@@ -283,7 +287,7 @@ def map_ordered(fn: Callable[[Any], Any],
                 except StopIteration:
                     exhausted = True
                     break
-                pending.append((task, executor.submit(fn, (task,))))
+                pending.append((task, executor.submit(submitted, (task,))))
             if not pending:
                 return
             task, handle = pending.popleft()
@@ -291,8 +295,16 @@ def map_ordered(fn: Callable[[Any], Any],
                 result = handle.get()
             except KeyboardInterrupt:
                 raise
-            except Exception as exc:
-                result = TaskFailure(task, exc)
+            except Exception:
+                # The retry runs here, under the parent collector, so
+                # it calls the bare ``fn``.
+                counter("parallel.retries")
+                try:
+                    result = fn(task)
+                except KeyboardInterrupt:
+                    raise
+                except Exception as exc:
+                    result = TaskFailure(task, exc)
             if ship_telemetry and isinstance(result, _ShippedResult):
                 parent_collector.merge(result.telemetry)
                 result = result.result
@@ -300,25 +312,3 @@ def map_ordered(fn: Callable[[Any], Any],
     finally:
         if own_executor:
             executor.shutdown()
-
-
-def map_retry(fn: Callable[[Any], Any],
-              tasks: Iterable[Any],
-              *,
-              jobs: int = 1,
-              executor=None) -> Iterator[Any]:
-    """:func:`map_ordered` for fan-outs whose tasks must all succeed.
-
-    A :class:`TaskFailure` slot is re-executed once in the parent
-    process instead of being yielded: transient pool faults (lost
-    worker, flaky resource) heal invisibly, and a deterministic error
-    surfaces with its natural traceback at the same loop position a
-    serial run would raise it.
-
-    Used by the GA fitness fan-out, where — unlike the per-seed loops —
-    there is no quarantine slot to degrade into.
-    """
-    for result in map_ordered(fn, tasks, jobs=jobs, executor=executor):
-        if isinstance(result, TaskFailure):
-            result = fn(result.task)
-        yield result

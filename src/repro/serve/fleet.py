@@ -61,6 +61,10 @@ JOIN_MARGIN_SECONDS = 10.0
 MAX_RESTART_BACKOFF_SECONDS = 30.0
 
 
+class FleetUnsupported(ValueError):
+    """``run_fleet`` refused the request before starting any process."""
+
+
 @dataclass(frozen=True)
 class FleetSpec:
     """Everything a worker process needs to rebuild the service.
@@ -249,10 +253,17 @@ def run_fleet(spec: FleetSpec, workers: int, *,
 
     Blocks until SIGTERM/SIGINT (or every worker has died), forwards
     the signal, waits out the drain, merges telemetry.  Returns 0 only
-    when every worker exited 0 (clean drain); 1 otherwise.
+    when every worker exited 0 (clean drain); 1 otherwise.  Raises
+    :class:`FleetUnsupported`, before any process starts, for
+    ``workers < 1`` or on a platform without ``SO_REUSEPORT``.
     """
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise FleetUnsupported("workers must be >= 1")
+    if not hasattr(socket, "SO_REUSEPORT"):
+        raise FleetUnsupported(
+            "workers > 1 needs the SO_REUSEPORT socket option, which "
+            "this platform lacks; serve with workers=1"
+        )
     context = multiprocessing.get_context("spawn")
     ready_queue = context.Queue()
 

@@ -58,10 +58,8 @@ from repro.runtime.artifacts import read_artifact, write_artifact
 from repro.runtime.checkpoint import Phase1Checkpoint, TrainingInterrupted
 from repro.runtime.faults import (
     QuarantineRecord,
-    RetryPolicy,
     SeedQuarantined,
     WorkBudget,
-    classify,
     run_guarded,
 )
 from repro.runtime.options import RunOptions
@@ -237,7 +235,6 @@ def evaluate_seed(seed: int,
                   first_seeds: Sequence[int | None],
                   config: GeneratorConfig,
                   machine_config: MachineConfig,
-                  retry_policy: RetryPolicy | None,
                   seed_budget_seconds: float | None,
                   generate_fn: Callable,
                   measure_fn: Callable,
@@ -285,15 +282,13 @@ def evaluate_seed(seed: int,
             with obs.span("generate"):
                 app = run_guarded(
                     lambda: generate_fn(seed, group, config),
-                    seed=seed, stage="generate", policy=retry_policy,
-                    budget=budget,
+                    seed=seed, stage="generate", budget=budget,
                 )
             with obs.span("measure"):
                 race = run_guarded(
                     lambda: measure_fn(app, machine_config,
                                        [sets[i] for i in raced]),
-                    seed=seed, stage="measure", policy=retry_policy,
-                    budget=budget,
+                    seed=seed, stage="measure", budget=budget,
                 )
             runtimes = dict(zip(raced, race.runtimes))
             wanted = dict.fromkeys(
@@ -305,8 +300,8 @@ def evaluate_seed(seed: int,
                 features = {kind: run_guarded(
                     lambda: _whole_run(app, kind, race, machine_config
                                        ).features(),
-                    seed=seed, stage="finish", policy=retry_policy,
-                    budget=budget) for kind in wanted}
+                    seed=seed, stage="finish", budget=budget)
+                    for kind in wanted}
             finally:
                 race.release()
         except SeedQuarantined as quarantine:
@@ -342,28 +337,6 @@ def _one_set(measure_fn: Callable, app, machine_config,
     """Adapt a one-group ``measure_fn(app, machine_config)`` to the
     race seam."""
     return Race([measure_fn(app, machine_config)], {}, {})
-
-
-def _recover_worker_crash(failure: TaskFailure,
-                          worker: Callable[[int], SeedOutcome],
-                          ) -> SeedOutcome:
-    """Retry a pool-infrastructure failure once in the parent.
-
-    Every failure gets the retry, whatever its type: a fault of the pool
-    itself (a lost worker, ``EMFILE``, ``ENOMEM``) then leaves no trace,
-    so a pool run saves the serial run's bytes, and a seed that fails
-    again on the retry is quarantined with ``attempts=2``.
-    """
-    seed = failure.task
-    try:
-        return worker(seed)
-    except KeyboardInterrupt:
-        raise
-    except Exception as error:
-        return SeedOutcome(seed=seed, quarantine=QuarantineRecord(
-            seed=seed, stage="worker", category=classify(error),
-            error=f"{type(error).__name__}: {error}", attempts=2,
-        ))
 
 
 def _checkpoint_state(result: Phase1Result, counts: dict[DSKind, int],
@@ -594,7 +567,6 @@ def run_phase1(group: ModelGroup | Sequence[ModelGroup],
             sets=[loop.result.group.classes for loop in loops],
             first_seeds=first_seeds,
             config=config, machine_config=machine_config,
-            retry_policy=options.retry_policy,
             seed_budget_seconds=options.seed_budget_seconds,
             generate_fn=generate_fn, measure_fn=measure_fn,
             keep=[loop.keep for loop in loops],
@@ -676,8 +648,11 @@ def _seed_loop(loops: list[_SetLoop],
             if not active:
                 continue
             if isinstance(outcome, TaskFailure):
-                obs.counter("phase1.worker_crashes")
-                outcome = _recover_worker_crash(outcome, worker)
+                # Both attempts failed, the executor's and map_ordered's
+                # retry: quarantine the seed, not the run.
+                record = QuarantineRecord.of(outcome.error, seed=seed,
+                                             stage="worker", attempts=2)
+                outcome = SeedOutcome(seed=seed, quarantine=record)
             for i in active:
                 if _apply(loops[i], i, outcome, margin, per_class_target,
                           progress) and checkpoint_every is not None \

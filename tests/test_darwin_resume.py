@@ -7,9 +7,10 @@ The robustness contract for ``repro darwin``, proven as properties:
   :class:`~repro.runtime.checkpoint.DarwinCheckpoint` produces a
   byte-identical result vs the uninterrupted run, for any ``jobs``
   value, with and without injected worker faults.
-* **Fault isolation** — a transiently-failing chromosome retries in the
-  parent and leaves no trace in the result; a deterministically-failing
-  one is quarantined with stage/trace and the search continues.
+* **Fault isolation** — a failed evaluation retries once in the parent:
+  a transiently-failing chromosome or a pool fault leaves no trace in
+  the result; a chromosome that fails again is quarantined with
+  stage/trace and the search continues.
 * **Budget** — ``budget_seconds`` stops cleanly at a generation
   boundary, flags ``truncated="budget"``, and leaves a resumable
   checkpoint.
@@ -30,6 +31,7 @@ from dataclasses import replace
 import pytest
 
 import repro.api as api
+import repro.obs as obs
 from repro.apps.chord import ChordSimulator
 from repro.apps.xalan import XalanStringCache
 from repro.core.advisor import BrainyAdvisor
@@ -44,10 +46,10 @@ from repro.ml.strategies import (
 )
 from repro.models import BrainySuite
 from repro.runtime.checkpoint import DarwinCheckpoint, TrainingInterrupted
-from repro.runtime.faults import NO_WAIT
 from repro.runtime.inject import DarwinFaultInjector, DarwinFaultPlan
 from repro.runtime.options import RunOptions
 from repro.runtime.parallel import SerialExecutor
+from tests.test_phase1_race import FlakyExecutor
 
 
 def degraded_advisor() -> BrainyAdvisor:
@@ -152,7 +154,7 @@ class TestParetoResume:
         injector = DarwinFaultInjector(plan)
         return injector, make_search(seeds=self.FAULT_SEEDS).pareto(
             injector.wrap_fitness(grid_fitness), OBJ,
-            executor=SerialExecutor(), retry_policy=NO_WAIT,
+            executor=SerialExecutor(),
             resume_state=resume_state,
             on_generation=states.append if states is not None else None)
 
@@ -168,7 +170,7 @@ class TestParetoResume:
             with pytest.raises(KeyboardInterrupt):
                 make_search(seeds=self.FAULT_SEEDS).pareto(
                     wounded.wrap_fitness(grid_fitness), OBJ,
-                    executor=SerialExecutor(), retry_policy=NO_WAIT,
+                    executor=SerialExecutor(),
                     on_generation=states.append)
             resume = roundtrip(states[-1]) if states else None
             _, resumed = self._faulty(self.FAULT_PLAN,
@@ -182,6 +184,7 @@ class TestParetoResume:
         record = result.quarantined[genomes.index((1, 1, 1))].record
         assert record.category == "deterministic"
         assert "injected deterministic fault" in record.error
+        assert record.attempts == 2  # the pool's and the parent's
         # The search ran its full budget and kept real measurements.
         assert len(result.history) == 6
         assert result.front
@@ -196,11 +199,25 @@ class TestParetoResume:
             rng_seed=3, p_transient=0.4, transient_failures=1))
         faulted = make_search().pareto(
             injector.wrap_fitness(grid_fitness), OBJ,
-            executor=SerialExecutor(), retry_policy=NO_WAIT)
+            executor=SerialExecutor())
         assert not faulted.quarantined
         assert pareto_bytes(faulted) == baseline
         # Retries actually happened: more calls than distinct genomes.
         assert injector.calls > faulted.evaluations
+
+    def test_executor_fault_heals_in_parent(self):
+        """A pool fault of any type is retried in the parent like every
+        fan-out's: the front is the clean run's, nothing is
+        quarantined, and the retry is counted once."""
+        baseline = pareto_bytes(make_search().pareto(
+            grid_fitness, OBJ, executor=SerialExecutor()))
+        collector = obs.Collector()
+        with obs.use_collector(collector):
+            faulted = make_search().pareto(
+                grid_fitness, OBJ, executor=FlakyExecutor({3}))
+        assert not faulted.quarantined
+        assert pareto_bytes(faulted) == baseline
+        assert collector.metrics.counter_value("parallel.retries") == 1
 
     def test_stop_hook_truncates_at_a_boundary(self):
         result = make_search().pareto(

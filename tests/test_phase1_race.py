@@ -55,20 +55,24 @@ MARGINS = (0.0, 0.05)
 
 class FlakyExecutor(SerialExecutor):
     """In-process executor that fails chosen submissions at get() time
-    with a plain ``OSError``, which the fault taxonomy calls
-    deterministic: the parent retries it all the same."""
+    with ``error``, by default a plain ``OSError``, which the fault
+    taxonomy calls deterministic: the parent retries it all the
+    same."""
 
-    def __init__(self, fail_submissions):
+    def __init__(self, fail_submissions, error=None):
         self.fail_submissions = set(fail_submissions)
+        self.error = error or OSError("injected executor fault")
         self.count = 0
 
     def submit(self, fn, args):
         index = self.count
         self.count += 1
         if index in self.fail_submissions:
+            error = self.error
+
             class _Boom:
                 def get(self):
-                    raise OSError("injected executor fault")
+                    raise error
             return _Boom()
         return super().submit(fn, args)
 
@@ -604,7 +608,7 @@ class TestSharedTraining:
                          options=RunOptions(telemetry=collector))
         assert flaky.count > 6  # the failed seed was not the last
         assert collector.metrics.counter_value(
-            "phase1.worker_crashes") == 1
+            "parallel.retries") == 1
         assert len(faulted) == len(clean) == len(self.GROUPS)
         for got, want in zip(faulted, clean):
             assert got.quarantined == [] == want.quarantined

@@ -31,7 +31,6 @@ from repro.registry.store import (
 )
 from repro.runtime.faults import DeterministicFault, TransientFault
 from repro.runtime.inject import PipelineFaultInjector
-from repro.runtime.options import RunOptions
 from repro.serve.testing import tiny_suite
 
 SCALE = SCALES["tiny"]
@@ -55,18 +54,11 @@ def _run(registry, *, promote=False, fault_hook=None, resume=True,
     return run_pipeline(
         CORE2, SCALE, CONFIG, registry,
         promote=promote,
-        options=RunOptions(retry_policy=_fast_retry()),
         workdir=workdir, resume=resume, min_accuracy=min_accuracy,
         validation_apps=2, fault_hook=fault_hook,
         trainer=_trainer(seed), validator=validator or _validator(),
         sleep=lambda _s: None,
     )
-
-
-def _fast_retry():
-    from repro.runtime.faults import RetryPolicy
-
-    return RetryPolicy(retries=2, backoff=0.0)
 
 
 class TestHappyPath:
@@ -175,7 +167,6 @@ class TestResume:
 
         second = run_pipeline(
             CORE2, SCALE, CONFIG, registry,
-            options=RunOptions(retry_policy=_fast_retry()),
             workdir=workdir, resume=True, validation_apps=2,
             trainer=counting_trainer, validator=_validator(),
             sleep=lambda _s: None,
@@ -221,7 +212,6 @@ class TestResume:
 
         result = run_pipeline(
             CORE2, SCALE, CONFIG, registry,
-            options=RunOptions(retry_policy=_fast_retry()),
             workdir=workdir, resume=False, validation_apps=2,
             trainer=counting_trainer, validator=_validator(),
             sleep=lambda _s: None,

@@ -6,7 +6,6 @@ from repro.reporting import (
     bar_chart,
     format_table,
     normalised_series,
-    stacked_chart,
 )
 
 
@@ -49,20 +48,6 @@ class TestBarChart:
     def test_all_zero_does_not_crash(self):
         out = bar_chart({"a": 0.0})
         assert "a" in out
-
-
-class TestStackedChart:
-    def test_segments_and_legend(self):
-        out = stacked_chart({
-            "vector": {"agree": 8.0, "disagree": 2.0},
-            "set": {"agree": 5.0, "disagree": 5.0},
-        }, width=20)
-        assert "legend:" in out
-        assert "agree" in out and "disagree" in out
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            stacked_chart({})
 
 
 class TestNormalisedSeries:

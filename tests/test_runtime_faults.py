@@ -3,8 +3,8 @@
 import pytest
 
 from repro.runtime.faults import (
+    RETRY_DELAYS,
     DeterministicFault,
-    RetryPolicy,
     SeedBudgetExceeded,
     SeedQuarantined,
     TransientFault,
@@ -25,13 +25,6 @@ class TestClassify:
         assert classify(SeedBudgetExceeded("x")) == "budget"
 
 
-class TestRetryPolicy:
-    def test_backoff_sequence(self):
-        policy = RetryPolicy(retries=3, backoff=0.1, multiplier=2.0,
-                             max_backoff=0.3)
-        assert list(policy.delays()) == [0.1, 0.2, 0.3]
-
-
 class TestRunGuarded:
     def test_success_passthrough(self):
         assert run_guarded(lambda: 42, seed=0, stage="generate") == 42
@@ -46,7 +39,6 @@ class TestRunGuarded:
             return "ok"
 
         result = run_guarded(flaky, seed=7, stage="measure",
-                             policy=RetryPolicy(retries=2, backoff=0),
                              sleep=lambda _: None)
         assert result == "ok"
         assert len(attempts) == 3
@@ -55,10 +47,12 @@ class TestRunGuarded:
         def always_flaky():
             raise TransientFault("hiccup")
 
+        slept = []
         with pytest.raises(SeedQuarantined) as exc_info:
             run_guarded(always_flaky, seed=7, stage="measure",
-                        policy=RetryPolicy(retries=2, backoff=0),
-                        sleep=lambda _: None)
+                        sleep=slept.append)
+        # The fixed budget: two retries, backed off 0.01 s then 0.02 s.
+        assert slept == list(RETRY_DELAYS) == [0.01, 0.02]
         record = exc_info.value.record
         assert record.seed == 7
         assert record.stage == "measure"
@@ -74,7 +68,7 @@ class TestRunGuarded:
 
         with pytest.raises(SeedQuarantined) as exc_info:
             run_guarded(broken, seed=3, stage="generate",
-                        policy=RetryPolicy(retries=5, backoff=0))
+                        sleep=lambda _: None)
         assert len(attempts) == 1
         assert exc_info.value.record.category == "deterministic"
 
@@ -94,7 +88,6 @@ class TestRunGuarded:
 
         with pytest.raises(SeedQuarantined) as exc_info:
             run_guarded(flaky, seed=1, stage="measure",
-                        policy=RetryPolicy(retries=5, backoff=0),
                         budget=budget, sleep=lambda _: None)
         assert exc_info.value.record.category == "budget"
 

@@ -8,6 +8,7 @@ regardless of ``PYTHONHASHSEED``.
 """
 
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,30 +19,23 @@ from repro.appgen.config import GeneratorConfig
 from repro.containers.registry import MODEL_GROUPS
 from repro.machine.configs import CORE2
 from repro.runtime.checkpoint import TrainingInterrupted
-from repro.runtime.faults import (
-    CATEGORY_DETERMINISTIC,
-    CATEGORY_TRANSIENT,
-    RetryPolicy,
-)
+import repro.obs as obs
+import repro.training.phase1 as phase1_mod
+from repro.runtime.faults import CATEGORY_DETERMINISTIC, CATEGORY_TRANSIENT
 from repro.runtime.inject import FaultInjector, FaultPlan
 from repro.runtime.options import RunOptions
 from repro.runtime.parallel import (
     SerialExecutor,
     TaskFailure,
     map_ordered,
-    map_retry,
     resolve_jobs,
     usable_jobs,
 )
-from repro.training.phase1 import (
-    SeedOutcome,
-    _recover_worker_crash,
-    run_phase1,
-)
+from repro.training.phase1 import run_phase1
+from tests.test_phase1_race import FlakyExecutor
 
 GROUP = MODEL_GROUPS["set"]
 CONFIG = GeneratorConfig.small()
-NO_WAIT = RetryPolicy(retries=2, backoff=0.0)
 
 
 def phase1_kwargs(**extra):
@@ -59,6 +53,14 @@ def _crash_on_seven(x):
     if x == 7:
         raise ValueError("crash")
     return x
+
+
+def _crash_in_worker_on_three(x):
+    """Fails only inside a pool worker: a fault of the pool, not the
+    task."""
+    if x == 3 and multiprocessing.current_process().name != "MainProcess":
+        raise OSError(24, "Too many open files")
+    return x * x
 
 
 class CountingExecutor(SerialExecutor):
@@ -150,13 +152,16 @@ class TestMapOrdered:
 
 
 class TestMapRetry:
-    """map_ordered plus a single in-parent retry for failed slots —
-    the recovery used by the GA fitness fan-out, whose tasks are pure
-    and safe to re-run."""
+    """map_ordered runs a failed task once more in the calling process,
+    for any executor, and yields a TaskFailure only when that retry
+    fails too."""
 
     def test_passthrough_without_failures(self):
-        assert list(map_retry(_square, range(10), jobs=2)) \
-            == [x * x for x in range(10)]
+        collector = obs.Collector()
+        with obs.use_collector(collector):
+            assert list(map_ordered(_square, range(10), jobs=2)) \
+                == [x * x for x in range(10)]
+        assert collector.metrics.counter_value("parallel.retries") == 0
 
     def test_failed_slot_retried_in_parent(self):
         calls = []
@@ -167,15 +172,47 @@ class TestMapRetry:
                 raise ValueError("first attempt fails")
             return x * x
 
-        assert list(map_retry(flaky_once, range(10))) \
-            == [x * x for x in range(10)]
+        collector = obs.Collector()
+        with obs.use_collector(collector):
+            assert list(map_ordered(flaky_once, range(10))) \
+                == [x * x for x in range(10)]
         assert calls.count(7) == 2
+        assert collector.metrics.counter_value("parallel.retries") == 1
+
+    def test_pool_failure_heals_in_parent(self):
+        """A task that fails only on its pool worker leaves no trace
+        but the parent collector's retry count."""
+        collector = obs.Collector()
+        with obs.use_collector(collector):
+            results = list(map_ordered(_crash_in_worker_on_three,
+                                       range(6), jobs=2))
+        assert results == [x * x for x in range(6)]
+        assert collector.metrics.counter_value("parallel.retries") == 1
 
     def test_deterministic_failure_propagates(self):
-        results = map_retry(_crash_on_seven, range(10))
-        assert [next(results) for _ in range(7)] == list(range(7))
-        with pytest.raises(ValueError, match="crash"):
-            next(results)
+        """A persistent failure yields its TaskFailure after exactly
+        two calls, and the stream goes on."""
+        calls = []
+
+        def broken_seven(x):
+            calls.append(x)
+            return _crash_on_seven(x)
+
+        results = list(map_ordered(broken_seven, range(10)))
+        assert calls.count(7) == 2
+        assert isinstance(results[7], TaskFailure)
+        assert str(results[7].error) == "crash"
+        assert results[8:] == [8, 9]
+
+    def test_interrupt_during_retry_propagates(self):
+        def interrupted_retry(x):
+            raise KeyboardInterrupt
+
+        stream = map_ordered(
+            interrupted_retry, range(3),
+            executor=FlakyExecutor({0}, OSError("lost worker")))
+        with pytest.raises(KeyboardInterrupt):
+            next(stream)
 
 
 class TestUsableJobs:
@@ -193,47 +230,75 @@ class TestUsableJobs:
 
 
 class TestWorkerCrashRecovery:
-    def test_deterministic_crash_quarantined(self):
-        failure = TaskFailure(task=11, error=ValueError("bad state"))
+    """A Phase I seed whose executor slot fails is retried in the
+    parent whatever the error; a seed that fails on the retry too is
+    quarantined at stage ``worker`` with ``attempts=2``."""
 
-        def still_bad(seed):
-            raise ValueError("bad state")
+    KWARGS = dict(per_class_target=1, max_seeds=4)
 
-        outcome = _recover_worker_crash(failure, still_bad)
-        assert outcome.quarantine is not None
-        assert outcome.quarantine.seed == 11
-        assert outcome.quarantine.stage == "worker"
-        assert outcome.quarantine.category == CATEGORY_DETERMINISTIC
-        assert outcome.quarantine.attempts == 2
+    @staticmethod
+    def saved(result, path):
+        result.save(path)
+        return path.read_bytes()
 
-    def test_any_crash_retried_in_parent(self):
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        return self.saved(run_phase1(GROUP, CONFIG, CORE2, **self.KWARGS),
+                          tmp_path_factory.mktemp("clean") / "p1.json")
+
+    @staticmethod
+    def breaking_seed(monkeypatch, seed, error):
+        """Make the seed worker raise ``error`` on every call for
+        ``seed``; returns the list of seeds it was called with."""
+        calls = []
+        evaluate = phase1_mod.evaluate_seed
+
+        def broken(task, **kwargs):
+            calls.append(task)
+            if task == seed:
+                raise error
+            return evaluate(task, **kwargs)
+
+        monkeypatch.setattr(phase1_mod, "evaluate_seed", broken)
+        return calls
+
+    def test_deterministic_crash_quarantined(self, monkeypatch):
+        calls = self.breaking_seed(monkeypatch, 1, ValueError("bad state"))
+        result = run_phase1(GROUP, CONFIG, CORE2, **self.KWARGS)
+        assert calls.count(1) == 2
+        [record] = result.quarantined
+        assert record.seed == 1
+        assert record.stage == "worker"
+        assert record.category == CATEGORY_DETERMINISTIC
+        assert record.error == "ValueError: bad state"
+        assert record.attempts == 2
+
+    def test_any_crash_retried_in_parent(self, clean, tmp_path):
         """A plain ``OSError`` (``EMFILE``) classifies deterministic,
         and is retried all the same."""
-        failure = TaskFailure(task=7, error=OSError(24, "Too many open files"))
-        outcome = _recover_worker_crash(
-            failure, lambda seed: SeedOutcome(seed=seed, runtimes={})
-        )
-        assert outcome.quarantine is None
-        assert outcome.seed == 7
+        result = run_phase1(
+            GROUP, CONFIG, CORE2,
+            executor=FlakyExecutor(
+                {0}, OSError(24, "Too many open files")),
+            **self.KWARGS)
+        assert result.quarantined == []
+        assert self.saved(result, tmp_path / "p1.json") == clean
 
-    def test_transient_crash_retried_in_parent(self):
-        failure = TaskFailure(task=5, error=ConnectionError("lost worker"))
-        outcome = _recover_worker_crash(
-            failure, lambda seed: SeedOutcome(seed=seed, runtimes={})
-        )
-        assert outcome.quarantine is None
-        assert outcome.seed == 5
+    def test_transient_crash_retried_in_parent(self, clean, tmp_path):
+        result = run_phase1(
+            GROUP, CONFIG, CORE2,
+            executor=FlakyExecutor({1}, ConnectionError("lost worker")),
+            **self.KWARGS)
+        assert result.quarantined == []
+        assert self.saved(result, tmp_path / "p1.json") == clean
 
-    def test_transient_crash_retry_fails_then_quarantines(self):
-        failure = TaskFailure(task=5, error=TimeoutError("slow worker"))
-
-        def still_broken(seed):
-            raise TimeoutError("still slow")
-
-        outcome = _recover_worker_crash(failure, still_broken)
-        assert outcome.quarantine is not None
-        assert outcome.quarantine.category == CATEGORY_TRANSIENT
-        assert outcome.quarantine.attempts == 2
+    def test_transient_crash_retry_fails_then_quarantines(self,
+                                                          monkeypatch):
+        self.breaking_seed(monkeypatch, 0, TimeoutError("still slow"))
+        result = run_phase1(GROUP, CONFIG, CORE2, **self.KWARGS)
+        [record] = result.quarantined
+        assert record.category == CATEGORY_TRANSIENT
+        assert record.attempts == 2
 
 
 class TestParallelSerialEquivalence:
@@ -258,7 +323,7 @@ class TestParallelSerialEquivalence:
         serial = run_phase1(
             GROUP, CONFIG, CORE2,
             generate_fn=FaultInjector(plan).wrap_generate(),
-            **phase1_kwargs(options=RunOptions(retry_policy=NO_WAIT)),
+            **phase1_kwargs(),
         )
         assert serial.quarantined
         # Injector closures are stateful, so the fan-out variant runs on
@@ -267,8 +332,7 @@ class TestParallelSerialEquivalence:
             GROUP, CONFIG, CORE2,
             generate_fn=FaultInjector(plan).wrap_generate(),
             executor=SerialExecutor(),
-            **phase1_kwargs(options=RunOptions(retry_policy=NO_WAIT,
-                                               jobs=4)),
+            **phase1_kwargs(options=RunOptions(jobs=4)),
         )
         serial.save(tmp_path / "serial.json")
         fanned.save(tmp_path / "fanned.json")

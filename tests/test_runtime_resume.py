@@ -24,7 +24,6 @@ from repro.models.cache import (
     suite_path,
 )
 from repro.runtime.checkpoint import TrainingInterrupted
-from repro.runtime.faults import RetryPolicy
 from repro.runtime.inject import FaultInjector, FaultPlan
 from repro.runtime.options import RunOptions
 from repro.training.phase1 import Phase1Result, run_phase1
@@ -32,8 +31,6 @@ from repro.training.phase2 import run_phase2
 
 GROUP = MODEL_GROUPS["set"]
 CONFIG = GeneratorConfig.small()
-NO_WAIT_OPTIONS = RunOptions(retry_policy=RetryPolicy(retries=2,
-                                                      backoff=0.0))
 TINY = ScaleParams("unit-resume", per_class_target=3, max_seeds=60,
                    validation_apps=5, hidden=(8,))
 
@@ -89,7 +86,7 @@ class TestPhase1Resume:
         plan = FaultPlan(rng_seed=5, p_transient_generate=0.2,
                          p_deterministic_measure=0.1,
                          transient_failures=1)
-        kwargs = phase1_kwargs(options=NO_WAIT_OPTIONS)
+        kwargs = phase1_kwargs()
 
         inj_a = FaultInjector(plan)
         uninterrupted = run_phase1(
@@ -155,7 +152,7 @@ class TestPhase1Quarantine:
         injector = FaultInjector(plan)
         result = run_phase1(GROUP, CONFIG, CORE2,
                             generate_fn=injector.wrap_generate(),
-                            **phase1_kwargs(options=NO_WAIT_OPTIONS))
+                            **phase1_kwargs())
         assert result.quarantined
         assert all(q.category == "deterministic"
                    for q in result.quarantined)
@@ -167,7 +164,7 @@ class TestPhase1Quarantine:
         injector = FaultInjector(plan)
         result = run_phase1(GROUP, CONFIG, CORE2,
                             generate_fn=injector.wrap_generate(),
-                            **phase1_kwargs(options=NO_WAIT_OPTIONS))
+                            **phase1_kwargs())
         path = tmp_path / "p1.json"
         result.save(path)
         loaded = Phase1Result.load(path)

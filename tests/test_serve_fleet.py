@@ -24,7 +24,7 @@ import pytest
 
 import repro.api as api
 from repro.core.advisor import BrainyAdvisor
-from repro.serve.fleet import _RestartTracker
+from repro.serve.fleet import FleetSpec, _RestartTracker, run_fleet
 from repro.serve.protocol import encode
 from repro.serve.testing import (
     advise_payload,
@@ -273,3 +273,33 @@ class TestNoReusePort:
         with pytest.raises(api.UsageError, match="SO_REUSEPORT"):
             api.serve(suite_dir=suite_dir, workers=2)
         assert spawned == []
+
+    def test_run_fleet_refuses_before_spawning(self, suite_dir,
+                                               monkeypatch):
+        """``run_fleet`` owns the check: called directly, it raises a
+        ``ValueError`` naming the option, not an ``AttributeError``
+        from its probe socket, and starts no process."""
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        spawned = []
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess,
+                            "start", lambda self: spawned.append(self))
+        with pytest.raises(ValueError, match="SO_REUSEPORT"):
+            run_fleet(FleetSpec(suite_dir=str(suite_dir)), 2,
+                      install_signal_handlers=False,
+                      announce=lambda line: None)
+        assert spawned == []
+
+    def test_fault_during_the_run_is_not_a_usage_error(self, suite_dir,
+                                                        monkeypatch):
+        """Only the up-front refusal becomes a ``UsageError``: a
+        ``ValueError`` raised once the fleet runs (say, while merging
+        worker telemetry) propagates with its own traceback."""
+        import repro.serve
+
+        def failing_fleet(spec, workers):
+            raise ValueError("bad worker telemetry")
+
+        monkeypatch.setattr(repro.serve, "run_fleet", failing_fleet)
+        with pytest.raises(ValueError, match="bad worker telemetry") as err:
+            api.serve(suite_dir=suite_dir, workers=2)
+        assert not isinstance(err.value, api.UsageError)
